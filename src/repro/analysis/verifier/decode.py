@@ -16,7 +16,8 @@ namespace there already failed ``TandemProgram.unpack``.
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from ...isa import (
     FUNC_ENUMS,
@@ -33,6 +34,29 @@ _NS_CARRYING_ITER_FUNCS = (int(IteratorConfigFunc.BASE_ADDR),
                            int(IteratorConfigFunc.STRIDE))
 _NS_CARRYING_LDST_FUNCS = (int(LdStFunc.LD_CONFIG_BASE_ADDR),
                            int(LdStFunc.ST_CONFIG_BASE_ADDR))
+
+
+# Code Repeater loops make programs repeat words heavily (the zoo has
+# ~2.2k distinct words in ~46k), so both per-word checks are memoized.
+@lru_cache(maxsize=1 << 16)
+def _roundtrip(word: int) -> Tuple[Optional[int], Optional[str]]:
+    """``(re-encoded word, None)``, or ``(None, error)`` if it won't decode."""
+    try:
+        return decode(word).pack(), None
+    except Exception as err:
+        return None, str(err)
+
+
+@lru_cache(maxsize=None)
+def _func_defined(opcode: Opcode, func: int) -> bool:
+    func_enum = FUNC_ENUMS.get(opcode)
+    if func_enum is None:
+        return True
+    try:
+        func_enum(func)
+    except ValueError:
+        return False
+    return True
 
 
 def run(trace: ProgramTrace) -> List[Finding]:
@@ -52,20 +76,15 @@ def run(trace: ProgramTrace) -> List[Finding]:
                  f"instruction does not pack into a 32-bit word: {err}")
             continue
 
-        func_enum = FUNC_ENUMS.get(inst.opcode)
-        if func_enum is not None:
-            try:
-                func_enum(inst.func)
-            except ValueError:
-                flag("illegal-func", pc,
-                     f"func {inst.func:#x} is not defined for opcode "
-                     f"{inst.opcode.name}")
+        if not _func_defined(inst.opcode, inst.func):
+            flag("illegal-func", pc,
+                 f"func {inst.func:#x} is not defined for opcode "
+                 f"{inst.opcode.name}")
 
-        try:
-            roundtrip = decode(word).pack()
-        except Exception as err:
+        roundtrip, error = _roundtrip(word)
+        if error is not None:
             flag("roundtrip-mismatch", pc,
-                 f"word {word:#010x} does not decode back: {err}")
+                 f"word {word:#010x} does not decode back: {error}")
             continue
         if roundtrip != word:
             flag("roundtrip-mismatch", pc,

@@ -11,10 +11,13 @@ benchmark).
 from __future__ import annotations
 
 import json
+import re
+import struct
 from typing import Dict, List, Optional
 
 from ..gemm import GemmCost
-from ..isa import Namespace, TandemProgram
+from ..isa import Namespace, ProgramDecodeError, TandemProgram
+from ..runtime.cache import _json_scalar
 from ..simulator.analytic import AnalyticNest, ProgramMeta
 from ..simulator.pipeline import BodyOpMeta
 from .ir import PermuteSlot, TransferSlot
@@ -25,14 +28,26 @@ from .lowering import LoweredTile
 # Version 3 adds per-tile access metadata (``access_meta``) so the
 # verifier's translation-validation pass can re-check reloaded
 # artifacts, not just fresh compiles.
-FORMAT_VERSION = 3
+# Version 4 writes compact JSON and packs each tile's words into one hex
+# string, 8 characters per word.
+FORMAT_VERSION = 4
+
+_HEX_DIGITS = re.compile(r"[0-9a-f]*")
 
 
-def _json_scalar(value):
-    """JSON fallback for numpy scalars (graphs built from numpy shapes)."""
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+def _words_to_hex(words: List[int]) -> str:
+    return "".join([f"{w:08x}" for w in words])
+
+
+def _words_from_hex(name: str, text) -> List[int]:
+    """Parse a v4 ``words`` string; a torn or foreign record raises."""
+    if not isinstance(text, str) or len(text) % 8:
+        raise ProgramDecodeError(
+            f"words of {name!r} are not a whole number of 8-digit hex words")
+    if not _HEX_DIGITS.fullmatch(text):
+        raise ProgramDecodeError(
+            f"words of {name!r} contain a non-hex character")
+    return list(struct.unpack(f">{len(text) // 8}I", bytes.fromhex(text)))
 
 
 def _transfer_to_dict(slot: TransferSlot) -> Dict:
@@ -122,7 +137,7 @@ def _meta_from_dict(data: Dict) -> ProgramMeta:
 def tile_to_dict(tile: LoweredTile) -> Dict:
     return {
         "program_name": tile.program.name,
-        "words": [f"{w:08x}" for w in tile.program.pack()],
+        "words": _words_to_hex(tile.program.pack()),
         "meta": _meta_to_dict(tile.meta),
         "transfers": [_transfer_to_dict(t) for t in tile.transfers],
         "permutes": [_permute_to_dict(p) for p in tile.permutes],
@@ -140,8 +155,8 @@ def tile_from_dict(data: Dict) -> LoweredTile:
     # Imported lazily: the analysis package pulls the compiler in.
     from ..analysis.deps.access import TileAccessMeta
 
-    program = TandemProgram.unpack(
-        data["program_name"], [int(w, 16) for w in data["words"]])
+    name = data["program_name"]
+    program = TandemProgram.unpack(name, _words_from_hex(name, data["words"]))
     meta_dict = data.get("access_meta")
     return LoweredTile(
         program=program,
@@ -182,7 +197,7 @@ def dump_model(model) -> str:
         "format_version": FORMAT_VERSION,
         "model": model.name,
         "blocks": blocks,
-    }, indent=1, default=_json_scalar)
+    }, separators=(",", ":"), default=_json_scalar)
 
 
 def load_blocks(text: str) -> List[Dict]:

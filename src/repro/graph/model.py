@@ -57,6 +57,7 @@ class Graph:
         self.graph_inputs: List[str] = []
         self.graph_outputs: List[str] = []
         self._producer: Dict[str, str] = {}
+        self._consumers: Dict[str, List[Node]] = defaultdict(list)
 
     # -- construction ------------------------------------------------------
     def add_tensor(self, spec: TensorSpec) -> TensorSpec:
@@ -72,6 +73,8 @@ class Graph:
             if out in self._producer:
                 raise GraphError(f"tensor {out!r} produced twice")
             self._producer[out] = node.name
+        for name in dict.fromkeys(node.inputs):
+            self._consumers[name].append(node)
         self.nodes.append(node)
         return node
 
@@ -106,8 +109,8 @@ class Graph:
         raise GraphError(f"node {name!r} not in graph {self.name}")
 
     def consumers(self, tensor_name: str) -> List[Node]:
-        """Every node reading ``tensor``."""
-        return [n for n in self.nodes if tensor_name in n.inputs]
+        """Every node reading ``tensor``, in node order."""
+        return list(self._consumers.get(tensor_name, ()))
 
     def out_spec(self, node: Node) -> TensorSpec:
         """The spec of a node's first output."""

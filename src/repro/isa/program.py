@@ -8,11 +8,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, List
 
 from .encoding import EncodingError, is_compute_opcode
 from .instructions import Instruction, decode
 from .opcodes import Opcode
+
+
+# Instructions are immutable, so every program that repeats a word (Code
+# Repeater bodies make most words repeats) shares one decoded object.
+_decode_word = lru_cache(maxsize=1 << 16)(decode)
 
 
 class ProgramDecodeError(ValueError):
@@ -66,7 +72,7 @@ class TandemProgram:
                     f"instruction word", pc=pc, word=word if isinstance(
                         word, int) else 0)
             try:
-                instructions.append(decode(word))
+                instructions.append(_decode_word(word))
             except (ValueError, EncodingError) as err:
                 # Opcode/Namespace enum misses and field overflows all
                 # surface here as one typed, indexed error.

@@ -42,7 +42,7 @@ CACHE_EPOCH = 1
 
 
 def _json_scalar(value):
-    """JSON fallback for numpy scalars riding inside result payloads."""
+    """JSON fallback for numpy scalars (numpy shapes, result payloads)."""
     if hasattr(value, "item"):
         return value.item()
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
@@ -129,10 +129,11 @@ class CacheStats:
 class EvalCache:
     """Two-tier (memory + disk) cache of evaluation artifacts.
 
-    ``kind`` namespaces entries (``"compiled"``, ``"results"``); values
-    cross tiers as JSON via the ``encode``/``decode`` callables the
-    caller supplies, so this class stays ignorant of compiler and
-    simulator types.
+    ``kind`` namespaces entries (``"compiled"``, ``"results"``). On disk
+    each entry is one text document: ``encode(value) -> str`` is written
+    as is and ``decode(str) -> value`` parses it once, so this class
+    stays ignorant of compiler and simulator types. Kinds without an
+    encoder are stored as compact JSON.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
@@ -148,7 +149,7 @@ class EvalCache:
         return self.directory / kind / f"{key}.json"
 
     def get(self, kind: str, key: str,
-            decode: Optional[Callable[[Any], Any]] = None) -> Optional[Any]:
+            decode: Optional[Callable[[str], Any]] = None) -> Optional[Any]:
         """Look up ``key``; memory first, then disk (re-encoding to memory)."""
         if not self.enabled:
             return None
@@ -165,8 +166,7 @@ class EvalCache:
             if path.exists():
                 try:
                     text = path.read_text()
-                    payload = json.loads(text)
-                    value = decode(payload) if decode else payload
+                    value = decode(text) if decode else json.loads(text)
                 except (ValueError, KeyError, TypeError, OSError):
                     # Stale or corrupt artifact from an older code version.
                     self.stats.invalidations += 1
@@ -203,7 +203,7 @@ class EvalCache:
         return self.persist and self._path(kind, key).exists()
 
     def put(self, kind: str, key: str, value: Any,
-            encode: Optional[Callable[[Any], Any]] = None) -> None:
+            encode: Optional[Callable[[Any], str]] = None) -> None:
         if not self.enabled:
             return
         tel = get_telemetry()
@@ -213,13 +213,15 @@ class EvalCache:
         if tel is not None:
             tel.count(f"cache.{kind}.stores")
         if self.persist:
-            payload = encode(value) if encode else value
+            # Encoded before the temp file exists, so an encoder error
+            # leaves nothing behind in the cache directory.
+            text = encode(value) if encode else json.dumps(
+                value, separators=(",", ":"), default=_json_scalar)
             path = self._path(kind, key)
             path.parent.mkdir(parents=True, exist_ok=True)
             # Atomic publish: parallel workers may race on the same key.
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                text = json.dumps(payload, default=_json_scalar)
                 with os.fdopen(fd, "w") as handle:
                     handle.write(text)
                 os.replace(tmp, path)

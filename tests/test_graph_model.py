@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graph import Graph, GraphBuilder, GraphError, Node, OpClass, TensorSpec
+from repro.models import available_models, build_model
 
 
 def _mini_graph():
@@ -82,6 +83,21 @@ def test_producer_and_consumers():
     assert graph.producer(out) is conv
     consumers = graph.consumers(out)
     assert [c.op_type for c in consumers] == ["Relu"]
+
+
+def test_node_reading_a_tensor_twice_consumes_it_once():
+    graph = _mini_graph()
+    relu_out = graph.nodes[1].outputs[0]
+    assert [c.op_type for c in graph.consumers(relu_out)] == ["Add"]
+    assert graph.consumers("no-such-tensor") == []
+
+
+@pytest.mark.parametrize("model", available_models())
+def test_consumer_index_matches_brute_force_scan(model):
+    graph = build_model(model)
+    for name in graph.tensors:
+        assert graph.consumers(name) == \
+            [n for n in graph.nodes if name in n.inputs], name
 
 
 def test_class_counts_and_gemm_fraction():

@@ -6,6 +6,7 @@ invalidation when the graph or the NPU configuration changes, and
 ``parallel_map`` matching serial execution element-for-element.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -166,6 +167,30 @@ def test_corrupt_disk_entry_invalidates(fresh_cache):
     NPUTandem().evaluate("resnet50")
     assert get_cache().stats.invalidations == 1
     assert not path.exists() or path.read_text() != "{not json"
+
+
+def test_truncated_compiled_words_invalidate_and_recompile(fresh_cache):
+    graph = build_model("mobilenetv2")
+    config = table3_config()
+    first = compile_model(graph, config.sim, config.gemm)
+    original = [list(b.tile.program.pack()) for b in first.blocks
+                if b.tile is not None]
+    (path,) = (fresh_cache.directory / "compiled").glob("*.json")
+    data = json.loads(path.read_text())
+    tile = next(blk["tile"] for blk in data["blocks"] if blk["tile"])
+    tile["words"] = tile["words"][:-4]
+    path.write_text(json.dumps(data))
+    set_cache(EvalCache(directory=fresh_cache.directory))
+    second = compile_model(graph, config.sim, config.gemm)
+    assert get_cache().stats.invalidations == 1
+    assert [list(b.tile.program.pack()) for b in second.blocks
+            if b.tile is not None] == original
+
+
+def test_unencodable_put_leaves_no_temp_file(fresh_cache):
+    with pytest.raises(TypeError):
+        fresh_cache.put("results", "bad", {"value": object()})
+    assert list(fresh_cache.directory.rglob("*.tmp")) == []
 
 
 def test_disabled_cache_stores_nothing(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_model, dump_model, load_blocks
+from repro.isa import ProgramDecodeError
 from repro.models import build_tinynet
 from repro.npu import FunctionalRunner
 from repro.simulator import estimate
@@ -20,6 +21,28 @@ def test_dump_is_valid_json(compiled):
     data = json.loads(dump_model(compiled))
     assert data["model"] == "tinynet"
     assert len(data["blocks"]) == len(compiled.blocks)
+
+
+def test_dump_is_compact_with_hex_word_strings(compiled):
+    text = dump_model(compiled)
+    assert "\n" not in text
+    data = json.loads(text)
+    for original, blk in zip(compiled.blocks, data["blocks"]):
+        if original.tile is None:
+            continue
+        words = blk["tile"]["words"]
+        assert isinstance(words, str)
+        assert len(words) == 8 * len(original.tile.program.instructions)
+
+
+@pytest.mark.parametrize("damage", [lambda w: w[:-3], lambda w: "zz" + w[2:]],
+                         ids=["truncated", "non-hex"])
+def test_corrupt_word_string_raises_decode_error(compiled, damage):
+    data = json.loads(dump_model(compiled))
+    tile = next(blk["tile"] for blk in data["blocks"] if blk["tile"])
+    tile["words"] = damage(tile["words"])
+    with pytest.raises(ProgramDecodeError):
+        load_blocks(json.dumps(data))
 
 
 def test_programs_roundtrip_bit_exact(compiled):

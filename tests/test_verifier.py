@@ -130,6 +130,24 @@ def test_roundtrip_mismatch_flagged():
     assert "roundtrip-mismatch" in rules_of(report, Severity.ERROR)
 
 
+def test_repeated_bad_word_flagged_at_every_pc():
+    """The memoized round trip still reports each occurrence by pc."""
+    class EvilInst:
+        opcode = Opcode.SYNC
+        func = int(SyncFunc.SIMD_START_EXEC)
+        imm = 0
+
+        def pack(self):
+            return 0xF0000000
+
+    program = TandemProgram(
+        "evil", [EvilInst(), sync(SyncFunc.SIMD_START_EXEC), EvilInst()])
+    found = [f for f in verify_program(program).findings
+             if f.rule == "roundtrip-mismatch"]
+    assert [f.pc for f in found] == [0, 2]
+    assert found[0].message == found[1].message
+
+
 def test_illegal_namespace_in_iterator_config():
     bad = Instruction(Opcode.ITERATOR_CONFIG, 0, field3=6, field5=0, imm=0)
     report = verify_program(_program(bad))
