@@ -16,15 +16,15 @@ IR-level access claims (:mod:`repro.analysis.deps.access`) are
 cross-checked against the binary-level walks the abstract interpreter
 reconstructed. ``REPRO_DEPS`` selects the mode — ``off`` disables it,
 ``strict`` is reserved for CI gates (callers may also treat it as
-"warnings fail"), anything else (the default) runs it.
+"warnings fail"), ``on`` (the default) runs it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional, Sequence
 
 from ...isa import Namespace, ProgramDecodeError, TandemProgram, decode
+from ...runtime import knobs
 from ...simulator.params import TandemParams
 from ...telemetry import get_telemetry
 from . import dataflow, decode as decode_pass, lint, loops, ownership
@@ -46,17 +46,13 @@ def deps_mode(override: Optional[str] = None) -> str:
     """Resolve the dependence-analysis mode: ``off``/``on``/``strict``.
 
     ``override`` wins when given; otherwise the ``REPRO_DEPS``
-    environment variable decides, defaulting to ``on``.
+    environment variable decides, defaulting to ``on``. Both parse
+    through the ``REPRO_DEPS`` knob, so a misspelt mode raises
+    :class:`~repro.runtime.knobs.KnobError`.
     """
-    raw = override if override is not None else os.environ.get("REPRO_DEPS")
-    if raw is None:
-        return "on"
-    token = raw.strip().lower()
-    if token in ("0", "off", "false", "no"):
-        return "off"
-    if token == "strict":
-        return "strict"
-    return "on"
+    if override is not None:
+        return knobs.parse("REPRO_DEPS", override)
+    return knobs.get("REPRO_DEPS")
 
 
 def _infer_owns_obuf(trace: ProgramTrace) -> bool:

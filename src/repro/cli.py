@@ -68,7 +68,7 @@ from .baselines import (
 from .harness import render_table, run_experiment
 from .models import available_models
 from .npu import NPUTandem, render_timeline, trace_model
-from .runtime import cached_evaluate, default_jobs, get_cache, parallel_map
+from .runtime import KnobError, cached_evaluate, get_cache, knobs, parallel_map
 
 _DESIGNS: Dict[str, Callable[[], object]] = {
     "npu": NPUTandem,
@@ -130,7 +130,8 @@ def cmd_compile(args) -> int:
         graph = build_model(args.model)
         pipeline = None
         if npu._autotune_active():
-            report = autotune_model(graph, npu.config, jobs=default_jobs(),
+            report = autotune_model(graph, npu.config,
+                                    jobs=knobs.get("REPRO_JOBS"),
                                     special_functions=npu.special_functions)
             pipeline = report.best_pipeline()
         model, lines = explain_compile(
@@ -167,7 +168,7 @@ def cmd_autotune(args) -> int:
 
     npu = NPUTandem()
     graph = build_model(args.model)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = args.jobs if args.jobs is not None else knobs.get("REPRO_JOBS")
     report = autotune_model(graph, npu.config, budget=args.budget, jobs=jobs,
                             special_functions=npu.special_functions)
     rows = []
@@ -200,7 +201,7 @@ def _render_experiment(exp_id: str) -> str:
 
 def cmd_experiment(args) -> int:
     """Regenerate paper figures/tables, optionally across processes."""
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = args.jobs if args.jobs is not None else knobs.get("REPRO_JOBS")
     for text in parallel_map(_render_experiment, args.ids, jobs=jobs):
         print(text)
         print()
@@ -376,8 +377,7 @@ def _cmd_serve_llm(args) -> int:
             return 2
     costs = LLMServiceCosts.resolve(args.llm_config,
                                     kv_budget_tokens=args.kv_budget)
-    from .serving import default_max_slots
-    max_slots = args.slots if args.slots else default_max_slots()
+    max_slots = args.slots or knobs.get("REPRO_LLM_MAX_SLOTS")
     points = llm_grid(costs=costs, schedulers=schedulers, rates=rates,
                       duration_s=args.duration, max_slots=max_slots)
     jobs = args.jobs if args.jobs is not None else 1
@@ -400,8 +400,7 @@ def _cmd_serve_llm(args) -> int:
                    if payload["summary"]["continuous_beats_oneshot"]
                    else "continuous batching does NOT beat one-shot")
         print(verdict)
-    from .serving import monitoring_enabled
-    if monitoring_enabled(args.monitor):
+    if knobs.switch("REPRO_MONITOR", args.monitor):
         # Re-run the busiest continuous point with the monitor attached
         # (monitoring is observational, so the sweep numbers above are
         # untouched) and render its dashboard.
@@ -489,12 +488,10 @@ def cmd_serve(args) -> int:
         OpenLoopPoisson,
         ResiliencePolicy,
         ServiceCosts,
-        autoscaling_enabled,
-        monitoring_enabled,
     )
     models = [m.strip() for m in args.model.split(",") if m.strip()]
     fault_plan = FaultPlan.from_file(args.faults) if args.faults else None
-    autoscale_on = autoscaling_enabled(args.autoscale)
+    autoscale_on = knobs.switch("REPRO_AUTOSCALE", args.autoscale)
     scale_on = args.scale or autoscale_on or args.cells is not None
     if scale_on:
         return _cmd_serve_scale(args, models, fault_plan, autoscale_on)
@@ -502,7 +499,7 @@ def cmd_serve(args) -> int:
         print("repro serve: --trace/--diurnal/--save-trace need the "
               "scaled core; add --scale", file=sys.stderr)
         return 2
-    monitor_on = monitoring_enabled(args.monitor)
+    monitor_on = knobs.switch("REPRO_MONITOR", args.monitor)
     monitor_config = (MonitorConfig.from_env(interval_s=args.monitor_interval)
                       if monitor_on else None)
     # Default policy: respond to injected faults, stay bit-identical to
@@ -1252,7 +1249,11 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except KnobError as err:
+        print(f"repro: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

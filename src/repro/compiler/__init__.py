@@ -2,8 +2,6 @@
 
 from .autotune import (
     AutotuneReport,
-    autotune_budget,
-    autotune_enabled,
     autotune_model,
 )
 from .compiler import (
@@ -64,8 +62,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineState",
     "all_configs",
-    "autotune_budget",
-    "autotune_enabled",
     "autotune_model",
     "compiler_pass",
     "explain_compile",

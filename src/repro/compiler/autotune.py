@@ -29,7 +29,6 @@ which keeps traces identical between serial and parallel searches.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -41,25 +40,6 @@ from .pipeline import (KNOB_SPACE, PIPELINE_VERSION, PipelineConfig,
 
 #: Schema tag stamped into every report (validated by the CI smoke job).
 REPORT_SCHEMA = "repro-autotune-report-v1"
-
-#: Default candidate budget when ``REPRO_AUTOTUNE_BUDGET`` is unset.
-DEFAULT_BUDGET = 16
-
-
-def autotune_enabled() -> bool:
-    """Whether ``REPRO_AUTOTUNE`` opts harness/serving compiles in."""
-    return os.environ.get("REPRO_AUTOTUNE", "0").lower() in (
-        "1", "on", "true", "yes")
-
-
-def autotune_budget() -> int:
-    """Candidate budget from ``REPRO_AUTOTUNE_BUDGET`` (default 16)."""
-    value = os.environ.get("REPRO_AUTOTUNE_BUDGET", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return DEFAULT_BUDGET
-
 
 @dataclass
 class AutotuneReport:
@@ -164,13 +144,13 @@ def _score_candidate(work: Tuple) -> Dict:
 def _report_key(graph: Graph, npu_config, frac_bits: int,
                 special_functions: bool, budget: int) -> str:
     """Content address of a finished report (kind ``"autotune"``)."""
+    from ..runtime import knobs
     from ..runtime.cache import (fingerprint, graph_fingerprint,
                                  object_fingerprint)
-    from ..runtime.seed import repro_seed
     return fingerprint("autotune-report", PIPELINE_VERSION, REPORT_SCHEMA,
                        graph_fingerprint(graph),
                        object_fingerprint(npu_config), frac_bits,
-                       special_functions, budget, repro_seed(),
+                       special_functions, budget, knobs.get("REPRO_SEED"),
                        {k: list(v) for k, v in KNOB_SPACE.items()})
 
 
@@ -180,7 +160,7 @@ def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
     """Search the pipeline knob space for ``graph`` on ``npu_config``.
 
     ``budget`` caps candidate evaluations (default
-    :func:`autotune_budget`); the whole space is enumerated when it
+    ``REPRO_AUTOTUNE_BUDGET``); the whole space is enumerated when it
     fits, else greedy coordinate descent explores one knob per batch.
     ``jobs > 1`` fans candidate compiles across worker processes without
     changing any result byte. Returns the (possibly cached)
@@ -188,13 +168,15 @@ def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
     never worse than the default pipeline.
     """
     from ..npu import table3_config
+    from ..runtime import knobs
     from ..runtime.cache import get_cache
     from ..runtime.parallel import parallel_map
-    from ..runtime.seed import repro_seed, seeded_rng
+    from ..runtime.seed import seeded_rng
     from ..telemetry import get_telemetry
 
     npu_config = npu_config or table3_config()
-    budget = budget if budget is not None else autotune_budget()
+    budget = (budget if budget is not None
+              else knobs.get("REPRO_AUTOTUNE_BUDGET"))
     tel = get_telemetry()
     cache = get_cache()
     key = None
@@ -246,13 +228,13 @@ def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
         else:
             strategy = "greedy"
             evaluate([default])
-            knobs = list(KNOB_SPACE)
-            seeded_rng("autotune", graph.name, budget).shuffle(knobs)
+            knob_order = list(KNOB_SPACE)
+            seeded_rng("autotune", graph.name, budget).shuffle(knob_order)
             best = default
             improved = True
             while improved and counters["candidates"] < budget:
                 improved = False
-                for knob in knobs:
+                for knob in knob_order:
                     evaluate([replace(best, **{knob: value})
                               for value in KNOB_SPACE[knob]
                               if value != getattr(best, knob)])
@@ -276,7 +258,7 @@ def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
         best_cycles = scores[winner]["cycles"]
         report = AutotuneReport(
             model=graph.name, budget=budget, strategy=strategy,
-            space_size=knob_space_size(), seed=repro_seed(),
+            space_size=knob_space_size(), seed=knobs.get("REPRO_SEED"),
             baseline_cycles=baseline["cycles"],
             best_config=winner.as_dict(), best_label=winner.label(),
             best_cycles=best_cycles,

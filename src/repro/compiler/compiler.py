@@ -9,7 +9,6 @@ functional runner replays the same programs on real data.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Dict, List, Optional
@@ -151,11 +150,6 @@ def _compile_key(graph: Graph, sim_params: SimParams,
                        gemm_params, frac_bits, special_functions)
 
 
-def _verify_default() -> bool:
-    return os.environ.get("REPRO_VERIFY", "1").lower() not in (
-        "0", "off", "false", "no")
-
-
 def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
                   gemm_params: Optional[SystolicParams] = None,
                   frac_bits: int = FRAC_BITS,
@@ -183,6 +177,7 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
     chosen by :func:`repro.compiler.autotune.autotune_model`. Omitted or
     default, the output is bit-identical to the fixed seed flow.
     """
+    from ..runtime import knobs
     from ..runtime.cache import get_cache
     from ..telemetry import get_telemetry
     from .serialize import dump_model, load_model
@@ -192,7 +187,7 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
     if pipeline is not None and pipeline.is_default:
         pipeline = None
     if verify is None:
-        verify = _verify_default()
+        verify = knobs.get("REPRO_VERIFY")
     tel = get_telemetry()
     with tel.span("compile", cat="compiler", model=graph.name):
         cache = get_cache()

@@ -24,8 +24,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..runtime import parallel_map
-from ..runtime.seed import repro_seed
+from ..runtime import knobs, parallel_map
 from ..serving.fleet import FleetSimulator
 from ..serving.metrics import ServingReport
 from ..serving.scheduler import (
@@ -165,7 +164,7 @@ def chaos_report(points: Sequence[ChaosPoint],
     first = points[0]
     return {
         "schema": CHAOS_SCHEMA,
-        "seed": repro_seed(),
+        "seed": knobs.get("REPRO_SEED"),
         "plan": first.plan.as_dict(),
         "model": first.model,
         "devices": first.devices,

@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime import seeded_rng
-from ..runtime.seed import repro_seed
+from ..runtime import knobs, seeded_rng
 from .plan import FaultPlan
 
 #: Fault kinds as counted/traced by the fleet (``faults.injected.*``).
@@ -51,7 +50,7 @@ class FaultInjector:
         self.plan = plan
         self.devices = devices
         self.duration_s = float(duration_s)
-        self._base = (repro_seed(), plan.stream, plan.name,
+        self._base = (knobs.get("REPRO_SEED"), plan.stream, plan.name,
                       devices, self.duration_s)
 
         #: (t_s, device) crash onsets, time-ordered.

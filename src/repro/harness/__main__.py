@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from ..runtime import default_jobs, parallel_map, set_cache
+from ..runtime import knobs, parallel_map, set_cache
 from .experiments import all_experiment_ids, run_experiment
 
 
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         from ..runtime import get_cache
         get_cache().clear()
     ids = args.ids or all_experiment_ids()
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = args.jobs if args.jobs is not None else knobs.get("REPRO_JOBS")
     if args.trace_out:
         snapshots = []
         for text, snapshot in parallel_map(_render_traced, ids, jobs=jobs):

@@ -701,7 +701,7 @@ def serving_sweep() -> Experiment:
     saturation, larger fleets move the knee right, and dynamic batching
     beats single-request serving at high load.
     """
-    from ..runtime import default_jobs
+    from ..runtime import knobs
     from ..serving import (
         by_config,
         default_grid,
@@ -710,7 +710,7 @@ def serving_sweep() -> Experiment:
         run_sweep,
         sweep_table,
     )
-    reports = run_sweep(default_grid(), jobs=default_jobs())
+    reports = run_sweep(default_grid(), jobs=knobs.get("REPRO_JOBS"))
     ladders = by_config(reports)
     capacity = {fleet: max_throughput_at_slo(ladders[("dynamic", fleet)])
                 for fleet in (1, 2, 4)}
@@ -758,12 +758,12 @@ def llm_serving() -> Experiment:
         llm_table,
         run_llm_sweep,
     )
-    from ..runtime import default_jobs
+    from ..runtime import knobs
     from ..serving import LLMServiceCosts
 
     costs = LLMServiceCosts.resolve("gpt2_rms")
     points = llm_grid(costs=costs)
-    reports = run_llm_sweep(points, jobs=default_jobs())
+    reports = run_llm_sweep(points, jobs=knobs.get("REPRO_JOBS"))
     payload = llm_report(points, reports)
     cont = payload["summary"]["continuous"]
     oneshot = payload["summary"]["oneshot"]
@@ -805,10 +805,10 @@ def autotune_pipeline() -> Experiment:
     keeps it as the fallback candidate).
     """
     from ..compiler import autotune_model
-    from ..runtime import default_jobs
+    from ..runtime import knobs
 
     npu = NPUTandem()
-    jobs = default_jobs()
+    jobs = knobs.get("REPRO_JOBS")
     rows = []
     ratios = []
     rejects = 0

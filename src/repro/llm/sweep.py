@@ -25,8 +25,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime import parallel_map
-from ..runtime.seed import repro_seed
+from ..runtime import knobs, parallel_map
 from ..serving.continuous import (
     LLM_SCHEDULERS,
     LLMServiceCosts,
@@ -145,7 +144,7 @@ def llm_report(points: Sequence[LLMSweepPoint],
     first = points[0]
     return {
         "schema": LLM_SCHEMA,
-        "seed": repro_seed(),
+        "seed": knobs.get("REPRO_SEED"),
         "config": first.costs.config,
         "max_slots": first.max_slots,
         "kv_budget_tokens": first.costs.kv_budget_tokens,

@@ -47,9 +47,9 @@ class NPUTandem:
 
     def _autotune_active(self) -> bool:
         """Whether compiles should search the pass pipeline."""
-        from ..compiler import autotune_enabled
+        from ..runtime import knobs
         return (self.autotune if self.autotune is not None
-                else autotune_enabled())
+                else knobs.get("REPRO_AUTOTUNE"))
 
     def compile(self, graph: Union[str, Graph]) -> CompiledModel:
         """Compile for this design; autotunes the pipeline when opted in."""
@@ -58,9 +58,9 @@ class NPUTandem:
         pipeline = None
         if self._autotune_active():
             from ..compiler import autotune_model
-            from ..runtime.parallel import default_jobs
+            from ..runtime import knobs
             report = autotune_model(graph, self.config,
-                                    jobs=default_jobs(),
+                                    jobs=knobs.get("REPRO_JOBS"),
                                     special_functions=self.special_functions)
             pipeline = report.best_pipeline()
         return compile_model(graph, self.config.sim, self.config.gemm,
@@ -99,9 +99,9 @@ class NPUTandem:
             if self._autotune_active():
                 # Autotuned programs depend on the search budget and the
                 # seed; default-flow keys stay exactly as before.
-                from ..compiler import autotune_budget
-                from ..runtime.seed import repro_seed
-                desc = desc + ("autotune", autotune_budget(), repro_seed())
+                from ..runtime import knobs
+                desc = desc + ("autotune", knobs.get("REPRO_AUTOTUNE_BUDGET"),
+                               knobs.get("REPRO_SEED"))
             key = runtime_cache.result_key(desc, g)
             hit = runtime_cache.get_result(key)
             if hit is not None:

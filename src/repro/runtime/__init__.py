@@ -13,6 +13,9 @@ disciplines the ROADMAP asks for:
 * :mod:`repro.runtime.seed` — the ``REPRO_SEED`` discipline: every RNG
   in the repository derives from one environment seed plus stable
   stream labels, so stochastic runs replay exactly.
+* :mod:`repro.runtime.knobs` — the registry of every ``REPRO_*``
+  environment variable: one parser, one set of bool spellings, and a
+  :class:`KnobError` naming the variable for any value it cannot parse.
 """
 
 from .cache import (
@@ -26,22 +29,21 @@ from .cache import (
     object_fingerprint,
     set_cache,
 )
-from .parallel import default_jobs, parallel_map
-from .seed import DEFAULT_SEED, repro_seed, seeded_rng
+from .knobs import KnobError
+from .parallel import parallel_map
+from .seed import seeded_rng
 
 __all__ = [
     "CACHE_EPOCH",
     "CacheStats",
-    "DEFAULT_SEED",
     "EvalCache",
+    "KnobError",
     "cached_evaluate",
-    "default_jobs",
     "fingerprint",
     "get_cache",
     "graph_fingerprint",
     "object_fingerprint",
     "parallel_map",
-    "repro_seed",
     "seeded_rng",
     "set_cache",
 ]

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..telemetry import get_telemetry
+from . import knobs
 
 #: Bump when the meaning of cached values changes (estimator semantics,
 #: result fields, serialized-artifact layout) so stale on-disk entries
@@ -264,10 +265,8 @@ _cache: Optional[EvalCache] = None
 def get_cache() -> EvalCache:
     global _cache
     if _cache is None:
-        enabled = os.environ.get("REPRO_CACHE", "1").lower() not in (
-            "0", "off", "false", "no")
-        directory = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
-        _cache = EvalCache(directory=directory, enabled=enabled)
+        _cache = EvalCache(directory=knobs.get("REPRO_CACHE_DIR"),
+                           enabled=knobs.get("REPRO_CACHE"))
     return _cache
 
 

@@ -12,21 +12,11 @@ silently degrades to the serial path.
 
 from __future__ import annotations
 
-import os
 import pickle
 from typing import Callable, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def default_jobs() -> int:
-    """Job count from ``REPRO_JOBS`` (default: serial)."""
-    value = os.environ.get("REPRO_JOBS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T],

@@ -3,8 +3,9 @@
 Every stochastic component in the repository — the fuzz suite's value
 tensors, the example scripts, the serving load generators — derives its
 ``numpy.random.Generator`` from :func:`seeded_rng`. The generator is
-seeded by the process-wide ``REPRO_SEED`` environment variable (default
-12345) combined with a stable hash of caller-supplied stream labels:
+seeded by the process-wide ``REPRO_SEED`` knob (default 12345, see
+:mod:`repro.runtime.knobs`) combined with a stable hash of
+caller-supplied stream labels:
 
 * distinct labels give statistically independent streams, and
 * identical ``(REPRO_SEED, labels)`` pairs give identical draws in any
@@ -19,23 +20,12 @@ per-process-randomized ``hash()``.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
-#: Seed used when ``REPRO_SEED`` is unset or unparseable.
-DEFAULT_SEED = 12345
+from . import knobs
 
 _MASK64 = (1 << 64) - 1
-
-
-def repro_seed() -> int:
-    """The process-wide base seed, from ``$REPRO_SEED`` (default 12345)."""
-    value = os.environ.get("REPRO_SEED", "")
-    try:
-        return int(value)
-    except ValueError:
-        return DEFAULT_SEED
 
 
 def _entropy(stream) -> int:
@@ -48,5 +38,6 @@ def _entropy(stream) -> int:
 
 def seeded_rng(*streams) -> np.random.Generator:
     """A Generator derived from ``REPRO_SEED`` plus the stream labels."""
-    entropy = [_entropy(repro_seed())] + [_entropy(s) for s in streams]
+    seed = knobs.get("REPRO_SEED")
+    entropy = [_entropy(s) for s in (seed,) + streams]
     return np.random.default_rng(np.random.SeedSequence(entropy))

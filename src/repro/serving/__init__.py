@@ -20,7 +20,6 @@ from .autoscale import (
     AutoscaleConfig,
     AutoscaleController,
     CostModel,
-    autoscaling_enabled,
 )
 from .continuous import (
     DEFAULT_LLM_SLO_MULTIPLIER,
@@ -29,8 +28,6 @@ from .continuous import (
     LLMRequest,
     LLMServiceCosts,
     OneShotBatcher,
-    default_kv_budget,
-    default_max_slots,
     llm_poisson_requests,
     make_llm_batcher,
 )
@@ -55,7 +52,6 @@ from .monitor import (
     MonitorConfig,
     MonitorPoint,
     monitor_table,
-    monitoring_enabled,
     run_monitor_point,
     validate_monitor_report,
 )
@@ -147,13 +143,9 @@ __all__ = [
     "TraceReplay",
     "Wait",
     "Workload",
-    "autoscaling_enabled",
-    "default_kv_budget",
-    "default_max_slots",
     "llm_poisson_requests",
     "make_llm_batcher",
     "monitor_table",
-    "monitoring_enabled",
     "by_config",
     "default_grid",
     "knee_sharpness",

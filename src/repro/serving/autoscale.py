@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..runtime import knobs
 from ..telemetry.alerts import AlertEngine
 from ..telemetry.slo import (
     BurnRateRule,
@@ -42,23 +43,9 @@ from ..telemetry.slo import (
     default_objective,
     default_rules,
 )
-from .monitor import env_float, env_int
 
 #: Actions an autoscale decision stream may contain.
 AUTOSCALE_ACTIONS = ("scale-out", "scale-in", "park")
-
-
-def autoscaling_enabled(flag: bool = False) -> bool:
-    """Whether autoscaling is on: ``--autoscale`` or ``REPRO_AUTOSCALE=1``.
-
-    ``REPRO_AUTOSCALE=0`` force-disables even when the flag is passed —
-    the same kill-switch discipline as ``REPRO_MONITOR``.
-    """
-    import os
-    raw = os.environ.get("REPRO_AUTOSCALE", "").strip()
-    if raw == "0":
-        return False
-    return bool(flag) or raw == "1"
 
 
 @dataclass(frozen=True)
@@ -124,15 +111,15 @@ class AutoscaleConfig:
         ``REPRO_AUTOSCALE_QUEUE_HIGH`` and ``REPRO_AUTOSCALE_QUEUE_LOW``
         (queued requests per active device).
         """
-        max_cells = env_int("REPRO_AUTOSCALE_MAX_CELLS", 0)
+        max_cells = knobs.get("REPRO_AUTOSCALE_MAX_CELLS")
         values = dict(
-            interval_s=env_float("REPRO_AUTOSCALE_INTERVAL", 0.25),
-            min_cells=env_int("REPRO_AUTOSCALE_MIN_CELLS", 1),
-            max_cells=max_cells if max_cells > 0 else None,
-            cooldown_s=env_float("REPRO_AUTOSCALE_COOLDOWN", 1.0),
-            queue_high=env_float("REPRO_AUTOSCALE_QUEUE_HIGH", 4.0),
-            queue_low=env_float("REPRO_AUTOSCALE_QUEUE_LOW", 0.5),
-            price_per_device_hour=env_float("REPRO_AUTOSCALE_PRICE", 2.5),
+            interval_s=knobs.get("REPRO_AUTOSCALE_INTERVAL"),
+            min_cells=knobs.get("REPRO_AUTOSCALE_MIN_CELLS"),
+            max_cells=max_cells or None,
+            cooldown_s=knobs.get("REPRO_AUTOSCALE_COOLDOWN"),
+            queue_high=knobs.get("REPRO_AUTOSCALE_QUEUE_HIGH"),
+            queue_low=knobs.get("REPRO_AUTOSCALE_QUEUE_LOW"),
+            price_per_device_hour=knobs.get("REPRO_AUTOSCALE_PRICE"),
             objective=default_objective(),
         )
         values.update(overrides)

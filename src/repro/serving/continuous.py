@@ -29,34 +29,15 @@ fixed fraction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime import seeded_rng
+from ..runtime import knobs, seeded_rng
 from .metrics import LLMServingReport, percentile
 from .scheduler import DEFAULT_AMORTIZED_FRACTION
 
 #: SLO multiple over a request's *ideal* (isolated, unbatched) latency.
 DEFAULT_LLM_SLO_MULTIPLIER = 5.0
-
-
-def default_kv_budget() -> int:
-    """KV-cache admission budget in tokens (``REPRO_LLM_KV_BUDGET``)."""
-    value = os.environ.get("REPRO_LLM_KV_BUDGET", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1024
-
-
-def default_max_slots() -> int:
-    """Decode-batch slot count (``REPRO_LLM_MAX_SLOTS``)."""
-    value = os.environ.get("REPRO_LLM_MAX_SLOTS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 8
 
 
 @dataclass(frozen=True)
@@ -112,7 +93,7 @@ class LLMServiceCosts:
         """Freeze one config's costs from content-cached NPU evaluations."""
         from ..llm import decode_step_costs
         costs = decode_step_costs(config, npu=npu)
-        budget = (default_kv_budget() if kv_budget_tokens is None
+        budget = (knobs.get("REPRO_LLM_KV_BUDGET") if kv_budget_tokens is None
                   else kv_budget_tokens)
         return cls(config=costs.config,
                    prefill_token_s=costs.prefill_token_s,
@@ -242,7 +223,7 @@ class ContinuousBatcher:
                  collect_trace: bool = False,
                  monitor=None):
         self.costs = costs
-        self.max_slots = (default_max_slots() if max_slots is None
+        self.max_slots = (knobs.get("REPRO_LLM_MAX_SLOTS") if max_slots is None
                           else max_slots)
         if self.max_slots < 1:
             raise ValueError("max_slots must be >= 1")
@@ -375,7 +356,7 @@ class OneShotBatcher:
                  collect_trace: bool = False,
                  monitor=None):
         self.costs = costs
-        self.max_slots = (default_max_slots() if max_slots is None
+        self.max_slots = (knobs.get("REPRO_LLM_MAX_SLOTS") if max_slots is None
                           else max_slots)
         if self.max_slots < 1:
             raise ValueError("max_slots must be >= 1")

@@ -39,11 +39,10 @@ which ``benchmarks/test_perf_monitoring.py`` asserts via the picklable
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..runtime.seed import repro_seed
+from ..runtime import knobs
 from ..telemetry.alerts import AlertEngine
 from ..telemetry.slo import (
     BurnRateRule,
@@ -66,47 +65,6 @@ _EPS = 1e-9
 
 #: Batch-launch trigger reasons recorded by ``plan_batch``.
 LAUNCH_REASONS = ("full", "deadline", "greedy", "single")
-
-
-def monitoring_enabled(flag: bool = False) -> bool:
-    """Whether monitoring is on: ``--monitor`` or ``REPRO_MONITOR=1``.
-
-    ``REPRO_MONITOR=0`` force-disables even when the flag is passed —
-    the kill switch the overhead benchmark uses to prove a disabled
-    run is byte-identical to a never-instrumented one.
-    """
-    raw = os.environ.get("REPRO_MONITOR", "").strip()
-    if raw == "0":
-        return False
-    return bool(flag) or raw == "1"
-
-
-def env_float(name: str, default: float) -> float:
-    """A float environment knob, falling back on unset/garbage values.
-
-    Shared by the monitor's ``REPRO_MONITOR_*`` and the autoscaler's
-    ``REPRO_AUTOSCALE_*`` configuration surfaces so every knob parses
-    (and fails soft) the same way.
-    """
-    raw = os.environ.get(name, "").strip()
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def env_int(name: str, default: int) -> int:
-    """An integer environment knob; see :func:`env_float`."""
-    raw = os.environ.get(name, "").strip()
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-# Historical private names, kept for in-repo callers.
-_env_float = env_float
-_env_int = env_int
 
 
 @dataclass(frozen=True)
@@ -144,9 +102,9 @@ class MonitorConfig:
         """Build a config from ``REPRO_MONITOR_*`` with CLI overrides."""
         return cls(
             interval_s=(interval_s if interval_s is not None
-                        else _env_float("REPRO_MONITOR_INTERVAL", 0.1)),
+                        else knobs.get("REPRO_MONITOR_INTERVAL")),
             window_intervals=(window_intervals if window_intervals is not None
-                              else _env_int("REPRO_MONITOR_WINDOW", 10)),
+                              else knobs.get("REPRO_MONITOR_WINDOW")),
             objective=default_objective(),
             rules=default_rules(),
             drain=drain,
@@ -324,7 +282,7 @@ class _MonitorBase:
         return {
             "schema": MONITOR_SCHEMA,
             "kind": self.kind,
-            "seed": repro_seed(),
+            "seed": knobs.get("REPRO_SEED"),
             "interval_s": self.config.interval_s,
             "window_intervals": self.config.window_intervals,
             "intervals": engine.intervals,

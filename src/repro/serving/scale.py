@@ -53,7 +53,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..runtime.seed import repro_seed
+from ..runtime import knobs
 from ..telemetry import get_telemetry
 from ..telemetry.timeseries import percentile
 from .autoscale import AUTOSCALE_ACTIONS, AutoscaleConfig, AutoscaleController
@@ -667,7 +667,7 @@ class ScaledFleetSimulator:
         bounded = tail_bounded_throughput(report)
         return {
             "schema": SCALE_SCHEMA,
-            "seed": repro_seed(),
+            "seed": knobs.get("REPRO_SEED"),
             "devices": self.devices,
             "cells": self.cells,
             "cell_size": self.devices // self.cells,

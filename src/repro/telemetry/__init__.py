@@ -116,16 +116,14 @@ class Telemetry:
 _session: Optional[Telemetry] = None
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TELEMETRY", "0").lower() in (
-        "1", "on", "true", "yes")
-
-
 def get_telemetry() -> Telemetry:
     """The process-wide session (created from ``REPRO_TELEMETRY``)."""
     global _session
     if _session is None:
-        _session = Telemetry(enabled=_env_enabled())
+        # Not a top-level import: repro.runtime's cache imports this
+        # package, so importing repro.runtime here first would cycle.
+        from ..runtime import knobs
+        _session = Telemetry(enabled=knobs.get("REPRO_TELEMETRY"))
     return _session
 
 

@@ -22,7 +22,6 @@ defaults keep the same long:short ratios at sim scale.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -144,7 +143,5 @@ def default_rules(scale: float = 1.0) -> Tuple[BurnRateRule, ...]:
 
 def default_objective() -> SLOObjective:
     """The availability objective, target from ``REPRO_MONITOR_SLO_TARGET``."""
-    raw = os.environ.get("REPRO_MONITOR_SLO_TARGET", "").strip()
-    if not raw:
-        return SLOObjective()
-    return SLOObjective(target=float(raw))
+    from ..runtime import knobs  # lazy: repro.runtime imports telemetry
+    return SLOObjective(target=knobs.get("REPRO_MONITOR_SLO_TARGET"))

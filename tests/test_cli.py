@@ -255,3 +255,11 @@ def test_compile_explain_autotuned(capsys):
     assert main(["compile", "tinynet", "--explain", "--autotune"]) == 0
     out = capsys.readouterr().out
     assert "pipeline:" in out
+
+
+def test_bad_knob_exits_two_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_DEPS", "stirct")
+    assert main(["verify", "tinynet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("repro: REPRO_DEPS='stirct': "
+                   "expected one of off, on, strict\n")

@@ -20,11 +20,10 @@ from repro.serving import (
     LLMRequest,
     LLMServiceCosts,
     OneShotBatcher,
-    default_kv_budget,
-    default_max_slots,
     llm_poisson_requests,
     make_llm_batcher,
 )
+from repro.runtime import KnobError, knobs
 
 
 def hand_costs(kv_budget=100):
@@ -136,12 +135,17 @@ def test_make_llm_batcher_registry():
 def test_env_knobs(monkeypatch):
     monkeypatch.setenv("REPRO_LLM_KV_BUDGET", "77")
     monkeypatch.setenv("REPRO_LLM_MAX_SLOTS", "3")
-    assert default_kv_budget() == 77
-    assert default_max_slots() == 3
-    monkeypatch.setenv("REPRO_LLM_KV_BUDGET", "junk")
+    assert knobs.get("REPRO_LLM_KV_BUDGET") == 77
+    assert ContinuousBatcher(hand_costs()).max_slots == 3
+    assert OneShotBatcher(hand_costs()).max_slots == 3
     monkeypatch.setenv("REPRO_LLM_MAX_SLOTS", "")
-    assert default_kv_budget() == 1024
-    assert default_max_slots() == 8
+    assert ContinuousBatcher(hand_costs()).max_slots == 8
+    monkeypatch.setenv("REPRO_LLM_KV_BUDGET", "junk")
+    with pytest.raises(KnobError, match="REPRO_LLM_KV_BUDGET"):
+        knobs.get("REPRO_LLM_KV_BUDGET")
+    monkeypatch.setenv("REPRO_LLM_MAX_SLOTS", "-3")
+    with pytest.raises(KnobError, match="REPRO_LLM_MAX_SLOTS"):
+        ContinuousBatcher(hand_costs())
 
 
 def test_poisson_workload_deterministic(monkeypatch):

@@ -50,6 +50,7 @@ from repro.compiler import Nest, Stmt, TRef, compile_model
 from repro.isa import AluFunc, Namespace, Opcode
 from repro.llm import build_step, get_llm_config
 from repro.models import build_model
+from repro.runtime import KnobError
 
 NS = Namespace.IBUF1
 
@@ -377,16 +378,14 @@ def test_verify_model_runs_deps_pass_and_model_report(tinynet_model):
 
 
 def test_deps_mode_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_DEPS", raising=False)
-    assert deps_mode() == "on"
+    # Spellings are the knob registry's (tests/test_knobs.py); this is
+    # the policy: the environment decides unless an override is given.
     monkeypatch.setenv("REPRO_DEPS", "off")
     assert deps_mode() == "off"
-    monkeypatch.setenv("REPRO_DEPS", "strict")
-    assert deps_mode() == "strict"
     # An explicit override out-ranks the environment.
     assert deps_mode("strict") == "strict"
-    monkeypatch.setenv("REPRO_DEPS", "0")
-    assert deps_mode() == "off"
+    with pytest.raises(KnobError, match="REPRO_DEPS"):
+        deps_mode("stirct")
 
 
 def test_rule_registry_is_stable_and_complete():

@@ -1,6 +1,6 @@
 """The generated-docs layer: ISA reference, coverage gate, architecture.
 
-Three contracts:
+Four contracts:
 
 * ``docs/isa.md`` is *generated* (``repro docs``) and must stay
   byte-identical to what :func:`repro.docsgen.render_isa_reference`
@@ -11,9 +11,12 @@ Three contracts:
 * Docstring coverage over ``src/repro`` stays above the CI gate
   (``repro docs --coverage --fail-under``), and the hand-written
   ``docs/architecture.md`` keeps its cross-links.
+* The hand-written README Configuration table lists exactly the knob
+  registry's variables and defaults (:mod:`repro.runtime.knobs`).
 """
 
 import pathlib
+import re
 
 from repro.docsgen import (
     coverage_table,
@@ -22,12 +25,17 @@ from repro.docsgen import (
     render_isa_reference,
 )
 from repro.isa import FUNC_ENUMS, Namespace, Opcode
+from repro.runtime.knobs import KNOBS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-#: CI's ``repro docs --coverage --fail-under`` threshold (keep in sync
-#: with .github/workflows/ci.yml).
-COVERAGE_GATE = 70.0
+
+def _coverage_gate() -> float:
+    """CI's ``repro docs --coverage --fail-under`` threshold."""
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    gates = re.findall(r"--coverage --fail-under (\d+(?:\.\d+)?)", ci)
+    assert len(gates) == 1, gates
+    return float(gates[0])
 
 
 def test_isa_reference_is_byte_identical_to_generator():
@@ -60,9 +68,10 @@ def test_docstring_coverage_holds_the_ci_gate():
     report = docstring_coverage()
     assert report.total >= 400, "coverage walker lost most of the package"
     percent = 100.0 * report.coverage
-    assert percent >= COVERAGE_GATE, (
+    gate = _coverage_gate()
+    assert percent >= gate, (
         f"docstring coverage {percent:.1f}% fell below the "
-        f"{COVERAGE_GATE:.0f}% gate:\n{coverage_table(report)}")
+        f"{gate:.0f}% gate:\n{coverage_table(report)}")
 
 
 def test_module_coverage_counts_public_defs(tmp_path):
@@ -97,3 +106,24 @@ def test_architecture_doc_is_cross_linked():
     assert "isa.md" in text
     assert "../DESIGN.md" in text
     assert "../README.md" in text
+
+
+def _readme_default(default) -> str:
+    """A registry default as the README table's default column shows it."""
+    if default is None:
+        return "unset"
+    if isinstance(default, bool):
+        return f"`{int(default)}`"
+    return f"`{default}`"
+
+
+def test_readme_configuration_table_matches_the_knob_registry():
+    text = (REPO / "README.md").read_text()
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `REPRO_")]
+    table = [(name.strip().strip("`"), default.strip())
+             for name, default in rows]
+    registry = [(knob.name, _readme_default(knob.default))
+                for knob in KNOBS.values()]
+    assert table == registry

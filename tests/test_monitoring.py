@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.runtime import parallel_map
+from repro.runtime import knobs, parallel_map
 from repro.serving import (
     BatchPolicy,
     FleetSimulator,
@@ -20,7 +20,6 @@ from repro.serving import (
     llm_poisson_requests,
     make_llm_batcher,
     monitor_table,
-    monitoring_enabled,
     run_monitor_point,
     validate_monitor_report,
 )
@@ -438,13 +437,12 @@ def test_sparkline_gaps_and_scale():
 
 def test_monitoring_enabled_env_logic(monkeypatch):
     monkeypatch.delenv("REPRO_MONITOR", raising=False)
-    assert monitoring_enabled() is False
-    assert monitoring_enabled(True) is True
+    assert knobs.switch("REPRO_MONITOR") is False
+    assert knobs.switch("REPRO_MONITOR", True) is True
     monkeypatch.setenv("REPRO_MONITOR", "1")
-    assert monitoring_enabled() is True
+    assert knobs.switch("REPRO_MONITOR") is True
     monkeypatch.setenv("REPRO_MONITOR", "0")
-    assert monitoring_enabled() is False
-    assert monitoring_enabled(True) is False   # kill switch wins
+    assert knobs.switch("REPRO_MONITOR", True) is False   # kill switch wins
 
 
 def test_monitor_config_from_env(monkeypatch):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.runtime import parallel_map
+from repro.runtime import knobs, parallel_map
 from repro.serving import (
     AutoscaleConfig,
     AutoscaleController,
@@ -19,7 +19,6 @@ from repro.serving import (
     ServiceCosts,
     SweepPoint,
     TraceReplay,
-    autoscaling_enabled,
     load_trace,
     run_point,
     run_scale_point,
@@ -282,12 +281,12 @@ def test_autoscale_config_from_env(monkeypatch):
 
 def test_autoscaling_enabled_kill_switch(monkeypatch):
     monkeypatch.delenv("REPRO_AUTOSCALE", raising=False)
-    assert not autoscaling_enabled()
-    assert autoscaling_enabled(True)
+    assert not knobs.switch("REPRO_AUTOSCALE")
+    assert knobs.switch("REPRO_AUTOSCALE", True)
     monkeypatch.setenv("REPRO_AUTOSCALE", "1")
-    assert autoscaling_enabled()
+    assert knobs.switch("REPRO_AUTOSCALE")
     monkeypatch.setenv("REPRO_AUTOSCALE", "0")
-    assert not autoscaling_enabled(True)
+    assert not knobs.switch("REPRO_AUTOSCALE", True)
 
 
 # ---------------------------------------------------------------------------
