@@ -1,18 +1,16 @@
-"""Scaled fleet-core throughput + autoscale economics → BENCH_fleet_scale.json.
+"""Fleet-core event rate + autoscale economics → BENCH_fleet_scale.json.
 
 Three pinned claims on one seeded 1000-device diurnal day:
 
-* **event-core speedup** — the interned-record core
+* **event rate** — the fleet core
   (:class:`repro.serving.scale.ScaledFleetSimulator`) must simulate at
-  least ``SPEEDUP_FLOOR`` (50×) more requests per wall-second than the
-  legacy per-request-object :class:`~repro.serving.fleet.FleetSimulator`
-  on the same 1000-device fleet under ``least_loaded`` routing.  The
-  legacy side runs a shorter prefix of the same diurnal shape (its rate
-  is per-request, so the shorter trace does not flatter it) to keep the
-  benchmark interactive.
-* **bit-identity** — with ``cells=1`` and autoscaling off, the scaled
-  core's report is byte-identical to the legacy fleet's at small scale,
-  and scale points are byte-identical between serial and ``--jobs 2``.
+  least ``EVENT_RATE_FLOOR_RPS`` requests per wall-second on a
+  1000-device fleet in 125 cells under ``least_loaded`` routing (best
+  of three runs).  The floor is half the rate recorded when the core
+  was pinned (253k req/s on a 2-vCPU x86 VM), so a noisy host passes
+  and an algorithmic regression does not.
+* **determinism** — scale points are byte-identical between serial and
+  ``--jobs 2`` runs.
 * **autoscale economics** — on a 64-device diurnal day, the autoscaled
   fleet's tail-latency-bounded throughput per dollar is strictly better
   than the same fleet kept statically at peak size, with p99 still
@@ -31,12 +29,11 @@ BENCH_ARTIFACT = REPO_ROOT / "BENCH_fleet_scale.json"
 
 #: Pinned scenario seed (a fixed trace, not a property over all seeds).
 SEED = "12345"
-SPEEDUP_FLOOR = 50.0
+EVENT_RATE_FLOOR_RPS = 126_696.0
 DEVICES = 1000
 CELLS = 125
 PEAK_RPS = 4000.0
 DURATION_S = 20.0
-LEGACY_DURATION_S = 2.0
 
 
 def _day(duration_s, peak_rps=PEAK_RPS):
@@ -45,25 +42,22 @@ def _day(duration_s, peak_rps=PEAK_RPS):
                         trough_fraction=0.2)
 
 
-def test_event_core_speedup_and_bit_identity(benchmark, monkeypatch):
+def test_event_rate_and_determinism(benchmark, monkeypatch):
     monkeypatch.setenv("REPRO_SEED", SEED)
     from repro.runtime import parallel_map
     from repro.serving import (
         AutoscaleConfig,
-        FleetSimulator,
-        OpenLoopPoisson,
         ScaledFleetSimulator,
         ScalePoint,
         ServiceCosts,
         run_scale_point,
-        tail_bounded_throughput,
         validate_fleet_scale_report,
     )
 
     costs = ServiceCosts.resolve(["bert", "resnet50"])
     models = ("bert", "resnet50")
 
-    # -- 1000-device diurnal day through the scaled core ---------------
+    # -- 1000-device diurnal day through the fleet core ----------------
     trace = _day(DURATION_S)
     requests = len(trace.initial())
     sim = ScaledFleetSimulator(costs, devices=DEVICES, cells=CELLS,
@@ -73,40 +67,15 @@ def test_event_core_speedup_and_bit_identity(benchmark, monkeypatch):
     assert report.completed == requests
     assert validate_fleet_scale_report(sim.payload) == []
     events = sim.payload["sim"]["events"]
-
-    # -- the legacy core on a prefix of the same diurnal shape ---------
-    # The speedup is a ratio of two wall-clock rates, so a CPU-load
-    # spike that lands on only one side skews it badly.  Time the two
-    # cores back to back in pairs (the pedantic round above already
-    # paid the scaled core's cold start) and pin the best pair.
-    short = _day(LEGACY_DURATION_S)
-    short_requests = len(short.initial())
-    legacy_sim = FleetSimulator(costs, devices=DEVICES,
-                                routing="least_loaded")
-    speedup = 0.0
-    scaled_rate = legacy_rate = 0.0
+    # The pedantic round paid the cold start; keep the best of three.
+    rate = 0.0
     for _ in range(3):
         start = time.perf_counter()
         sim.run(trace, rate_rps=PEAK_RPS)
-        pair_scaled = requests / (time.perf_counter() - start)
-        start = time.perf_counter()
-        legacy_sim.run(short, rate_rps=PEAK_RPS)
-        pair_legacy = short_requests / (time.perf_counter() - start)
-        if pair_scaled / pair_legacy > speedup:
-            speedup = pair_scaled / pair_legacy
-            scaled_rate, legacy_rate = pair_scaled, pair_legacy
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"scaled core {scaled_rate:,.0f} req/s vs legacy "
-        f"{legacy_rate:,.0f} req/s = {speedup:.1f}x "
-        f"(floor {SPEEDUP_FLOOR:.0f}x)")
-
-    # -- bit-identity at small scale, autoscaling off -------------------
-    legacy = FleetSimulator(costs, devices=4).run(
-        OpenLoopPoisson(models, 60.0, 4.0), rate_rps=60.0)
-    scaled = ScaledFleetSimulator(costs, devices=4).run(
-        OpenLoopPoisson(models, 60.0, 4.0), rate_rps=60.0)
-    bit_identical = legacy.to_json() == scaled.to_json()
-    assert bit_identical
+        rate = max(rate, requests / (time.perf_counter() - start))
+    assert rate >= EVENT_RATE_FLOOR_RPS, (
+        f"fleet core {rate:,.0f} req/s below the floor "
+        f"{EVENT_RATE_FLOOR_RPS:,.0f} req/s")
 
     # -- serial vs --jobs, byte for byte --------------------------------
     points = [ScalePoint(costs=costs, models=models, devices=32, cells=4,
@@ -150,12 +119,8 @@ def test_event_core_speedup_and_bit_identity(benchmark, monkeypatch):
         "seed": int(SEED),
         "requests": requests,
         "events": events,
-        "event_rate_legacy_rps": round(legacy_rate, 1),
-        "event_rate_scaled_rps": round(scaled_rate, 1),
-        "speedup": round(speedup, 2),
-        "speedup_floor": SPEEDUP_FLOOR,
-        "legacy_prefix_s": LEGACY_DURATION_S,
-        "bit_identical": bit_identical,
+        "event_rate_rps": round(rate, 1),
+        "event_rate_floor_rps": EVENT_RATE_FLOOR_RPS,
         "serial_vs_jobs_identical": jobs_identical,
         "autoscale": {
             "devices": 64,

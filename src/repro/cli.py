@@ -29,7 +29,9 @@ Commands:
   of NPU-Tandem devices under load (see :mod:`repro.serving`).
   ``--faults plan.json`` injects a fault plan; ``--resilience
   {naive,resilient}`` picks the response policy (default: resilient
-  when faults are injected, naive otherwise).
+  when faults are injected, naive otherwise); ``--monitor`` streams SLO
+  burn-rate alerts; ``--cells``/``--autoscale``/``--diurnal`` run
+  datacenter-scale days on the same core.
 * ``serve --llm`` — LLM mode: sweep continuous vs one-shot batching
   over decode-step costs and report goodput at SLO, TTFT and
   inter-token latency percentiles (see :mod:`repro.llm.sweep`).
@@ -65,7 +67,7 @@ from .baselines import (
     GpuDesign,
     TpuVpuDesign,
 )
-from .harness import render_table, run_experiment
+from .harness import all_experiment_ids, render_table, run_experiment
 from .models import available_models
 from .npu import NPUTandem, render_timeline, trace_model
 from .runtime import KnobError, cached_evaluate, get_cache, knobs, parallel_map
@@ -201,6 +203,12 @@ def _render_experiment(exp_id: str) -> str:
 
 def cmd_experiment(args) -> int:
     """Regenerate paper figures/tables, optionally across processes."""
+    unknown = sorted(set(args.ids) - set(all_experiment_ids()))
+    if unknown:
+        print(f"repro experiment: unknown experiment(s) "
+              f"{', '.join(unknown)}; known: "
+              f"{', '.join(all_experiment_ids())}", file=sys.stderr)
+        return 2
     jobs = args.jobs if args.jobs is not None else knobs.get("REPRO_JOBS")
     for text in parallel_map(_render_experiment, args.ids, jobs=jobs):
         print(text)
@@ -475,164 +483,45 @@ def _cmd_serve_llm(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Simulate a serving fleet; optional fault plan + resilience policy."""
+    """Simulate a serving fleet: faults, resilience, monitor, cells, autoscale."""
     if args.llm:
         return _cmd_serve_llm(args)
     from .faults import FaultPlan
-    from .serving import (
-        AdmissionPolicy,
-        BatchPolicy,
-        ClosedLoop,
-        FleetSimulator,
-        MonitorConfig,
-        OpenLoopPoisson,
-        ResiliencePolicy,
-        ServiceCosts,
-    )
-    models = [m.strip() for m in args.model.split(",") if m.strip()]
-    fault_plan = FaultPlan.from_file(args.faults) if args.faults else None
-    autoscale_on = knobs.switch("REPRO_AUTOSCALE", args.autoscale)
-    scale_on = args.scale or autoscale_on or args.cells is not None
-    if scale_on:
-        return _cmd_serve_scale(args, models, fault_plan, autoscale_on)
-    if args.trace or args.diurnal or args.save_trace:
-        print("repro serve: --trace/--diurnal/--save-trace need the "
-              "scaled core; add --scale", file=sys.stderr)
-        return 2
-    monitor_on = knobs.switch("REPRO_MONITOR", args.monitor)
-    monitor_config = (MonitorConfig.from_env(interval_s=args.monitor_interval)
-                      if monitor_on else None)
-    # Default policy: respond to injected faults, stay bit-identical to
-    # the pre-fault fleet when nothing is being injected.
-    resilience_kind = args.resilience or (
-        "resilient" if fault_plan is not None else "naive")
-    resilience = (ResiliencePolicy() if resilience_kind == "resilient"
-                  else ResiliencePolicy.naive())
-    config_rows = [
-        ("models", "+".join(models)),
-        ("devices", args.devices),
-        ("batch policy", f"{args.batch_policy} (max_batch={args.max_batch}, "
-                         f"wait={args.max_wait_ms}ms)"),
-        ("routing", args.routing),
-        ("workload", "closed-loop" if args.closed_loop else
-                     f"open-loop poisson @ {args.rate} req/s"),
-        ("duration (s)", args.duration),
-        ("admission max queue", args.max_queue),
-        ("SLO multiplier", args.slo_multiplier),
-        ("fault plan", fault_plan.name if fault_plan else "(none)"),
-        ("resilience", resilience_kind),
-    ]
-    if monitor_on:
-        config_rows.append((
-            "monitor",
-            f"interval={monitor_config.interval_s}s "
-            f"window={monitor_config.window_intervals} "
-            f"target={monitor_config.objective.target}"))
-    if args.dry_run:
-        print(render_table(("parameter", "value"), config_rows,
-                           title="serve --dry-run (no simulation)"))
-        return 0
-    costs = ServiceCosts.resolve(models)
-    if args.closed_loop:
-        workload = ClosedLoop(models, clients=args.clients,
-                              duration_s=args.duration,
-                              think_s=args.think_ms * 1e-3)
-        rate = 0.0
-    else:
-        workload = OpenLoopPoisson(models, args.rate, args.duration)
-        rate = args.rate
-    sim = FleetSimulator(
-        costs, devices=args.devices,
-        batch_policy=BatchPolicy(args.batch_policy, args.max_batch,
-                                 args.max_wait_ms),
-        admission=AdmissionPolicy(args.max_queue),
-        routing=args.routing,
-        slo_multiplier=args.slo_multiplier,
-        collect_trace=bool(args.trace_out),
-        fault_plan=fault_plan,
-        resilience=resilience,
-        monitor_config=monitor_config)
-    if args.trace_out:
-        from .telemetry import Telemetry, scoped_telemetry
-        from .telemetry.export import (
-            chrome_trace,
-            serving_trace_events,
-            write_trace,
-        )
-        with scoped_telemetry(Telemetry(enabled=True,
-                                        label="serve")) as tel:
-            report = sim.run(workload, rate_rps=rate)
-            snapshot = tel.snapshot()
-        device_events = list(serving_trace_events(sim.trace_log))
-        if monitor_on and sim.monitor_payload is not None:
-            from .telemetry.export import monitor_counter_events
-            device_events.extend(monitor_counter_events(sim.monitor_payload))
-        payload = chrome_trace(
-            [snapshot], device_events=device_events,
-            extra_other_data={"models": models, "devices": args.devices})
-        write_trace(args.trace_out, payload)
-    else:
-        report = sim.run(workload, rate_rps=rate)
-    print(report.table())
-    if monitor_on and sim.monitor_payload is not None:
-        from .serving import validate_monitor_report
-        from .telemetry.dashboard import render_dashboard
-        monitor_payload = sim.monitor_payload
-        problems = validate_monitor_report(monitor_payload)
-        if problems:  # pragma: no cover - internal invariant
-            print("repro serve: invalid monitor report:\n  "
-                  + "\n  ".join(problems), file=sys.stderr)
-            return 1
-        print(render_dashboard(monitor_payload,
-                               color=sys.stdout.isatty()))
-        if args.monitor_out:
-            with open(args.monitor_out, "w") as handle:
-                json.dump(monitor_payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.monitor_out}")
-    if args.trace_out:
-        print(f"wrote {args.trace_out}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
-    """The ``--scale`` path: interned-record core, cells, autoscaling."""
     from .serving import (
         AdmissionPolicy,
         AutoscaleConfig,
         BatchPolicy,
         ClosedLoop,
         DiurnalTrace,
+        FleetSimulator,
+        MonitorConfig,
         OpenLoopPoisson,
-        ScaledFleetSimulator,
+        ResiliencePolicy,
         ServiceCosts,
         load_trace,
         save_trace,
         scale_table,
         validate_fleet_scale_report,
+        validate_monitor_report,
     )
-    if fault_plan is not None or args.resilience == "resilient":
-        print("repro serve: --scale is the fault-free fast path; drop "
-              "--faults/--resilience (chaos runs use the legacy core)",
-              file=sys.stderr)
-        return 2
-    if args.monitor or args.trace_out:
-        print("repro serve: --scale does not support --monitor/"
-              "--trace-out; the scale report has its own timeline "
-              "(--scale-out FILE)", file=sys.stderr)
-        return 2
+    models = [m.strip() for m in args.model.split(",") if m.strip()]
+    fault_plan = FaultPlan.from_file(args.faults) if args.faults else None
+    autoscale_on = knobs.switch("REPRO_AUTOSCALE", args.autoscale)
+    monitor_on = knobs.switch("REPRO_MONITOR", args.monitor)
+    monitor_config = (MonitorConfig.from_env(interval_s=args.monitor_interval)
+                      if monitor_on else None)
+    # Default policy: respond to injected faults, stay naive (nothing
+    # armed, nothing to respond to) when nothing is being injected.
+    resilience_kind = args.resilience or (
+        "resilient" if fault_plan is not None else "naive")
+    resilience = (ResiliencePolicy() if resilience_kind == "resilient"
+                  else ResiliencePolicy.naive())
     cells = args.cells
     if cells is None:
         # Autoscaling needs multiple cells to act on; default to ~25
         # devices per cell, the sweet spot for the in-cell route scan.
         cells = max(2, args.devices // 25) if autoscale_on else 1
-    config = None
-    if autoscale_on:
-        config = AutoscaleConfig.from_env()
+    autoscale = AutoscaleConfig.from_env() if autoscale_on else None
     if args.trace:
         # A replayed trace names its own model mix; --model is ignored.
         workload = load_trace(args.trace)
@@ -652,11 +541,21 @@ def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
         ("duration (s)", args.duration),
         ("admission max queue", args.max_queue),
         ("SLO multiplier", args.slo_multiplier),
+        ("fault plan", fault_plan.name if fault_plan else "(none)"),
+        ("resilience", resilience_kind),
         ("autoscale",
-         (f"interval={config.interval_s}s min_cells={config.min_cells} "
-          f"cooldown={config.cooldown_s}s "
-          f"${config.price_per_device_hour}/dev-h") if config else "off"),
+         (f"interval={autoscale.interval_s}s "
+          f"min_cells={autoscale.min_cells} "
+          f"cooldown={autoscale.cooldown_s}s "
+          f"${autoscale.price_per_device_hour}/dev-h")
+         if autoscale else "off"),
     ]
+    if monitor_on:
+        config_rows.append((
+            "monitor",
+            f"interval={monitor_config.interval_s}s "
+            f"window={monitor_config.window_intervals} "
+            f"target={monitor_config.objective.target}"))
     if args.dry_run:
         print(render_table(("parameter", "value"), config_rows,
                            title="serve --dry-run (no simulation)"))
@@ -679,28 +578,60 @@ def _cmd_serve_scale(args, models, fault_plan, autoscale_on) -> int:
         written = save_trace(workload, args.save_trace)
         print(f"wrote {args.save_trace} ({written} requests)")
     costs = ServiceCosts.resolve(models)
-    sim = ScaledFleetSimulator(
+    sim = FleetSimulator(
         costs, devices=args.devices, cells=cells,
         batch_policy=BatchPolicy(args.batch_policy, args.max_batch,
                                  args.max_wait_ms),
         admission=AdmissionPolicy(args.max_queue),
         routing=args.routing,
         slo_multiplier=args.slo_multiplier,
-        autoscale=config)
-    report = sim.run(workload, rate_rps=rate)
-    payload = sim.payload
-    problems = validate_fleet_scale_report(payload)
+        autoscale=autoscale,
+        collect_trace=bool(args.trace_out),
+        fault_plan=fault_plan,
+        resilience=resilience,
+        monitor_config=monitor_config)
+    if args.trace_out:
+        from .telemetry import Telemetry, scoped_telemetry
+        from .telemetry.export import (
+            chrome_trace,
+            monitor_counter_events,
+            serving_trace_events,
+            write_trace,
+        )
+        with scoped_telemetry(Telemetry(enabled=True,
+                                        label="serve")) as tel:
+            report = sim.run(workload, rate_rps=rate)
+            snapshot = tel.snapshot()
+        device_events = list(serving_trace_events(sim.trace_log))
+        if sim.monitor_payload is not None:
+            device_events.extend(monitor_counter_events(sim.monitor_payload))
+        write_trace(args.trace_out, chrome_trace(
+            [snapshot], device_events=device_events,
+            extra_other_data={"models": models, "devices": args.devices}))
+    else:
+        report = sim.run(workload, rate_rps=rate)
+    problems = validate_fleet_scale_report(sim.payload)
+    if sim.monitor_payload is not None:
+        problems += validate_monitor_report(sim.monitor_payload)
     if problems:  # pragma: no cover - internal invariant
-        print("repro serve: invalid fleet-scale report:\n  "
-              + "\n  ".join(problems), file=sys.stderr)
+        print("repro serve: invalid report:\n  " + "\n  ".join(problems),
+              file=sys.stderr)
         return 1
     print(report.table())
-    print(scale_table(payload))
-    if args.scale_out:
-        with open(args.scale_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.scale_out}")
+    print(scale_table(sim.payload))
+    if sim.monitor_payload is not None:
+        from .telemetry.dashboard import render_dashboard
+        print(render_dashboard(sim.monitor_payload,
+                               color=sys.stdout.isatty()))
+    for path, payload in ((args.monitor_out, sim.monitor_payload),
+                          (args.scale_out, sim.payload)):
+        if path and payload is not None:
+            with open(path, "w") as handle:
+                json.dump(payload, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"wrote {path}")
+    if args.trace_out:
+        print(f"wrote {args.trace_out}")
     if args.json:
         with open(args.json, "w") as handle:
             handle.write(report.to_json())
@@ -1115,17 +1046,13 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="sampling interval in simulated seconds "
                             "(default: $REPRO_MONITOR_INTERVAL or 0.1)")
-    serve.add_argument("--scale", action="store_true",
-                       help="use the interned-record scaled core "
-                            "(1000+ devices; fault-free only)")
     serve.add_argument("--cells", type=int, default=None, metavar="N",
                        help="device cells for hierarchical routing "
                             "(must divide --devices; default 1, or "
                             "devices/25 under --autoscale)")
     serve.add_argument("--autoscale", action="store_true",
                        help="scale cells out/in on SLO burn rate + queue "
-                            "depth (implies --scale; also "
-                            "REPRO_AUTOSCALE=1; =0 force-off)")
+                            "depth (also REPRO_AUTOSCALE=1; =0 force-off)")
     serve.add_argument("--scale-out", metavar="FILE",
                        help="write the repro-fleet-scale-report-v1 JSON")
     serve.add_argument("--diurnal", action="store_true",

@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from ..runtime import knobs, parallel_map, set_cache
+from ..runtime import KnobError, knobs, parallel_map, set_cache
 from .experiments import all_experiment_ids, run_experiment
 
 
@@ -58,7 +58,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Entry point; a bad knob or experiment id exits 2 with one line."""
     args = _build_parser().parse_args(argv)
+    unknown = sorted(set(args.ids) - set(all_experiment_ids()))
+    if unknown:
+        print(f"python -m repro.harness: unknown experiment(s) "
+              f"{', '.join(unknown)}; known: "
+              f"{', '.join(all_experiment_ids())}", file=sys.stderr)
+        return 2
+    try:
+        return _run(args)
+    except KnobError as err:
+        print(f"python -m repro.harness: {err}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     # Cache policy travels through the environment so that spawned
     # workers inherit it regardless of start method.
     if args.no_cache:

@@ -2,17 +2,16 @@
 
 Layers a discrete-event serving simulation on top of the ``npu`` /
 ``runtime`` stack: load generators (:mod:`~repro.serving.workload`),
-admission control + dynamic batching (:mod:`~repro.serving.scheduler`),
-a routed device fleet (:mod:`~repro.serving.fleet`), SLO metrics
-(:mod:`~repro.serving.metrics`) and the ``serving_sweep`` grid
-(:mod:`~repro.serving.sweep`). Entry points: ``python -m repro serve``
-and the ``serving_sweep`` harness experiment.
-
-Datacenter scale lives in :mod:`~repro.serving.scale` (interned-record
-event core, 1000+ devices, cell routing) and
-:mod:`~repro.serving.autoscale` (burn-rate/queue-depth cell
-autoscaling with a $/device-hour cost model); see
-``docs/operations.md`` for the capacity-planning guide.
+admission control, batching and resilience policies
+(:mod:`~repro.serving.scheduler`), one routed device-fleet event core
+(:mod:`~repro.serving.scale`, exported as both ``FleetSimulator`` and
+``ScaledFleetSimulator``) with fault injection, retries, a circuit
+breaker, streaming monitoring (:mod:`~repro.serving.monitor`) and
+cell autoscaling (:mod:`~repro.serving.autoscale`, a $/device-hour
+cost model), SLO metrics (:mod:`~repro.serving.metrics`) and the
+``serving_sweep`` grid (:mod:`~repro.serving.sweep`). Entry points:
+``python -m repro serve`` and the ``serving_sweep`` harness experiment;
+see ``docs/operations.md`` for the capacity-planning guide.
 """
 
 from .autoscale import (
@@ -31,17 +30,10 @@ from .continuous import (
     llm_poisson_requests,
     make_llm_batcher,
 )
-from .fleet import (
-    ROUTING_POLICIES,
-    DeviceState,
-    FleetSimulator,
-    Router,
-    simulate,
-)
+from .fleet import FleetSimulator, simulate
 from .metrics import (
     DEFAULT_SLO_MULTIPLIER,
     LLMServingReport,
-    MetricsCollector,
     ServingReport,
     percentile,
 )
@@ -56,6 +48,7 @@ from .monitor import (
     validate_monitor_report,
 )
 from .scale import (
+    ROUTING_POLICIES,
     SCALE_SCHEMA,
     ScaledFleetSimulator,
     ScalePoint,
@@ -116,7 +109,6 @@ __all__ = [
     "ClosedLoop",
     "ContinuousBatcher",
     "CostModel",
-    "DeviceState",
     "DiurnalTrace",
     "FleetSimulator",
     "FleetMonitor",
@@ -126,7 +118,6 @@ __all__ = [
     "LLMServingReport",
     "Launch",
     "MONITOR_SCHEMA",
-    "MetricsCollector",
     "ModelCost",
     "MonitorConfig",
     "MonitorPoint",
@@ -134,7 +125,6 @@ __all__ = [
     "OpenLoopPoisson",
     "Request",
     "ResiliencePolicy",
-    "Router",
     "ScalePoint",
     "ScaledFleetSimulator",
     "ServiceCosts",

@@ -1,654 +1,28 @@
-"""A fleet of replicated NPU-Tandem devices under a discrete-event loop.
+"""The fleet simulator under its original name, plus :func:`simulate`.
 
-Each device owns a FIFO queue, a busy-until clock, a per-device
-"compile cache" (the set of models whose programs are already resident)
-and a busy-time accumulator. The simulator advances a heap of timed
-events — request arrivals, device-free transitions, batch timers, and
-(under a :class:`~repro.faults.plan.FaultPlan`) crashes, recoveries,
-request timeouts and circuit-breaker re-admissions — and consults
-:func:`repro.serving.scheduler.plan_batch` whenever a device might be
-able to launch.
-
-Routing policies (chosen at arrival time, deterministically):
-
-* ``round_robin`` — arrival i goes to device i mod N.
-* ``least_loaded`` — greedy dispatch to the device whose estimated
-  backlog clears first (estimates use isolated latencies, so batching
-  only makes them conservative).
-* ``model_affinity`` — a stable hash of the model name pins each model
-  to one device, maximizing per-device compile-cache hits when the
-  request stream mixes models.
-
-All three route only to devices the circuit breaker currently admits;
-with every device ejected, arrivals are shed at admission instead of
-queueing against a black hole (graceful degradation).
-
-Fault handling is split between the injector (what goes wrong, decided
-by the plan + ``REPRO_SEED``) and the
-:class:`~repro.serving.scheduler.ResiliencePolicy` (how the fleet
-responds: timeouts + retry with exponential backoff and a retry
-budget, tile-granularity re-execution, compile retries, verified
-downloads, eject/re-admit health tracking). The ``naive`` policy keeps
-every mechanism off — the pre-fault fleet, kept as the chaos baseline.
-
-Everything is deterministic: the event heap breaks time ties by
-insertion order, and no wall clock or unseeded RNG is consulted — the
-same workload and plan always produce byte-identical reports.
-
-This core is the *semantics reference*. For 1000-device fleets use
-:class:`~repro.serving.scale.ScaledFleetSimulator`, which replays the
-exact fault-free event order through interned request records (pinned
-bit-identical to this core at ``cells=1`` by ``tests/test_scale.py``);
-chaos and resilience runs stay here.
+:class:`FleetSimulator` *is*
+:class:`~repro.serving.scale.ScaledFleetSimulator`: one event core
+serves the 4-device examples, the chaos sweeps and the 1000-device
+autoscaled day.  See :mod:`repro.serving.scale` for its semantics.
 """
 
 from __future__ import annotations
 
-import heapq
-import zlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Optional
 
-from ..telemetry import get_telemetry
-
-from .metrics import (
-    DEFAULT_MIN_SLO_S,
-    DEFAULT_SLO_MULTIPLIER,
-    MetricsCollector,
-    ServingReport,
-)
+from .metrics import DEFAULT_SLO_MULTIPLIER, ServingReport
+from .scale import ROUTING_POLICIES, ScaledFleetSimulator
 from .scheduler import (
     AdmissionPolicy,
     BatchPolicy,
-    Launch,
     ResiliencePolicy,
     ServiceCosts,
-    Wait,
-    plan_batch,
 )
-from .workload import Request, Workload
+from .workload import Workload
 
-ROUTING_POLICIES = ("round_robin", "least_loaded", "model_affinity")
+__all__ = ["ROUTING_POLICIES", "FleetSimulator", "simulate"]
 
-_ARRIVAL, _FREE, _TIMER, _CRASH, _RECOVER, _TIMEOUT, _READMIT = range(7)
-
-#: rid block for injected queue-burst requests (never collides with
-#: workload rids, which count up from 0).
-_BURST_RID_BASE = -1
-
-
-@dataclass
-class DeviceState:
-    queue: List[Request] = field(default_factory=list)
-    busy_until_s: float = 0.0
-    busy_s: float = 0.0
-    compiled: Set[str] = field(default_factory=set)
-    timer_at_s: Optional[float] = None
-    backlog_clear_s: float = 0.0   # router's work-conserving estimate
-    # -- fault/health state ------------------------------------------------
-    healthy: bool = True           # hardware up (crash flips this)
-    admitted: bool = True          # circuit breaker allows routing
-    epoch: int = 0                 # bumps on crash; stale _FREE ignored
-    failures: int = 0              # consecutive failures (breaker input)
-    ejects: int = 0                # consecutive ejects (cooldown growth)
-    launches: int = 0              # batch launches (fault-draw label)
-    bad_models: Set[str] = field(default_factory=set)  # corrupt residents
-
-
-class Router:
-    """Arrival-time device choice over the admitted subset of the fleet."""
-
-    def __init__(self, kind: str, devices: int, costs: ServiceCosts):
-        if kind not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing {kind!r}; "
-                             f"known: {', '.join(ROUTING_POLICIES)}")
-        self.kind = kind
-        self.devices = devices
-        self.costs = costs
-        self._next = 0
-
-    def route(self, fleet: List[DeviceState], request: Request,
-              now_s: float) -> Optional[int]:
-        """The target device, or ``None`` when every device is ejected."""
-        admitted = [d for d in range(self.devices) if fleet[d].admitted]
-        if not admitted:
-            return None
-        if self.kind == "round_robin":
-            index = next((self._next + probe) % self.devices
-                         for probe in range(self.devices)
-                         if fleet[(self._next + probe)
-                                  % self.devices].admitted)
-            self._next = (index + 1) % self.devices
-        elif self.kind == "model_affinity":
-            pin = zlib.crc32(request.model.encode("utf-8")) % self.devices
-            index = next((pin + probe) % self.devices
-                         for probe in range(self.devices)
-                         if fleet[(pin + probe) % self.devices].admitted)
-        else:  # least_loaded
-            index = min(admitted,
-                        key=lambda d: (fleet[d].backlog_clear_s,
-                                       len(fleet[d].queue), d))
-        device = fleet[index]
-        start = max(device.backlog_clear_s, now_s)
-        device.backlog_clear_s = start + self.costs.latency_s(request.model)
-        return index
-
-
-class FleetSimulator:
-    """N devices + router + batcher, driven by one event heap."""
-
-    def __init__(self, costs: ServiceCosts, devices: int = 1,
-                 batch_policy: Optional[BatchPolicy] = None,
-                 admission: Optional[AdmissionPolicy] = None,
-                 routing: str = "least_loaded",
-                 slo_multiplier: float = DEFAULT_SLO_MULTIPLIER,
-                 min_slo_s: float = DEFAULT_MIN_SLO_S,
-                 require_verified: bool = True,
-                 collect_trace: bool = False,
-                 fault_plan=None,
-                 resilience: Optional[ResiliencePolicy] = None,
-                 monitor_config=None):
-        if devices < 1:
-            raise ValueError("devices must be >= 1")
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing {routing!r}; "
-                             f"known: {', '.join(ROUTING_POLICIES)}")
-        self.costs = costs
-        self.devices = devices
-        self.policy = batch_policy or BatchPolicy()
-        self.admission = admission or AdmissionPolicy()
-        self.routing = routing
-        self.slo_multiplier = slo_multiplier
-        self.min_slo_s = min_slo_s
-        #: Admission control refuses models whose cached static
-        #: verification record is missing or dirty (ServiceCosts.resolve
-        #: stamps each ModelCost with the record's ``clean`` bit) — a
-        #: program the verifier never blessed must not reach a device.
-        self.require_verified = require_verified
-        #: Request-lifecycle event log (batch launches, rejects, fault
-        #: and retry lifecycles) for the trace exporter; populated only
-        #: when ``collect_trace`` — all entries are simulated-time, so
-        #: the log is deterministic.
-        self.collect_trace = collect_trace
-        self.trace_log: List[Dict[str, Any]] = []
-        #: The fault plan to inject (None = nothing ever fails) and the
-        #: response discipline (default: the legacy ``naive`` fleet, so
-        #: fault-free behaviour is bit-identical to earlier versions).
-        self.fault_plan = fault_plan
-        self.resilience = resilience or ResiliencePolicy.naive()
-        #: Streaming monitoring (:mod:`repro.serving.monitor`): when a
-        #: :class:`~repro.serving.monitor.MonitorConfig` is given, the
-        #: run feeds a :class:`~repro.serving.monitor.FleetMonitor` and
-        #: leaves its ``repro-monitor-report-v1`` payload on
-        #: ``self.monitor_payload``. Strictly observational — the hooks
-        #: never influence scheduling, so the ServingReport is
-        #: byte-identical with monitoring on or off.
-        self.monitor_config = monitor_config
-        self.monitor = None
-        self.monitor_payload = None
-
-    # -- event plumbing ----------------------------------------------------
-    def _push(self, when_s: float, kind: int, payload) -> None:
-        heapq.heappush(self._events, (when_s, self._seq, kind, payload))
-        self._seq += 1
-
-    def _trace(self, kind: str, t_s: float, **extra) -> None:
-        if self.collect_trace:
-            self.trace_log.append({"kind": kind, "t_s": t_s, **extra})
-
-    def run(self, workload: Workload, rate_rps: float = 0.0
-            ) -> ServingReport:
-        fleet = [DeviceState() for _ in range(self.devices)]
-        router = Router(self.routing, self.devices, self.costs)
-        self.trace_log = []
-        collector = MetricsCollector(self.costs, self.slo_multiplier,
-                                     self.min_slo_s)
-        monitor = None
-        if self.monitor_config is not None:
-            from .monitor import FleetMonitor
-            monitor = FleetMonitor(self.monitor_config, collector.slo_s,
-                                   self.devices)
-        self.monitor = monitor
-        self.monitor_payload = None
-        self._monitor = monitor
-        self._events: List[Tuple] = []
-        self._seq = 0
-        # -- per-request lifecycle state ----------------------------------
-        self._status: Dict[int, str] = {}     # queued/flight/retrying/...
-        self._loc: Dict[int, int] = {}        # rid -> device index
-        self._born: Dict[int, float] = {}     # rid -> first arrival time
-        self._attempts: Dict[int, int] = {}   # rid -> retry attempts
-        self._request: Dict[int, Request] = {}
-        self._compile_tries: Dict[Tuple[int, str], int] = {}
-        self._retries_used = 0
-
-        initial = sorted(workload.initial(),
-                         key=lambda r: (r.arrival_s, r.rid))
-        for request in initial:
-            self._push(request.arrival_s, _ARRIVAL, request)
-
-        injector = None
-        if self.fault_plan is not None and not self.fault_plan.quiet:
-            from ..faults import FaultInjector
-            horizon = workload.duration_s or (
-                initial[-1].arrival_s if initial else 1.0)
-            injector = FaultInjector(self.fault_plan, self.devices, horizon)
-            for t_s, device in injector.crashes:
-                self._push(t_s, _CRASH, device)
-            if injector.slowdowns:
-                collector.note_fault("device_slowdown",
-                                     len(injector.slowdowns))
-            models = self.costs.models()
-            rid = _BURST_RID_BASE
-            for t_s in injector.bursts:
-                collector.note_fault("queue_burst")
-                self._trace("queue-burst", t_s,
-                            size=self.fault_plan.burst.size)
-                for i in range(self.fault_plan.burst.size):
-                    self._push(t_s, _ARRIVAL,
-                               Request(rid, models[i % len(models)], t_s))
-                    rid -= 1
-        self._injector = injector
-
-        while self._events:
-            now_s, _, kind, payload = heapq.heappop(self._events)
-            if monitor is not None:
-                # Close interval boundaries BEFORE applying the event,
-                # so each boundary samples the state as simulated time
-                # actually passed it.
-                monitor.advance(now_s)
-            if kind == _ARRIVAL:
-                self._on_arrival(fleet, router, collector, workload,
-                                 payload, now_s)
-            elif kind == _FREE:
-                self._on_free(fleet, collector, workload, payload, now_s)
-            elif kind == _TIMER:
-                fleet[payload].timer_at_s = None
-                self._dispatch(fleet, collector, payload, now_s)
-            elif kind == _CRASH:
-                self._on_crash(fleet, collector, payload, now_s)
-            elif kind == _RECOVER:
-                self._on_recover(fleet, collector, payload, now_s)
-            elif kind == _TIMEOUT:
-                self._on_timeout(fleet, router, collector, payload, now_s)
-            else:  # _READMIT
-                self._on_readmit(fleet, collector, payload, now_s)
-
-        # Requests still queued or in flight when the event heap drains
-        # never completed (stuck on a dead device with no retry policy).
-        for rid, status in sorted(self._status.items()):
-            if status in ("queued", "flight"):
-                collector.note_failed(self._request[rid])
-
-        if monitor is not None:
-            monitor.finish(max(collector.last_finish_s,
-                               workload.duration_s))
-            self.monitor_payload = monitor.payload(context={
-                "models": list(self.costs.models()),
-                "devices": self.devices,
-                "routing": self.routing,
-                "batch_policy": self.policy.kind,
-                "resilience": self.resilience.kind,
-                "fault_plan": (self.fault_plan.name
-                               if self.fault_plan is not None else None),
-                "rate_rps": rate_rps,
-                "duration_s": workload.duration_s,
-            })
-
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("serving.requests.offered", collector.offered)
-            tel.count("serving.requests.completed",
-                      len(collector.latencies_ms))
-            tel.count("serving.requests.rejected", collector.rejected)
-            tel.count("serving.requests.verify_rejected",
-                      collector.verify_rejected)
-            tel.count("serving.requests.failed", collector.failed)
-            tel.count("serving.batches.launched", len(collector.batches))
-            tel.count("serving.batches.requests", sum(collector.batches))
-            tel.count("serving.compiles", collector.compiles)
-            tel.count("serving.retries.requests", collector.retries)
-            tel.count("serving.retries.compile", collector.compile_retries)
-            tel.count("serving.timeouts", collector.timeouts)
-            tel.count("serving.completions.bad", collector.bad_completions)
-            tel.count("serving.circuit.ejects", collector.devices_ejected)
-            tel.count("serving.circuit.readmits",
-                      collector.devices_readmitted)
-            for fault_kind, count in sorted(collector.faults.items()):
-                name = ("faults.detected.corrupt_program"
-                        if fault_kind == "corrupt_detected"
-                        else f"faults.injected.{fault_kind}")
-                tel.count(name, count)
-
-        return collector.report(
-            models=self.costs.models(),
-            devices=self.devices,
-            batch_policy=self.policy.kind,
-            max_batch=self.policy.effective_max_batch,
-            max_wait_ms=self.policy.max_wait_ms,
-            routing=self.routing,
-            rate_rps=rate_rps,
-            duration_s=workload.duration_s,
-            busy_s=[device.busy_s for device in fleet])
-
-    # -- timeouts ----------------------------------------------------------
-    def _timeout_s(self, model: str) -> float:
-        slo = max(self.min_slo_s,
-                  self.slo_multiplier * self.costs.latency_s(model))
-        # The batcher may hold a request up to max_wait_ms before it
-        # even launches; a timeout tighter than that window would fire
-        # on perfectly healthy requests that are still aggregating.
-        # Charge the window on top so fast models (SLO ~ the floor)
-        # don't retry-storm a fault-free fleet.
-        wait_s = self.policy.max_wait_ms * 1e-3
-        return self.resilience.timeout_slo_multiple * slo + wait_s
-
-    def _follow_up(self, workload, request: Request, now_s: float) -> None:
-        follow_up = workload.on_complete(request, now_s)
-        if follow_up is not None:
-            self._push(follow_up.arrival_s, _ARRIVAL, follow_up)
-
-    # -- handlers ----------------------------------------------------------
-    def _on_arrival(self, fleet, router, collector, workload,
-                    request: Request, now_s: float) -> None:
-        rid = request.rid
-        mon = self._monitor
-        first_attempt = rid not in self._born
-        if first_attempt:
-            self._born[rid] = now_s
-            self._request[rid] = request
-            collector.note_arrival(sum(len(d.queue) for d in fleet))
-            if mon is not None:
-                mon.note_arrival(rid, request.model, now_s)
-        if self.require_verified and not self.costs.is_verified(request.model):
-            collector.note_verify_reject(request, now_s)
-            self._status[rid] = "rejected"
-            self._trace("verify-reject", now_s, model=request.model)
-            if mon is not None:
-                mon.note_reject(rid, now_s)
-            self._follow_up(workload, request, now_s)
-            return
-        index = router.route(fleet, request, now_s)
-        if index is None:
-            # Circuit breaker has every device ejected: shed instead of
-            # queueing against a black hole (graceful degradation).
-            collector.note_reject(request, now_s)
-            self._status[rid] = "rejected"
-            self._trace("shed", now_s, model=request.model)
-            if mon is not None:
-                mon.note_reject(rid, now_s)
-            self._follow_up(workload, request, now_s)
-            return
-        device = fleet[index]
-        if len(device.queue) >= self.admission.max_queue:
-            collector.note_reject(request, now_s)
-            self._status[rid] = "rejected"
-            self._trace("queue-reject", now_s, model=request.model)
-            if mon is not None:
-                mon.note_reject(rid, now_s)
-            self._follow_up(workload, request, now_s)
-            return
-        self._status[rid] = "queued"
-        self._loc[rid] = index
-        self._request[rid] = request
-        device.queue.append(request)
-        if mon is not None:
-            mon.note_queue(+1)
-        if self.resilience.active:
-            self._push(now_s + self._timeout_s(request.model), _TIMEOUT,
-                       (rid, self._attempts.get(rid, 0)))
-        self._dispatch(fleet, collector, index, now_s)
-
-    def _first_touch_s(self, collector, index: int, model: str,
-                       device: DeviceState, now_s: float) -> Optional[float]:
-        """Compile + download time for a first touch (None = launch fails).
-
-        Under a fault plan the compile may flake (retried in place when
-        resilient, fatal to the batch when naive) and the downloaded
-        program may arrive corrupted (caught by the static verifier and
-        re-compiled when resilient; silently resident — and poisoning
-        every completion — when not).
-        """
-        policy = self.resilience
-        compile_s = self.costs.compile_s(model)
-        spent = compile_s
-        key = (index, model)
-        attempt = self._compile_tries.get(key, 0)
-        while self._injector.flaky_compile(index, model, attempt):
-            collector.note_fault("flaky_compile")
-            attempt += 1
-            self._compile_tries[key] = attempt
-            if not policy.active or attempt > policy.max_retries:
-                self._trace("compile-fail", now_s, device=index, model=model)
-                return None
-            collector.compile_retries += 1
-            self._trace("compile-retry", now_s, device=index, model=model)
-            spent += compile_s
-        self._compile_tries[key] = attempt + 1
-
-        download = attempt
-        while self._injector.corrupt_download(index, model, download):
-            collector.note_fault("corrupt_program")
-            if not (policy.active and policy.verify_downloads) or \
-                    not self._injector.corruption_detected(index, model,
-                                                           download):
-                # Undetected (or unverified) corruption: the resident
-                # program silently produces garbage from now on.
-                device.bad_models.add(model)
-                self._trace("corrupt-undetected", now_s, device=index,
-                            model=model)
-                break
-            collector.note_fault("corrupt_detected")
-            self._trace("corrupt-detected", now_s, device=index, model=model)
-            download += 1
-            if download - attempt > policy.max_retries:
-                self._trace("compile-fail", now_s, device=index, model=model)
-                return None
-            spent += compile_s   # re-compile + re-download
-        return spent
-
-    def _dispatch(self, fleet, collector, index: int, now_s: float) -> None:
-        device = fleet[index]
-        if not device.healthy or device.busy_until_s > now_s or \
-                not device.queue:
-            return
-        decision = plan_batch(device.queue, now_s, self.policy,
-                              monitor=self._monitor)
-        if isinstance(decision, Wait):
-            if device.timer_at_s is None or \
-                    device.timer_at_s > decision.until_s:
-                device.timer_at_s = decision.until_s
-                self._push(decision.until_s, _TIMER, index)
-            return
-        if not isinstance(decision, Launch):
-            return
-        batch = device.queue[:decision.count]
-        del device.queue[:decision.count]
-        if self._monitor is not None:
-            self._monitor.note_queue(-len(batch))
-        model = batch[0].model
-        device.launches += 1
-        slow = (self._injector.slow_factor(index, now_s)
-                if self._injector else 1.0)
-        base_s = self.costs.batch_service_s(model, len(batch)) * slow
-        service_s = base_s
-        first_touch = model not in device.compiled
-        if first_touch:
-            if self._injector is not None:
-                touch_s = self._first_touch_s(collector, index, model,
-                                              device, now_s)
-                if touch_s is None:
-                    # Compile never succeeded: the batch is lost.
-                    for request in batch:
-                        self._status[request.rid] = "failed"
-                        collector.note_failed(request)
-                    self._dispatch(fleet, collector, index, now_s)
-                    return
-            else:
-                touch_s = self.costs.compile_s(model)
-            service_s += touch_s
-            device.compiled.add(model)
-            collector.compiles += 1
-        if self._injector is not None and \
-                self._injector.tile_fault(index, model, device.launches):
-            collector.note_fault("tile_fault")
-            total_tiles = self.costs.tiles(model)
-            faulted = min(self.fault_plan.tile_fault.tiles, total_tiles)
-            if self.resilience.active and self.resilience.tile_retry:
-                # Tile-granularity re-execution: only the faulted tiles
-                # re-run (the paper's Fig. 10 unit of in-tandem work).
-                penalty_s = base_s * faulted / total_tiles
-            else:
-                # No tile scoping: the whole batch invocation re-runs.
-                penalty_s = base_s
-            service_s += penalty_s
-            self._trace("tile-fault", now_s, device=index, model=model,
-                        tiles=faulted, penalty_s=penalty_s)
-        finish_s = now_s + service_s
-        device.busy_until_s = finish_s
-        device.busy_s += service_s
-        collector.note_batch(len(batch))
-        if self._monitor is not None:
-            self._monitor.note_launch(index, now_s, finish_s, len(batch))
-        self._trace("batch", now_s, device=index, model=model,
-                    batch=len(batch), start_s=now_s, finish_s=finish_s,
-                    compile=first_touch)
-        for request in batch:
-            self._status[request.rid] = "flight"
-            self._loc[request.rid] = index
-        self._push(finish_s, _FREE, (index, batch, device.epoch))
-
-    def _on_free(self, fleet, collector, workload, payload,
-                 now_s: float) -> None:
-        index, batch, epoch = payload
-        device = fleet[index]
-        if epoch != device.epoch:
-            return   # the device crashed mid-batch; nothing completed
-        bad = batch[0].model in device.bad_models
-        device.failures = 0
-        device.ejects = 0
-        mon = self._monitor
-        for request in batch:
-            if self._status.get(request.rid) != "flight":
-                continue
-            self._status[request.rid] = "done"
-            born_s = self._born.get(request.rid)
-            collector.note_complete(request, now_s, born_s=born_s, bad=bad)
-            if mon is not None:
-                start_s = request.arrival_s if born_s is None else born_s
-                mon.note_complete(request.rid, now_s,
-                                  (now_s - start_s) * 1e3, bad=bad)
-            self._follow_up(workload, request, now_s)
-        self._dispatch(fleet, collector, index, now_s)
-
-    def _on_crash(self, fleet, collector, index: int, now_s: float) -> None:
-        device = fleet[index]
-        if not device.healthy:
-            return   # overlapping crash on an already-dead device
-        collector.note_fault("device_crash")
-        self._trace("crash", now_s, device=index)
-        if self._monitor is not None:
-            self._monitor.note_crash(index, now_s)
-        device.healthy = False
-        device.epoch += 1
-        if device.busy_until_s > now_s:
-            # Refund the un-served remainder of the in-flight batch.
-            device.busy_s -= device.busy_until_s - now_s
-            device.busy_until_s = now_s
-        end_s = self._injector.outage_end(now_s)
-        if end_s is not None:
-            self._push(end_s, _RECOVER, index)
-
-    def _on_recover(self, fleet, collector, index: int,
-                    now_s: float) -> None:
-        device = fleet[index]
-        if device.healthy:
-            return
-        device.healthy = True
-        self._trace("recover", now_s, device=index)
-        if self._monitor is not None:
-            self._monitor.note_recover(index)
-        self._dispatch(fleet, collector, index, now_s)
-
-    def _on_timeout(self, fleet, router, collector, payload,
-                    now_s: float) -> None:
-        rid, attempt = payload
-        if self._attempts.get(rid, 0) != attempt:
-            return   # a newer attempt owns this request
-        status = self._status.get(rid)
-        if status not in ("queued", "flight"):
-            return
-        index = self._loc[rid]
-        device = fleet[index]
-        request = self._request[rid]
-        collector.timeouts += 1
-        self._trace("timeout", now_s, device=index, model=request.model,
-                    rid=rid)
-        if self._monitor is not None:
-            self._monitor.note_timeout()
-        self._note_failure(fleet, collector, index, now_s)
-        if status == "flight" and device.healthy:
-            # Still executing on a live device: it will finish — retrying
-            # now would complete the request twice. The timeout only
-            # feeds the health tracker (latency breach).
-            return
-        if status == "queued":
-            before = len(device.queue)
-            device.queue = [r for r in device.queue if r.rid != rid]
-            if self._monitor is not None:
-                self._monitor.note_queue(len(device.queue) - before)
-        policy = self.resilience
-        budget = int(policy.retry_budget_fraction * collector.offered)
-        self._attempts[rid] = attempt + 1
-        if attempt >= policy.max_retries or self._retries_used >= budget:
-            self._status[rid] = "failed"
-            collector.note_failed(request)
-            self._trace("retry-exhausted", now_s, model=request.model,
-                        rid=rid)
-            return
-        self._retries_used += 1
-        collector.retries += 1
-        if self._monitor is not None:
-            self._monitor.note_retry()
-        backoff_s = policy.backoff_base_s * (2 ** attempt)
-        retry = replace(request, arrival_s=now_s + backoff_s)
-        self._status[rid] = "retrying"
-        self._request[rid] = retry
-        self._trace("retry", now_s, model=request.model, rid=rid,
-                    attempt=attempt + 1, backoff_s=backoff_s)
-        self._push(retry.arrival_s, _ARRIVAL, retry)
-
-    def _note_failure(self, fleet, collector, index: int,
-                      now_s: float) -> None:
-        """Circuit-breaker bookkeeping for one observed failure."""
-        policy = self.resilience
-        if not policy.active or policy.eject_threshold <= 0:
-            return
-        device = fleet[index]
-        device.failures += 1
-        if device.admitted and device.failures >= policy.eject_threshold:
-            device.admitted = False
-            device.ejects += 1
-            collector.devices_ejected += 1
-            if self._monitor is not None:
-                self._monitor.note_eject(index)
-            cooldown_s = policy.cooldown_s * (
-                policy.cooldown_growth ** (device.ejects - 1))
-            self._trace("eject", now_s, device=index,
-                        cooldown_s=cooldown_s)
-            self._push(now_s + cooldown_s, _READMIT, index)
-
-    def _on_readmit(self, fleet, collector, index: int,
-                    now_s: float) -> None:
-        device = fleet[index]
-        if device.admitted:
-            return
-        device.admitted = True
-        device.failures = 0
-        collector.devices_readmitted += 1
-        self._trace("readmit", now_s, device=index)
-        if self._monitor is not None:
-            self._monitor.note_readmit(index)
+FleetSimulator = ScaledFleetSimulator
 
 
 def simulate(workload: Workload, costs: ServiceCosts, *, devices: int = 1,

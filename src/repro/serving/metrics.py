@@ -1,10 +1,11 @@
 """Serving metrics: latency percentiles, utilization, SLO attainment.
 
-The collector receives completion/rejection callbacks from the fleet
-event loop and reduces them to a :class:`ServingReport`: throughput,
-p50/p95/p99 latency, queue depth, device utilization and SLO
-attainment, renderable as a fixed-width table (via
-:func:`repro.harness.report.render_table`) or exportable as JSON.
+The fleet event loop (:mod:`repro.serving.scale`) reduces each run to a
+:class:`ServingReport`: throughput, p50/p95/p99 latency, queue depth,
+device utilization and SLO attainment, renderable as a fixed-width
+table (via :func:`repro.harness.report.render_table`) or exportable as
+JSON.  All rates normalize against ``max(last finish, duration)`` so
+runs that drain past the traffic horizon are not flattered.
 
 SLO targets are per model: ``max(min_slo_s, slo_multiplier x isolated
 latency)``, i.e. a request meets its SLO when end-to-end latency stays
@@ -18,14 +19,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 # The exact nearest-rank estimator lives in telemetry.timeseries so the
 # end-of-run report and the streaming monitor histograms share ONE rank
 # rule; re-exported here because this module is its historical home.
 from ..telemetry.timeseries import percentile
-from .scheduler import ServiceCosts
-from .workload import Request
 
 DEFAULT_SLO_MULTIPLIER = 10.0
 DEFAULT_MIN_SLO_S = 1e-3
@@ -95,7 +94,7 @@ class ServingReport:
         """Canonical JSON: sorted keys + trailing newline.
 
         Byte-equality of two reports' ``to_json`` output is the
-        bit-identity oracle used by the determinism and legacy-vs-scaled
+        bit-identity oracle used by the determinism and golden-fixture
         tests — any float that differs in the last ulp shows up here.
         """
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
@@ -233,148 +232,3 @@ class LLMServingReport:
         title = (f"llm serving: {self.config}, {self.scheduler} batching "
                  f"@ {self.rate_rps:g} req/s")
         return render_table(("metric", "value"), rows, title=title)
-
-
-class MetricsCollector:
-    """Accumulates per-request outcomes during one simulation."""
-
-    def __init__(self, costs: ServiceCosts,
-                 slo_multiplier: float = DEFAULT_SLO_MULTIPLIER,
-                 min_slo_s: float = DEFAULT_MIN_SLO_S):
-        """Derive per-model SLO targets; zero all counters."""
-        self.costs = costs
-        self.slo_multiplier = slo_multiplier
-        self.slo_s = {m: max(min_slo_s,
-                             slo_multiplier * costs.latency_s(m))
-                      for m in costs.models()}
-        self.latencies_ms: List[float] = []
-        self.offered = 0
-        self.rejected = 0
-        self.verify_rejected = 0
-        self.failed = 0
-        self.bad_completions = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.compile_retries = 0
-        self.devices_ejected = 0
-        self.devices_readmitted = 0
-        self.faults: Dict[str, int] = {}
-        self.slo_met = 0
-        self.batches: List[int] = []
-        self.queue_samples: List[int] = []
-        self.max_queue = 0
-        self.compiles = 0
-        self.last_finish_s = 0.0
-
-    def note_arrival(self, fleet_queue_depth: int) -> None:
-        """One offered request, sampling fleet queue depth at arrival."""
-        self.offered += 1
-        self.queue_samples.append(fleet_queue_depth)
-        self.max_queue = max(self.max_queue, fleet_queue_depth)
-
-    def note_reject(self, request: Request, now_s: float) -> None:
-        """Admission-control shed: the queue was full."""
-        self.rejected += 1
-
-    def note_verify_reject(self, request: Request, now_s: float) -> None:
-        """Admission refusal: no clean static-verification record.
-
-        Counts toward ``rejected`` too — an unverified model's requests
-        are shed load, and they fail their SLO like any other reject.
-        """
-        self.rejected += 1
-        self.verify_rejected += 1
-
-    def note_batch(self, size: int) -> None:
-        """One launched batch of ``size`` requests."""
-        self.batches.append(size)
-
-    def note_complete(self, request: Request, finish_s: float,
-                      born_s: Optional[float] = None,
-                      bad: bool = False) -> None:
-        """One completion; latency runs from the *original* arrival.
-
-        ``born_s`` is the first-attempt arrival time for retried
-        requests — a retry must not launder its queueing history out of
-        the latency distribution. ``bad`` marks a completion produced
-        by a corrupted resident program: it counts as completed (the
-        device did the work) but never as good.
-        """
-        start_s = request.arrival_s if born_s is None else born_s
-        latency_s = finish_s - start_s
-        self.latencies_ms.append(latency_s * 1e3)
-        if bad:
-            self.bad_completions += 1
-        elif latency_s <= self.slo_s[request.model]:
-            self.slo_met += 1
-        self.last_finish_s = max(self.last_finish_s, finish_s)
-
-    def note_failed(self, request: Request) -> None:
-        """A request that will never complete (crash loss / retries out)."""
-        self.failed += 1
-
-    def note_fault(self, kind: str, count: int = 1) -> None:
-        """Tally an injected fault by kind (chaos runs only)."""
-        self.faults[kind] = self.faults.get(kind, 0) + count
-
-    def report(self, *, models: Tuple[str, ...], devices: int,
-               batch_policy: str, max_batch: int, max_wait_ms: float,
-               routing: str, rate_rps: float, duration_s: float,
-               busy_s: List[float]) -> ServingReport:
-        """Reduce the accumulated counters to a :class:`ServingReport`.
-
-        All rates normalize against ``max(last_finish, duration)`` so
-        runs that drain past the traffic horizon are not flattered; the
-        scaled core (:mod:`repro.serving.scale`) replicates this
-        arithmetic term for term to stay bit-identical.
-        """
-        latencies = sorted(self.latencies_ms)
-        completed = len(latencies)
-        makespan = max(self.last_finish_s, duration_s)
-        horizon = makespan if makespan > 0 else 1.0
-        return ServingReport(
-            models=models,
-            devices=devices,
-            batch_policy=batch_policy,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            routing=routing,
-            rate_rps=rate_rps,
-            duration_s=duration_s,
-            offered=self.offered,
-            completed=completed,
-            rejected=self.rejected,
-            verify_rejected=self.verify_rejected,
-            failed=self.failed,
-            bad_completions=self.bad_completions,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            compile_retries=self.compile_retries,
-            devices_ejected=self.devices_ejected,
-            devices_readmitted=self.devices_readmitted,
-            faults=dict(sorted(self.faults.items())),
-            makespan_s=makespan,
-            throughput_rps=completed / horizon,
-            goodput_rps=self.slo_met / horizon,
-            mean_latency_ms=(sum(latencies) / completed
-                             if completed else 0.0),
-            p50_ms=percentile(latencies, 50),
-            p95_ms=percentile(latencies, 95),
-            p99_ms=percentile(latencies, 99),
-            mean_queue_depth=(sum(self.queue_samples)
-                              / len(self.queue_samples)
-                              if self.queue_samples else 0.0),
-            max_queue_depth=self.max_queue,
-            mean_batch_size=(sum(self.batches) / len(self.batches)
-                             if self.batches else 0.0),
-            device_utilization=(sum(busy_s) / (len(busy_s) * horizon)
-                                if busy_s else 0.0),
-            per_device_utilization=[b / horizon for b in busy_s],
-            compiles=self.compiles,
-            compile_cache_hit_rate=(1.0 - self.compiles / len(self.batches)
-                                    if self.batches else 0.0),
-            slo_multiplier=self.slo_multiplier,
-            slo_ms={m: s * 1e3 for m, s in self.slo_s.items()},
-            slo_attainment=(self.slo_met / self.offered
-                            if self.offered else 0.0),
-        )

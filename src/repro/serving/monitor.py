@@ -63,7 +63,7 @@ MONITOR_SCHEMA = "repro-monitor-report-v1"
 #: must land deterministically despite float accumulation.
 _EPS = 1e-9
 
-#: Batch-launch trigger reasons recorded by ``plan_batch``.
+#: Batch-launch trigger reasons recorded by the fleet's batch rule.
 LAUNCH_REASONS = ("full", "deadline", "greedy", "single")
 
 
@@ -350,7 +350,7 @@ class FleetMonitor(_MonitorBase):
         self._down: Set[int] = set()
         self._ejected: Set[int] = set()
 
-    # -- lifecycle hooks (called by FleetSimulator) ------------------------
+    # -- lifecycle hooks (called by the fleet event loop) -----------------
     def note_arrival(self, rid: int, model: str, now_s: float) -> None:
         """First-attempt arrival: count it and arm the SLO deadline."""
         self._rates["rate.arrivals"].bump()
@@ -370,7 +370,7 @@ class FleetMonitor(_MonitorBase):
         self._busy[device].append([start_s, finish_s])
 
     def note_launch_reason(self, reason: str) -> None:
-        """Which trigger fired the batch (from ``plan_batch``)."""
+        """Which trigger fired the batch (full, deadline, greedy, single)."""
         self._rates[f"rate.launch.{reason}"].bump()
 
     def note_complete(self, rid: int, now_s: float, latency_ms: float,
@@ -509,7 +509,13 @@ class LLMMonitor(_MonitorBase):
 # Report validation + rendering
 # ---------------------------------------------------------------------------
 def validate_monitor_report(payload: Dict[str, Any]) -> List[str]:
-    """Structural checks on a monitor report; returns problem strings."""
+    """Structural checks on a monitor report; returns problem strings.
+
+    Never raises on malformed input: a value of the wrong JSON type is
+    reported as a problem like a missing one.
+    """
+    if not isinstance(payload, dict):
+        return [f"report is a {type(payload).__name__}, not a JSON object"]
     problems: List[str] = []
     if payload.get("schema") != MONITOR_SCHEMA:
         problems.append(f"schema is {payload.get('schema')!r}, "
@@ -541,16 +547,23 @@ def validate_monitor_report(payload: Dict[str, Any]) -> List[str]:
         problems.append("rules list missing or empty")
     else:
         for rule in rules:
+            if not isinstance(rule, dict):
+                problems.append(f"rule {rule!r} is not an object")
+                continue
             for key in ("name", "severity", "factor", "long_window_s",
                         "short_window_s"):
                 if key not in rule:
                     problems.append(f"rule missing {key}: {rule}")
-            rule_names.add(rule.get("name"))
+            if isinstance(rule.get("name"), str):
+                rule_names.add(rule["name"])
     series = payload.get("series")
     if not isinstance(series, dict) or not series:
         problems.append("series block missing or empty")
     else:
         for name, column in series.items():
+            if not isinstance(column, dict):
+                problems.append(f"series {name!r} is not an object")
+                continue
             for key in ("kind", "unit", "samples"):
                 if key not in column:
                     problems.append(f"series {name!r} missing {key}")
@@ -566,10 +579,16 @@ def validate_monitor_report(payload: Dict[str, Any]) -> List[str]:
         alerts = []
     state: Dict[str, bool] = {}
     for event in alerts:
+        if not isinstance(event, dict):
+            problems.append(f"alert {event!r} is not an object")
+            continue
         if event.get("kind") not in ("fire", "resolve"):
             problems.append(f"alert kind {event.get('kind')!r}")
             continue
         rule = event.get("rule")
+        if not isinstance(rule, str):
+            problems.append(f"alert rule {rule!r} is not a string")
+            continue
         if rule_names and rule not in rule_names:
             problems.append(f"alert references unknown rule {rule!r}")
         firing = state.get(rule, False)
@@ -579,8 +598,10 @@ def validate_monitor_report(payload: Dict[str, Any]) -> List[str]:
             problems.append(f"rule {rule!r} resolved without firing")
         state[rule] = event["kind"] == "fire"
     active = payload.get("active_alerts")
-    if not isinstance(active, list):
-        problems.append("active_alerts list missing")
+    if not isinstance(active, list) or not all(
+            isinstance(rule, str) for rule in active):
+        problems.append(f"active_alerts is not a list of rule names: "
+                        f"{active!r}")
     else:
         expected = sorted(rule for rule, firing in state.items() if firing)
         if sorted(active) != expected:
@@ -621,6 +642,7 @@ class MonitorPoint:
     devices: int
     rate_rps: float
     duration_s: float
+    cells: int = 1
     routing: str = "round_robin"
     batch_kind: str = "dynamic"
     resilience_kind: str = "naive"
@@ -649,6 +671,7 @@ def run_monitor_point(point: MonitorPoint) -> Dict[str, Any]:
     sim = FleetSimulator(
         point.costs,
         devices=point.devices,
+        cells=point.cells,
         batch_policy=BatchPolicy(kind=point.batch_kind),
         routing=point.routing,
         fault_plan=point.fault_plan,

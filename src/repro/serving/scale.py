@@ -1,23 +1,22 @@
-"""The datacenter-scale fleet core: interned records, one merged stream.
+"""The serving fleet's event core: interned records, one merged stream.
 
-:class:`~repro.serving.fleet.FleetSimulator` is the *semantics
-reference*: per-request ``Request`` objects, dict-keyed lifecycle
-state, an O(devices) router probe and an O(devices) queue-depth sample
-on every arrival.  That is fine at 4–6 devices and untenable at 1000.
-:class:`ScaledFleetSimulator` is the same fault-free machine rebuilt
-for scale:
+:class:`ScaledFleetSimulator` (also exported as
+:class:`repro.serving.fleet.FleetSimulator`) simulates N replicated
+NPU-Tandem devices, each with a FIFO queue, a busy-until clock, a
+per-device "compile cache" of resident models and a busy-time
+accumulator.  It is built to run 1000+ devices:
 
 * **Interned request records** — requests live in parallel arrays
   (arrival time, model index, one status byte), not objects; a request
-  *is* its slot index.  Follow-up requests (closed loop) append slots.
+  *is* its slot index.  Follow-up requests (closed loop), injected
+  queue bursts and nothing else append slots.
 * **One merged event stream** — the initial arrivals are already a
   sorted array, so they are consumed through a pointer instead of being
   materialised as heap entries; only *dynamic* events (batch
-  completions, batch timers, follow-up arrivals) touch the heap.  The
-  pointer/heap merge preserves the legacy ``(time, push-order)`` total
-  order exactly: arrival *i* carries implicit sequence number *i* and
-  dynamic events count up from *n*, which is precisely the order the
-  legacy core's eager pushes produce.
+  completions, batch timers, follow-up and retry arrivals, crashes,
+  recoveries, timeouts, re-admissions) touch the heap.  Arrival *i*
+  carries implicit sequence number *i* and heap events count up from
+  *n*, so time ties break in push order, deterministically.
 * **Batched, incremental accounting** — fleet queue depth, batch-size
   and queue-depth statistics are O(1) running aggregates instead of
   per-arrival fleet scans and per-event list appends.
@@ -25,68 +24,106 @@ for scale:
   contiguous *cells*; routing picks a cell (round-robin over active
   cells, or a stable model hash), then a device inside it, so the
   per-arrival cost is O(cell size), not O(fleet).  With ``cells=1``
-  every policy degenerates to the legacy router's exact decision
-  sequence.
+  routing sees the whole fleet.
 
-**Bit-identity contract**: with ``cells=1`` and autoscaling off, a run
-is *bit-identical* to the legacy ``FleetSimulator`` on the same
-workload — same event order, same float arithmetic, byte-identical
-:class:`~repro.serving.metrics.ServingReport` JSON (pinned by
-``tests/test_scale.py`` and ``BENCH_fleet_scale.json``).  The scaled
-core therefore refuses fault plans and resilient policies — chaos runs
-stay on the legacy core, which remains the only implementation of
-crash/retry/breaker semantics.
+Routing policies (chosen at arrival time, deterministically):
+``round_robin`` (arrival i goes to device i mod N), ``least_loaded``
+(the device whose estimated backlog clears first; estimates use
+isolated latencies, so batching only makes them conservative) and
+``model_affinity`` (a stable hash of the model name pins each model to
+one device, maximising compile-cache hits).  All three route only to
+devices the circuit breaker admits and skip cells with none; with
+every device ejected, arrivals are shed at admission instead of
+queueing against a black hole.
 
-On top of the fast core, an optional
+Batching is the same-model FIFO prefix of a device's queue, capped at
+the policy's batch limit: ``single``/``greedy`` launch it at once,
+``dynamic`` holds the head request up to ``max_wait_ms`` hoping to
+fill the batch.  Every launch goes through one dispatch site in the
+event loop.
+
+Faults and responses are optional layers on the same loop.  A
+:class:`~repro.faults.plan.FaultPlan` decides what goes wrong (device
+crashes and recoveries, slowdowns, queue bursts, flaky first-touch
+compiles, corrupt program downloads, tile faults), and the
+:class:`~repro.serving.scheduler.ResiliencePolicy` decides how the
+fleet responds: per-attempt timeouts with retry, exponential backoff
+and a retry budget, tile-granularity re-execution, verified downloads,
+and eject/re-admit health tracking.  ``naive`` keeps every mechanism
+off.  A :class:`~repro.serving.monitor.MonitorConfig` attaches a
+:class:`~repro.serving.monitor.FleetMonitor` (observational: the report
+is byte-identical with it on or off), ``collect_trace`` keeps the
+request-lifecycle log for the Chrome-trace exporter, and an
 :class:`~repro.serving.autoscale.AutoscaleConfig` activates cells on
 SLO burn-rate and queue-depth signals and drains them in quiet
-troughs; the run then carries a ``repro-fleet-scale-report-v1``
-payload with the decision log, cell timeline, and the $/device-hour
-cost accounting (:func:`validate_fleet_scale_report` checks its
-shape).
+troughs.  Every combination is accepted.  Each run leaves a
+``repro-fleet-scale-report-v1`` payload (decision log, cell timeline,
+$/device-hour cost accounting; :func:`validate_fleet_scale_report`
+checks its shape) on :attr:`ScaledFleetSimulator.payload`.
+
+Everything is deterministic: no wall clock or unseeded RNG is
+consulted, so the same workload and plan always produce byte-identical
+reports (pinned against golden fixtures by
+``tests/test_fleet_golden.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime import knobs
 from ..telemetry import get_telemetry
 from ..telemetry.timeseries import percentile
 from .autoscale import AUTOSCALE_ACTIONS, AutoscaleConfig, AutoscaleController
-from .fleet import ROUTING_POLICIES
 from .metrics import (
     DEFAULT_MIN_SLO_S,
     DEFAULT_SLO_MULTIPLIER,
     ServingReport,
 )
-from .scheduler import AdmissionPolicy, BatchPolicy, ServiceCosts
-from .workload import Workload
+from .scheduler import (
+    AdmissionPolicy,
+    BatchPolicy,
+    ResiliencePolicy,
+    ServiceCosts,
+)
+from .workload import Request, Workload
 
 SCALE_SCHEMA = "repro-fleet-scale-report-v1"
 
+ROUTING_POLICIES = ("round_robin", "least_loaded", "model_affinity")
+
 #: Request status bytes (slot-indexed; 0 = not yet arrived).
-_QUEUED, _FLIGHT, _DONE, _REJECTED = 1, 2, 3, 4
+_QUEUED, _FLIGHT, _DONE, _REJECTED, _FAILED, _RETRYING = 1, 2, 3, 4, 5, 6
+
+#: Event kinds.  Arrival kinds sort first so one comparison finds them.
+(_ARRIVAL, _RETRY, _TIMER, _FREE, _CRASH, _RECOVER, _TIMEOUT,
+ _READMIT) = range(8)
 
 #: Cell states under autoscaling.
 _PARKED, _ACTIVE, _DRAINING = 0, 1, 2
 
 _EPS = 1e-9
+#: ``busy_until`` of a crashed device: it never looks free to dispatch.
+_DOWN = float("inf")
 
 
 class ScaledFleetSimulator:
     """N devices in C cells under the interned-record event core.
 
-    Constructor arguments mirror :class:`~repro.serving.fleet.FleetSimulator`
-    minus the fault surface (``fault_plan``/``resilience``/``monitor``),
-    plus ``cells`` (device grouping for hierarchical routing; must
-    divide ``devices``) and ``autoscale`` (an
-    :class:`~repro.serving.autoscale.AutoscaleConfig`, or ``None`` for
-    a static fleet).  After :meth:`run`, :attr:`payload` holds the
-    ``repro-fleet-scale-report-v1`` dictionary.
+    ``cells`` groups devices for hierarchical routing (must divide
+    ``devices``); ``autoscale`` is an
+    :class:`~repro.serving.autoscale.AutoscaleConfig` (needs
+    ``cells >= 2``) or ``None`` for a static fleet.  ``fault_plan``,
+    ``resilience``, ``monitor_config`` and ``collect_trace`` are
+    described in the module docstring.  After :meth:`run`,
+    :attr:`payload` holds the ``repro-fleet-scale-report-v1``
+    dictionary, :attr:`monitor_payload` the monitor's
+    ``repro-monitor-report-v1`` payload (``None`` when unmonitored) and
+    :attr:`trace_log` the lifecycle log (empty unless traced).
     """
 
     def __init__(self, costs: ServiceCosts, devices: int = 1,
@@ -97,7 +134,11 @@ class ScaledFleetSimulator:
                  slo_multiplier: float = DEFAULT_SLO_MULTIPLIER,
                  min_slo_s: float = DEFAULT_MIN_SLO_S,
                  require_verified: bool = True,
-                 autoscale: Optional[AutoscaleConfig] = None):
+                 autoscale: Optional[AutoscaleConfig] = None,
+                 collect_trace: bool = False,
+                 fault_plan=None,
+                 resilience: Optional[ResiliencePolicy] = None,
+                 monitor_config=None):
         if devices < 1:
             raise ValueError("devices must be >= 1")
         if cells < 1:
@@ -119,20 +160,33 @@ class ScaledFleetSimulator:
         self.routing = routing
         self.slo_multiplier = slo_multiplier
         self.min_slo_s = min_slo_s
+        #: Admission control refuses models whose cached static
+        #: verification record is missing or dirty — a program the
+        #: verifier never blessed must not reach a device.
         self.require_verified = require_verified
         self.autoscale = autoscale
+        self.collect_trace = collect_trace
+        self.fault_plan = fault_plan
+        self.resilience = resilience or ResiliencePolicy.naive()
+        self.monitor_config = monitor_config
         #: ``repro-fleet-scale-report-v1`` payload of the last run.
         self.payload: Optional[Dict[str, Any]] = None
+        self.monitor = None
+        self.monitor_payload: Optional[Dict[str, Any]] = None
+        #: Request-lifecycle log (simulated time only, so deterministic).
+        self.trace_log: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
     def run(self, workload: Workload, rate_rps: float = 0.0
             ) -> ServingReport:
-        """Simulate the workload; return the legacy-shaped report.
+        """Simulate the workload; return its :class:`ServingReport`.
 
         The hot loop is deliberately monolithic: device state lives in
         flat parallel lists, every per-event step is a handful of list
         index operations, and the only per-request allocations are one
         latency float and (amortised 1/batch) the completion event.
+        Each optional layer (faults, resilience, monitor, trace) costs
+        the fault-free path one local test per hook site.
         """
         costs = self.costs
         models = costs.models()
@@ -142,8 +196,7 @@ class ScaledFleetSimulator:
         verified = [costs.is_verified(m) for m in models]
         crc = [zlib.crc32(m.encode("utf-8")) for m in models]
         # batch_service_s(model, b) == fixed + (latency - fixed) * b;
-        # precomputing the two terms reproduces the legacy floats bit
-        # for bit (same multiply, same subtraction).
+        # precomputing the two terms keeps the same float operations.
         fixed = [costs.amortized_fraction * v for v in lat]
         var = [v - f for v, f in zip(lat, fixed)]
         slo = [max(self.min_slo_s, self.slo_multiplier * v) for v in lat]
@@ -172,7 +225,6 @@ class ScaledFleetSimulator:
         compiled: List[set] = [set() for _ in range(ndev)]
 
         # -- interned request records ----------------------------------
-        from operator import attrgetter
         initial = sorted(workload.initial(),
                          key=attrgetter("arrival_s", "rid"))
         try:
@@ -182,21 +234,53 @@ class ScaledFleetSimulator:
             raise ValueError(f"workload model {err} not in ServiceCosts")
         n0 = len(arr_t)
         status = bytearray(n0)
+        req_of = initial            # the Request behind each slot
         has_follow = type(workload).on_complete is not Workload.on_complete
-        req_of = list(initial) if has_follow else None
 
-        # -- running aggregates (the interned MetricsCollector) --------
-        offered = rejected = verify_rejected = 0
+        # -- fault surface: what goes wrong, and how the fleet responds -
+        res = self.resilience
+        resilient = res.active
+        breaker = resilient and res.eject_threshold > 0
+        plan = self.fault_plan
+        inj = None
+        if plan is not None and not plan.quiet:
+            from ..faults import FaultInjector
+            horizon = workload.duration_s or (arr_t[-1] if n0 else 1.0)
+            inj = FaultInjector(plan, ndev, horizon)
+        guarded = resilient or inj is not None
+        # A retry re-arrives with a new arrival time (its batching
+        # deadline) but keeps its first arrival for latency.
+        born = list(arr_t) if resilient else arr_t
+        tmo = [res.timeout_slo_multiple * v + wait_s for v in slo]
+        tiles = [costs.tiles(m) for m in models]
+        healthy = [True] * ndev
+        admitted = [True] * ndev
+        cell_admitted = [csize] * ncell
+        n_ejected = 0
+        failures = [0] * ndev       # consecutive failures (breaker input)
+        ejects = [0] * ndev         # consecutive ejects (cooldown growth)
+        launches = [0] * ndev       # batch launches (fault-draw label)
+        bad_models: List[set] = [set() for _ in range(ndev)]  # corrupt
+        inflight: List[Optional[list]] = [None] * ndev
+        stale: Dict[int, list] = {}  # batches a crash cut short
+        attempts: Dict[int, int] = {}  # slot -> retries so far
+        loc: Dict[int, int] = {}       # slot -> device it queued on
+        compile_tries: Dict[Tuple[int, str], int] = {}
+        faults: Dict[str, int] = {}
+        tally = dict.fromkeys(("retries", "timeouts", "compile_retries",
+                               "devices_ejected", "devices_readmitted"), 0)
+
+        # -- running aggregates ----------------------------------------
+        offered = rejected = verify_rejected = failed = bad_done = 0
         queue_sum = queue_n = queue_max = 0
         batches_sum = batches_n = compiles = 0
         slo_met = 0
         latencies: List[float] = []
         last_finish = 0.0
         queued_total = 0
-        events = 0
 
         # -- routing state ---------------------------------------------
-        rr_next = 0                  # cells == 1: the legacy rr pointer
+        rr_next = 0                  # cells == 1: the fleet rr pointer
         rr_cell = 0                  # cells > 1: active-cell pointer
         ll_cell = 0                  # least_loaded cell pointer
         rr_in = [0] * ncell          # per-cell device pointer
@@ -229,22 +313,40 @@ class ScaledFleetSimulator:
         tl_burn: List[float] = []
         burn_rule = auto.rules[0].name if auto_on else None
 
+        # -- monitor + trace -------------------------------------------
+        mon = None
+        if self.monitor_config is not None:
+            from .monitor import FleetMonitor
+            mon = FleetMonitor(self.monitor_config, dict(zip(models, slo)),
+                               ndev)
+        self.monitor = mon
+        self.monitor_payload = None
+        tracing = self.collect_trace
+        trace_log: List[Dict[str, Any]] = []
+        self.trace_log = trace_log
+
+        def log(kind: str, t_s: float, **extra) -> None:
+            trace_log.append({"kind": kind, "t_s": t_s, **extra})
+
+        def note_fault(kind: str, count: int = 1) -> None:
+            faults[kind] = faults.get(kind, 0) + count
+
         heap: List[tuple] = []
         push = heapq.heappush
         pop = heapq.heappop
         seq = n0
         ai = 0
 
-        # The legacy ``plan_batch`` decision rule (same-model FIFO prefix,
-        # capped at the batch limit; launch immediately for single/greedy
-        # policies, otherwise arm a deadline timer) is inlined at all
-        # three dispatch sites in the event loop below — arrival, batch
-        # completion, and batch timer.  In the shallow-queue regime every
-        # request visits two of the three, so the call overhead of a
-        # shared helper is measurable at the 50x-speedup scale this core
-        # is pinned to.  Changes to the rule must be mirrored at every
-        # site (the bit-identity tests in tests/test_scale.py catch
-        # divergence from the legacy fleet).
+        def intern(request: Request, m: int) -> int:
+            """A new slot for a request that was not in ``initial``."""
+            slot = len(arr_t)
+            arr_t.append(request.arrival_s)
+            arr_m.append(m)
+            status.append(0)
+            req_of.append(request)
+            if born is not arr_t:
+                born.append(request.arrival_s)
+            return slot
 
         def follow_up(s: int, now: float) -> None:
             """Closed-loop feedback: intern the next request as a slot."""
@@ -256,13 +358,71 @@ class ScaledFleetSimulator:
             if m is None:
                 raise ValueError(f"workload model {nxt.model!r} "
                                  f"not in ServiceCosts")
-            slot = len(arr_t)
-            arr_t.append(nxt.arrival_s)
-            arr_m.append(m)
-            status.append(0)
-            req_of.append(nxt)
-            push(heap, (nxt.arrival_s, seq, 0, slot, None))
+            push(heap, (nxt.arrival_s, seq, _ARRIVAL, intern(nxt, m), None))
             seq += 1
+
+        def reject(s: int, now: float, why: str) -> None:
+            """Shed slot ``s`` at admission (``why`` names the gate)."""
+            nonlocal rejected, bad_pending
+            rejected += 1
+            status[s] = _REJECTED
+            if auto_on:
+                bad_pending += 1
+            if tracing:
+                log(why, now, model=models[arr_m[s]])
+            if mon is not None:
+                mon.note_reject(s, now)
+            if has_follow:
+                follow_up(s, now)
+
+        def first_touch(dev: int, m: int, now: float) -> Optional[float]:
+            """Compile + download time of a faulted first touch.
+
+            ``None`` means the launch fails.  The compile may flake
+            (retried in place when resilient, fatal to the batch when
+            naive) and the downloaded program may arrive corrupted
+            (caught by the static verifier and re-compiled when
+            resilient; silently resident, poisoning every completion,
+            when not).
+            """
+            model = models[m]
+            compile_s = comp[m]
+            spent = compile_s
+            key = (dev, model)
+            attempt = compile_tries.get(key, 0)
+            while inj.flaky_compile(dev, model, attempt):
+                note_fault("flaky_compile")
+                attempt += 1
+                compile_tries[key] = attempt
+                if not resilient or attempt > res.max_retries:
+                    if tracing:
+                        log("compile-fail", now, device=dev, model=model)
+                    return None
+                tally["compile_retries"] += 1
+                if tracing:
+                    log("compile-retry", now, device=dev, model=model)
+                spent += compile_s
+            compile_tries[key] = attempt + 1
+            download = attempt
+            while inj.corrupt_download(dev, model, download):
+                note_fault("corrupt_program")
+                if not (resilient and res.verify_downloads) or \
+                        not inj.corruption_detected(dev, model, download):
+                    bad_models[dev].add(m)
+                    if tracing:
+                        log("corrupt-undetected", now, device=dev,
+                            model=model)
+                    break
+                note_fault("corrupt_detected")
+                if tracing:
+                    log("corrupt-detected", now, device=dev, model=model)
+                download += 1
+                if download - attempt > res.max_retries:
+                    if tracing:
+                        log("compile-fail", now, device=dev, model=model)
+                    return None
+                spent += compile_s   # re-compile + re-download
+            return spent
 
         def activate_cell(t_s: float) -> int:
             """Bring one more cell into routing (drainers first)."""
@@ -300,14 +460,15 @@ class ScaledFleetSimulator:
                         else drain_cell())
                 ctrl.record(t_b, action, reason, cell, len(active_list))
             # Draining cells whose devices have gone idle park (and stop
-            # costing money) at this boundary.
+            # costing money) at this boundary.  A crashed device with
+            # an empty queue is idle.
             for c in range(ncell):
                 if cell_state[c] != _DRAINING:
                     continue
                 base = c * csize
                 idle = True
                 for d in range(base, base + csize):
-                    if qlen[d] or busy_until[d] > t_b:
+                    if qlen[d] or (busy_until[d] > t_b and healthy[d]):
                         idle = False
                         break
                 if idle:
@@ -323,6 +484,30 @@ class ScaledFleetSimulator:
             boundary += 1
             next_b = (boundary + 1) * interval
 
+        if inj is not None:
+            # Scheduled faults take the first heap sequence numbers.
+            for t_s, d in inj.crashes:
+                push(heap, (t_s, seq, _CRASH, d, None))
+                seq += 1
+            if inj.slowdowns:
+                note_fault("device_slowdown", len(inj.slowdowns))
+            rid = -1    # workload rids count up from 0: no collisions
+            for t_s in inj.bursts:
+                note_fault("queue_burst")
+                if tracing:
+                    log("queue-burst", t_s, size=plan.burst.size)
+                for i in range(plan.burst.size):
+                    m = i % len(models)
+                    slot = intern(Request(rid, models[m], t_s), m)
+                    push(heap, (t_s, seq, _ARRIVAL, slot, None))
+                    seq += 1
+                    rid -= 1
+        mon_advance = mon.advance if mon is not None else None
+        # The hot loop's constants as locals (a local load is cheaper).
+        ARRIVAL, RETRY, TIMER, FREE = _ARRIVAL, _RETRY, _TIMER, _FREE
+        QUEUED, FLIGHT, DONE, EPS = _QUEUED, _FLIGHT, _DONE, _EPS
+        lat_append = latencies.append
+
         # ------------------------------------------------------------------
         # The merged event loop: sorted-arrival pointer vs dynamic heap.
         # ------------------------------------------------------------------
@@ -330,241 +515,402 @@ class ScaledFleetSimulator:
             if heap:
                 if ai < n0 and arr_t[ai] <= heap[0][0]:
                     now = arr_t[ai]
-                    kind = 0
+                    kind = ARRIVAL
                     s = ai
                     ai += 1
                 else:
                     now, _, kind, s, batch = pop(heap)
             elif ai < n0:
                 now = arr_t[ai]
-                kind = 0
+                kind = ARRIVAL
                 s = ai
                 ai += 1
             else:
                 break
-            if now + _EPS >= next_b:
-                while next_b <= now + _EPS:
+            if mon is not None:
+                # Close monitor intervals BEFORE applying the event, so
+                # each boundary samples the state as time passed it.
+                mon_advance(now)
+            if now + EPS >= next_b:
+                while next_b <= now + EPS:
                     close_boundary(next_b)
-            events += 1
-            if kind == 0:
-                # ---- arrival of slot s -------------------------------
-                offered += 1
-                qt = queued_total
-                queue_sum += qt
-                queue_n += 1
-                if qt > queue_max:
-                    queue_max = qt
+            if kind <= RETRY:
+                # ---- arrival of slot s (a first attempt or a retry) ---
                 m = arr_m[s]
+                if kind == ARRIVAL:
+                    offered += 1
+                    qt = queued_total
+                    queue_sum += qt
+                    queue_n += 1
+                    if qt > queue_max:
+                        queue_max = qt
+                    if mon is not None:
+                        mon.note_arrival(s, models[m], now)
                 if require_verified and not verified[m]:
-                    rejected += 1
                     verify_rejected += 1
-                    status[s] = _REJECTED
-                    if auto_on:
-                        bad_pending += 1
-                    if has_follow:
-                        follow_up(s, now)
+                    reject(s, now, "verify-reject")
                     continue
-                if route_rr:
-                    if one_cell:
-                        dev = rr_next
-                        rr_next = dev + 1
-                        if rr_next == ndev:
-                            rr_next = 0
+                if not n_ejected:
+                    if route_rr:
+                        if one_cell:
+                            dev = rr_next
+                            rr_next = dev + 1
+                            if rr_next == ndev:
+                                rr_next = 0
+                        else:
+                            ci = active_list[rr_cell % len(active_list)]
+                            rr_cell += 1
+                            o = rr_in[ci]
+                            dev = ci * csize + o
+                            o += 1
+                            rr_in[ci] = 0 if o == csize else o
+                    elif route_ll:
+                        if one_cell:
+                            base, top = 0, ndev
+                        else:
+                            ci = active_list[ll_cell % len(active_list)]
+                            ll_cell += 1
+                            base = ci * csize
+                            top = base + csize
+                        dev = base
+                        bb = backlog[base]
+                        bq = qlen[base]
+                        for d in range(base + 1, top):
+                            v = backlog[d]
+                            if v < bb or (v == bb and qlen[d] < bq):
+                                dev = d
+                                bb = v
+                                bq = qlen[d]
+                    else:  # model_affinity
+                        h = crc[m]
+                        if one_cell:
+                            dev = h % ndev
+                        else:
+                            ci = active_list[h % len(active_list)]
+                            dev = ci * csize + h % csize
+                else:
+                    # The breaker has ejected devices: the same policies
+                    # over admitted devices only, skipping empty cells.
+                    nc = len(active_list)
+                    if route_rr:
+                        k0 = rr_cell
+                    elif route_ll:
+                        k0 = ll_cell
                     else:
-                        ci = active_list[rr_cell % len(active_list)]
-                        rr_cell += 1
-                        o = rr_in[ci]
-                        dev = ci * csize + o
-                        o += 1
-                        rr_in[ci] = 0 if o == csize else o
-                elif route_ll:
-                    if one_cell:
-                        base, top = 0, ndev
+                        k0 = crc[m]
+                    ci = -1
+                    for k in range(nc):
+                        c = active_list[(k0 + k) % nc]
+                        if cell_admitted[c]:
+                            ci = c
+                            break
+                    if ci < 0:
+                        # Nothing admitted: shed instead of queueing
+                        # against a black hole (graceful degradation).
+                        reject(s, now, "shed")
+                        continue
+                    if not one_cell:
+                        if route_rr:
+                            rr_cell = k0 + k + 1
+                        elif route_ll:
+                            ll_cell = k0 + k + 1
+                    base = ci * csize
+                    if route_ll:
+                        dev = -1
+                        for d in range(base, base + csize):
+                            if admitted[d] and (
+                                    dev < 0 or backlog[d] < bb or (
+                                        backlog[d] == bb and qlen[d] < bq)):
+                                dev = d
+                                bb = backlog[d]
+                                bq = qlen[d]
                     else:
-                        ci = active_list[ll_cell % len(active_list)]
-                        ll_cell += 1
-                        base = ci * csize
-                        top = base + csize
-                    dev = base
-                    bb = backlog[base]
-                    bq = qlen[base]
-                    for d in range(base + 1, top):
-                        v = backlog[d]
-                        if v < bb or (v == bb and qlen[d] < bq):
-                            dev = d
-                            bb = v
-                            bq = qlen[d]
-                else:  # model_affinity
-                    h = crc[m]
-                    if one_cell:
-                        dev = h % ndev
-                    else:
-                        ci = active_list[h % len(active_list)]
-                        dev = ci * csize + h % csize
+                        if route_rr:
+                            o = rr_next if one_cell else rr_in[ci]
+                        else:
+                            o = crc[m] % csize
+                        while not admitted[base + o]:
+                            o = o + 1 if o + 1 < csize else 0
+                        dev = base + o
+                        if route_rr:
+                            o = o + 1 if o + 1 < csize else 0
+                            if one_cell:
+                                rr_next = o
+                            else:
+                                rr_in[ci] = o
                 b = backlog[dev]
                 backlog[dev] = (b if b > now else now) + lat[m]
                 if qlen[dev] >= max_queue:
-                    rejected += 1
-                    status[s] = _REJECTED
-                    if auto_on:
-                        bad_pending += 1
-                    if has_follow:
-                        follow_up(s, now)
+                    reject(s, now, "queue-reject")
                     continue
-                status[s] = _QUEUED
+                status[s] = QUEUED
                 q = dq[dev]
                 q.append(s)
-                lq = qlen[dev] + 1
-                qlen[dev] = lq
+                qlen[dev] += 1
                 queued_total += 1
-                if busy_until[dev] <= now:
-                    # ``dispatch(dev, now)`` inlined — this site fires
-                    # once per admitted request; see the timer branch for
-                    # the annotated decision rule.
-                    head = q[0]
-                    hm = arr_m[head]
-                    n = 1
-                    top = limit if limit < lq else lq
-                    while n < top and arr_m[q[n]] == hm:
-                        n += 1
-                    if n < limit and not launch_now:
-                        deadline = arr_t[head] + wait_s
-                        if now < deadline:
-                            t = timer_at[dev]
-                            if t is None or t > deadline:
-                                timer_at[dev] = deadline
-                                push(heap, (deadline, seq, 2, dev, None))
-                                seq += 1
-                            continue
-                    batch = q[:n]
-                    del q[:n]
-                    qlen[dev] = lq - n
-                    queued_total -= n
-                    service = fixed[hm] + var[hm] * n
-                    resident = compiled[dev]
-                    if hm not in resident:
-                        service += comp[hm]
-                        resident.add(hm)
-                        compiles += 1
-                    finish = now + service
-                    busy_until[dev] = finish
-                    busy_acc[dev] += service
-                    batches_sum += n
-                    batches_n += 1
-                    if n == 1:
-                        status[head] = _FLIGHT
-                    else:
-                        for x in batch:
-                            status[x] = _FLIGHT
-                    push(heap, (finish, seq, 1, dev, batch))
+                if mon is not None:
+                    mon.note_queue(1)
+                if resilient:
+                    loc[s] = dev
+                    push(heap, (now + tmo[m], seq, _TIMEOUT, s,
+                                attempts.get(s, 0)))
                     seq += 1
-            elif kind == 1:
+            elif kind == TIMER:
+                timer_at[s] = None
+                dev = s
+                q = dq[s]
+            elif kind == FREE:
                 # ---- batch completion on device s --------------------
+                if stale and stale.pop(id(batch), None) is not None:
+                    continue   # the device crashed mid-batch
                 if now > last_finish:
                     last_finish = now
-                for r in batch:
-                    status[r] = _DONE
-                    lt = now - arr_t[r]
-                    latencies.append(lt * 1e3)
-                    if lt <= slo[arr_m[r]]:
-                        slo_met += 1
-                        if auto_on:
-                            good_pending += 1
-                    elif auto_on:
+                bad = False
+                if guarded:
+                    failures[s] = ejects[s] = 0
+                    bad = arr_m[batch[0]] in bad_models[s]
+                if bad:
+                    # A corrupted resident program: the work counts as
+                    # completed, never as good.
+                    bad_done += len(batch)
+                    if auto_on:
+                        bad_pending += len(batch)
+                    for r in batch:
+                        status[r] = DONE
+                        lat_append((now - born[r]) * 1e3)
+                        if has_follow:
+                            follow_up(r, now)
+                else:
+                    for r in batch:
+                        status[r] = DONE
+                        lt = now - born[r]
+                        lat_append(lt * 1e3)
+                        if lt <= slo[arr_m[r]]:
+                            slo_met += 1
+                            if auto_on:
+                                good_pending += 1
+                        elif auto_on:
+                            bad_pending += 1
+                        if has_follow:
+                            follow_up(r, now)
+                if mon is not None:
+                    for r in batch:
+                        mon.note_complete(r, now, (now - born[r]) * 1e3,
+                                          bad=bad)
+                dev = s
+                q = dq[s]
+            elif kind == _TIMEOUT:
+                # ---- per-attempt timeout of slot s -------------------
+                attempt = batch
+                st = status[s]
+                if attempts.get(s, 0) != attempt or \
+                        (st != QUEUED and st != FLIGHT):
+                    continue   # a newer attempt owns it, or it is over
+                dev = loc[s]
+                req = req_of[s]
+                tally["timeouts"] += 1
+                if tracing:
+                    log("timeout", now, device=dev, model=req.model,
+                        rid=req.rid)
+                if mon is not None:
+                    mon.note_timeout()
+                if breaker:
+                    failures[dev] += 1
+                    if admitted[dev] and \
+                            failures[dev] >= res.eject_threshold:
+                        admitted[dev] = False
+                        n_ejected += 1
+                        cell_admitted[dev // csize] -= 1
+                        ejects[dev] += 1
+                        tally["devices_ejected"] += 1
+                        if mon is not None:
+                            mon.note_eject(dev)
+                        cooldown_s = res.cooldown_s * (
+                            res.cooldown_growth ** (ejects[dev] - 1))
+                        if tracing:
+                            log("eject", now, device=dev,
+                                cooldown_s=cooldown_s)
+                        push(heap, (now + cooldown_s, seq, _READMIT, dev,
+                                    None))
+                        seq += 1
+                if st == FLIGHT and healthy[dev]:
+                    # Still executing on a live device: it will finish,
+                    # and retrying now would complete it twice.  The
+                    # timeout only fed the health tracker.
+                    continue
+                if st == QUEUED:
+                    dq[dev].remove(s)
+                    qlen[dev] -= 1
+                    queued_total -= 1
+                    if mon is not None:
+                        mon.note_queue(-1)
+                attempts[s] = attempt + 1
+                if attempt >= res.max_retries or tally["retries"] >= int(
+                        res.retry_budget_fraction * offered):
+                    status[s] = _FAILED
+                    failed += 1
+                    if auto_on:
                         bad_pending += 1
-                    if has_follow:
-                        follow_up(r, now)
-                q = dq[s]
-                if q and busy_until[s] <= now:
-                    # ``dispatch(s, now)`` inlined — fires once per
-                    # completion with a backlog.
-                    head = q[0]
-                    hm = arr_m[head]
-                    n = 1
-                    lq = qlen[s]
-                    top = limit if limit < lq else lq
-                    while n < top and arr_m[q[n]] == hm:
-                        n += 1
-                    if n < limit and not launch_now:
-                        deadline = arr_t[head] + wait_s
-                        if now < deadline:
-                            t = timer_at[s]
-                            if t is None or t > deadline:
-                                timer_at[s] = deadline
-                                push(heap, (deadline, seq, 2, s, None))
-                                seq += 1
-                            continue
-                    batch = q[:n]
-                    del q[:n]
-                    qlen[s] = lq - n
-                    queued_total -= n
-                    service = fixed[hm] + var[hm] * n
-                    resident = compiled[s]
-                    if hm not in resident:
-                        service += comp[hm]
-                        resident.add(hm)
-                        compiles += 1
-                    finish = now + service
-                    busy_until[s] = finish
-                    busy_acc[s] += service
-                    batches_sum += n
-                    batches_n += 1
-                    if n == 1:
-                        status[head] = _FLIGHT
-                    else:
-                        for x in batch:
-                            status[x] = _FLIGHT
-                    push(heap, (finish, seq, 1, s, batch))
+                    if tracing:
+                        log("retry-exhausted", now, model=req.model,
+                            rid=req.rid)
+                    continue
+                tally["retries"] += 1
+                if mon is not None:
+                    mon.note_retry()
+                backoff_s = res.backoff_base_s * (2 ** attempt)
+                at = now + backoff_s
+                status[s] = _RETRYING
+                arr_t[s] = at
+                req_of[s] = replace(req, arrival_s=at)
+                if tracing:
+                    log("retry", now, model=req.model, rid=req.rid,
+                        attempt=attempt + 1, backoff_s=backoff_s)
+                push(heap, (at, seq, RETRY, s, None))
+                seq += 1
+                continue
+            elif kind == _CRASH:
+                if not healthy[s]:
+                    continue   # overlapping crash on a dead device
+                note_fault("device_crash")
+                if tracing:
+                    log("crash", now, device=s)
+                if mon is not None:
+                    mon.note_crash(s, now)
+                healthy[s] = False
+                # The last batch launched here is cut short unless its
+                # completion already popped (its requests are DONE).
+                cut = inflight[s]
+                inflight[s] = None
+                if cut is not None and status[cut[0]] == FLIGHT:
+                    stale[id(cut)] = cut
+                if busy_until[s] > now:
+                    # Refund the un-served remainder of the batch.
+                    busy_acc[s] -= busy_until[s] - now
+                busy_until[s] = _DOWN
+                end_s = inj.outage_end(now)
+                if end_s is not None:
+                    push(heap, (end_s, seq, _RECOVER, s, None))
                     seq += 1
-            else:
-                # ---- batch timer on device s -------------------------
-                timer_at[s] = None
+                continue
+            elif kind == _RECOVER:
+                if healthy[s]:
+                    continue
+                healthy[s] = True
+                busy_until[s] = now
+                if tracing:
+                    log("recover", now, device=s)
+                if mon is not None:
+                    mon.note_recover(s)
+                dev = s
                 q = dq[s]
-                if q and busy_until[s] <= now:
-                    # ``dispatch(s, now)`` inlined — in the shallow-queue
-                    # regime (many devices, light per-device load) every
-                    # request takes this arm-then-fire path, so it is as
-                    # hot as the arrival path.
-                    head = q[0]
-                    hm = arr_m[head]
-                    n = 1
-                    lq = qlen[s]
-                    top = limit if limit < lq else lq
-                    while n < top and arr_m[q[n]] == hm:
-                        n += 1
-                    if n < limit and not launch_now:
-                        deadline = arr_t[head] + wait_s
-                        if now < deadline:
-                            t = timer_at[s]
-                            if t is None or t > deadline:
-                                timer_at[s] = deadline
-                                push(heap, (deadline, seq, 2, s, None))
-                                seq += 1
-                            continue
-                    batch = q[:n]
-                    del q[:n]
-                    qlen[s] = lq - n
-                    queued_total -= n
-                    service = fixed[hm] + var[hm] * n
-                    resident = compiled[s]
-                    if hm not in resident:
-                        service += comp[hm]
-                        resident.add(hm)
-                        compiles += 1
-                    finish = now + service
-                    busy_until[s] = finish
-                    busy_acc[s] += service
-                    batches_sum += n
-                    batches_n += 1
-                    if n == 1:
-                        status[head] = _FLIGHT
-                    else:
-                        for x in batch:
-                            status[x] = _FLIGHT
-                    push(heap, (finish, seq, 1, s, batch))
-                    seq += 1
+            else:  # _READMIT
+                if not admitted[s]:
+                    admitted[s] = True
+                    n_ejected -= 1
+                    cell_admitted[s // csize] += 1
+                    failures[s] = 0
+                    tally["devices_readmitted"] += 1
+                    if tracing:
+                        log("readmit", now, device=s)
+                    if mon is not None:
+                        mon.note_readmit(s)
+                continue
 
-        failed = sum(1 for b in status if b == _QUEUED or b == _FLIGHT)
+            # ---- the one dispatch site: may device ``dev`` (queue ``q``)
+            # launch?
+            while q and busy_until[dev] <= now:
+                head = q[0]
+                hm = arr_m[head]
+                n = 1
+                lq = qlen[dev]
+                top = limit if limit < lq else lq
+                while n < top and arr_m[q[n]] == hm:
+                    n += 1
+                if n < limit and not launch_now:
+                    # Dynamic batching holds a short batch until the
+                    # head request's deadline.
+                    deadline = arr_t[head] + wait_s
+                    if now < deadline:
+                        t = timer_at[dev]
+                        if t is None or t > deadline:
+                            timer_at[dev] = deadline
+                            push(heap, (deadline, seq, TIMER, dev, None))
+                            seq += 1
+                        break
+                batch = q[:n]
+                del q[:n]
+                qlen[dev] = lq - n
+                queued_total -= n
+                if mon is not None:
+                    mon.note_launch_reason(
+                        "full" if n >= limit else
+                        policy.kind if launch_now else "deadline")
+                    mon.note_queue(-n)
+                service = fixed[hm] + var[hm] * n
+                resident = compiled[dev]
+                first = hm not in resident
+                if inj is None:
+                    if first:
+                        service += comp[hm]
+                        resident.add(hm)
+                        compiles += 1
+                else:
+                    launches[dev] += 1
+                    base_s = service * inj.slow_factor(dev, now)
+                    service = base_s
+                    if first:
+                        touch_s = first_touch(dev, hm, now)
+                        if touch_s is None:
+                            # The compile never succeeded: batch lost.
+                            for r in batch:
+                                status[r] = _FAILED
+                            failed += n
+                            if auto_on:
+                                bad_pending += n
+                            continue
+                        service += touch_s
+                        resident.add(hm)
+                        compiles += 1
+                    if inj.tile_fault(dev, models[hm], launches[dev]):
+                        note_fault("tile_fault")
+                        faulted = min(plan.tile_fault.tiles, tiles[hm])
+                        if resilient and res.tile_retry:
+                            # Tile-granularity re-execution: only the
+                            # faulted tiles re-run (the paper's Fig. 10
+                            # unit of in-tandem work).
+                            penalty_s = base_s * faulted / tiles[hm]
+                        else:
+                            penalty_s = base_s   # the whole batch re-runs
+                        service += penalty_s
+                        if tracing:
+                            log("tile-fault", now, device=dev,
+                                model=models[hm], tiles=faulted,
+                                penalty_s=penalty_s)
+                    inflight[dev] = batch
+                finish = now + service
+                busy_until[dev] = finish
+                busy_acc[dev] += service
+                batches_sum += n
+                batches_n += 1
+                if mon is not None:
+                    mon.note_launch(dev, now, finish, n)
+                if tracing:
+                    log("batch", now, device=dev, model=models[hm],
+                        batch=n, start_s=now, finish_s=finish,
+                        compile=first)
+                if n == 1:
+                    status[head] = FLIGHT
+                else:
+                    for x in batch:
+                        status[x] = FLIGHT
+                push(heap, (finish, seq, FREE, dev, batch))
+                seq += 1
+                break
+
+        # Requests still queued or in flight when the stream drains
+        # never completed (stuck on a dead device with no retry).
+        failed += status.count(_QUEUED) + status.count(_FLIGHT)
         makespan = max(last_finish, workload.duration_s)
         if auto_on:
             # Keep closing (empty) boundaries through the tail so the
@@ -599,7 +945,8 @@ class ScaledFleetSimulator:
             rejected=rejected,
             verify_rejected=verify_rejected,
             failed=failed,
-            faults={},
+            bad_completions=bad_done,
+            faults=dict(sorted(faults.items())),
             makespan_s=makespan,
             throughput_rps=completed / horizon,
             goodput_rps=slo_met / horizon,
@@ -620,19 +967,33 @@ class ScaledFleetSimulator:
             slo_multiplier=self.slo_multiplier,
             slo_ms={m: s * 1e3 for m, s in zip(models, slo)},
             slo_attainment=(slo_met / offered if offered else 0.0),
+            **tally,
         )
+        if mon is not None:
+            mon.finish(makespan)
+            self.monitor_payload = mon.payload(context={
+                "models": list(models),
+                "devices": ndev,
+                "routing": routing,
+                "batch_policy": policy.kind,
+                "resilience": res.kind,
+                "fault_plan": plan.name if plan is not None else None,
+                "rate_rps": rate_rps,
+                "duration_s": workload.duration_s,
+            })
         self._emit_telemetry(report, batches_n, batches_sum)
         self.payload = self._build_payload(
-            report, ctrl, events=events, device_seconds=device_seconds,
+            report, ctrl, events=seq, device_seconds=device_seconds,
             slo_met=slo_met,
             timeline={"t_s": tl_t, "cells_active": tl_cells,
                       "queue_depth": tl_queue, "burn_long": tl_burn})
         return report
 
     # ------------------------------------------------------------------
-    def _emit_telemetry(self, report: ServingReport, batches_n: int,
+    @staticmethod
+    def _emit_telemetry(report: ServingReport, batches_n: int,
                         batches_sum: int) -> None:
-        """Mirror the legacy core's ``serving.*`` counters."""
+        """The run's ``serving.*`` and ``faults.*`` counters."""
         tel = get_telemetry()
         if not tel.enabled:
             return
@@ -645,6 +1006,17 @@ class ScaledFleetSimulator:
         tel.count("serving.batches.launched", batches_n)
         tel.count("serving.batches.requests", batches_sum)
         tel.count("serving.compiles", report.compiles)
+        tel.count("serving.retries.requests", report.retries)
+        tel.count("serving.retries.compile", report.compile_retries)
+        tel.count("serving.timeouts", report.timeouts)
+        tel.count("serving.completions.bad", report.bad_completions)
+        tel.count("serving.circuit.ejects", report.devices_ejected)
+        tel.count("serving.circuit.readmits", report.devices_readmitted)
+        for fault_kind, count in report.faults.items():
+            name = ("faults.detected.corrupt_program"
+                    if fault_kind == "corrupt_detected"
+                    else f"faults.injected.{fault_kind}")
+            tel.count(name, count)
 
     def _build_payload(self, report: ServingReport,
                        ctrl: Optional[AutoscaleController], *,
@@ -719,7 +1091,13 @@ def tail_bounded_throughput(report: ServingReport) -> float:
 
 
 def validate_fleet_scale_report(payload: Dict[str, Any]) -> List[str]:
-    """Structural checks on a fleet-scale report; returns problems."""
+    """Structural checks on a fleet-scale report; returns problems.
+
+    Never raises on malformed input: a value of the wrong JSON type is
+    reported as a problem like a missing one.
+    """
+    if not isinstance(payload, dict):
+        return [f"report is a {type(payload).__name__}, not a JSON object"]
     problems: List[str] = []
     if payload.get("schema") != SCALE_SCHEMA:
         problems.append(f"schema is {payload.get('schema')!r}, "
@@ -776,6 +1154,9 @@ def validate_fleet_scale_report(payload: Dict[str, Any]) -> List[str]:
         events = []
     last_t = float("-inf")
     for event in events:
+        if not isinstance(event, dict):
+            problems.append(f"autoscale event {event!r} is not an object")
+            continue
         action = event.get("action")
         if action not in AUTOSCALE_ACTIONS:
             problems.append(f"autoscale action {action!r}")
@@ -788,13 +1169,23 @@ def validate_fleet_scale_report(payload: Dict[str, Any]) -> List[str]:
         if isinstance(cells, int) and (not isinstance(active, int)
                                        or not 0 <= active <= cells):
             problems.append(f"cells_active {active!r} outside [0, {cells}]")
+    alerts = payload.get("alerts")
+    if not isinstance(alerts, list):
+        problems.append("alerts list missing")
+    else:
+        problems.extend(f"alert {alert!r} is not an object"
+                        for alert in alerts if not isinstance(alert, dict))
     timeline = payload.get("timeline")
     if not isinstance(timeline, dict):
         problems.append("timeline block missing")
     else:
-        lengths = {key: len(timeline.get(key, []))
-                   for key in ("t_s", "cells_active", "queue_depth",
-                               "burn_long")}
+        lengths = {}
+        for key in ("t_s", "cells_active", "queue_depth", "burn_long"):
+            column = timeline.get(key, [])
+            if isinstance(column, list):
+                lengths[key] = len(column)
+            else:
+                problems.append(f"timeline.{key} is not a list")
         if len(set(lengths.values())) > 1:
             problems.append(f"timeline series lengths differ: {lengths}")
     return problems

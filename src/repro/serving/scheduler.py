@@ -1,10 +1,9 @@
-"""Admission control, dynamic batching, and the device service model.
+"""Admission control, batching and resilience policies, and the service model.
 
-The batcher is a pure decision function over ``(device queue, clock)``:
-given the FIFO queue of one device it either launches a batch now or
-names the deadline to wait for. Keeping it side-effect free makes the
-policies unit-testable and keeps the event loop in
-:mod:`repro.serving.fleet` trivial.
+The policies are frozen plain data; the fleet event loop
+(:mod:`repro.serving.scale`) applies them.  A device's batch is the
+same-model FIFO prefix of its queue (requests for a second model never
+jump ahead of the head request), capped at the policy's batch limit.
 
 Service times come from :class:`ServiceCosts`, resolved once per sweep
 from the content-cached :meth:`repro.npu.NPUTandem.evaluate` /
@@ -128,23 +127,13 @@ class Wait:
 
 
 def plan_batch(queue: Sequence[Request], now_s: float,
-               policy: BatchPolicy, monitor=None) -> Optional[object]:
+               policy: BatchPolicy) -> Optional[object]:
     """Decide what an idle device should do with its queue at ``now_s``.
 
     Returns :class:`Launch`, :class:`Wait`, or ``None`` for an empty
-    queue. Batches are same-model FIFO prefixes — requests for a second
-    model never jump ahead of the head request.
-
-    ``monitor`` is an optional :class:`~repro.serving.monitor.FleetMonitor`;
-    when present, every Launch records *which trigger* fired it
-    (``full`` batch, ``single``/``greedy`` policy, or the ``deadline``
-    of a dynamic hold) — the decision itself is unaffected, so
-    monitored and unmonitored fleets batch identically.
-
-    The scaled core (:mod:`repro.serving.scale`) inlines this decision
-    rule over its slot arrays instead of calling it; the bit-identity
-    tests in ``tests/test_scale.py`` pin the two implementations to the
-    same behaviour, so changes here must be mirrored there.
+    queue.  This is the batch rule as a pure function of one device's
+    queue; the fleet core (:mod:`repro.serving.scale`) applies the same
+    rule over its slot arrays at its dispatch site.
     """
     if not queue:
         return None
@@ -156,14 +145,9 @@ def plan_batch(queue: Sequence[Request], now_s: float,
             break
         count += 1
     if count >= limit or policy.kind in ("single", "greedy"):
-        if monitor is not None:
-            monitor.note_launch_reason("full" if count >= limit
-                                       else policy.kind)
         return Launch(count)
     deadline = head.arrival_s + policy.max_wait_ms * 1e-3
     if now_s >= deadline:
-        if monitor is not None:
-            monitor.note_launch_reason("deadline")
         return Launch(count)
     return Wait(deadline)
 

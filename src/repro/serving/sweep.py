@@ -34,11 +34,8 @@ DEFAULT_SLO_ATTAINMENT = 0.95
 class SweepPoint:
     """One grid cell; self-contained and picklable.
 
-    ``use_scale`` routes the point through the interned-record
-    :class:`~repro.serving.scale.ScaledFleetSimulator` (with ``cells``
-    device groups) instead of the legacy core — bit-identical output at
-    ``cells=1``, so big-fleet sweeps can opt into the fast core without
-    changing the grid's results shape.
+    ``cells`` groups the devices for hierarchical routing (see
+    :mod:`repro.serving.scale`).
     """
     costs: ServiceCosts
     model: str
@@ -51,7 +48,6 @@ class SweepPoint:
     routing: str = "least_loaded"
     max_queue: int = 4096
     slo_multiplier: float = DEFAULT_SLO_MULTIPLIER
-    use_scale: bool = False
     cells: int = 1
 
 
@@ -61,23 +57,12 @@ def run_point(point: SweepPoint) -> ServingReport:
                                point.duration_s)
     batch_policy = BatchPolicy(point.policy_kind, point.max_batch,
                                point.max_wait_ms)
-    admission = AdmissionPolicy(point.max_queue)
-    if point.use_scale:
-        from .scale import ScaledFleetSimulator
-        scaled = ScaledFleetSimulator(
-            point.costs,
-            devices=point.devices,
-            cells=point.cells,
-            batch_policy=batch_policy,
-            admission=admission,
-            routing=point.routing,
-            slo_multiplier=point.slo_multiplier)
-        return scaled.run(workload, rate_rps=point.rate_rps)
     sim = FleetSimulator(
         point.costs,
         devices=point.devices,
+        cells=point.cells,
         batch_policy=batch_policy,
-        admission=admission,
+        admission=AdmissionPolicy(point.max_queue),
         routing=point.routing,
         slo_multiplier=point.slo_multiplier)
     return sim.run(workload, rate_rps=point.rate_rps)

@@ -125,7 +125,12 @@ _FAULT_WINDOWS = {"crash": ("outage", True), "recover": ("outage", False),
 
 def serving_trace_events(log: Iterable[Mapping[str, Any]],
                          pid: int = SERVING_PID) -> List[Dict[str, Any]]:
-    """Fleet request lifecycles (from ``FleetSimulator`` trace logs).
+    """Fleet request lifecycles (a ``collect_trace`` fleet's ``trace_log``).
+
+    The log comes from the one fleet event core
+    (:class:`~repro.serving.scale.ScaledFleetSimulator`, also exported
+    as ``FleetSimulator``), at any fleet size and with or without cells,
+    autoscaling, faults or the monitor attached.
 
     Batches become slices on per-device tracks in simulated time;
     rejects become instant events on a dedicated track. Fault and retry

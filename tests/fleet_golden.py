@@ -1,0 +1,486 @@
+"""Golden fleet scenarios: frozen serving, fault, monitor and trace outputs.
+
+Every scenario here runs the fleet simulator on a pinned seed and
+reduces the run to plain JSON: the ``ServingReport``, the request
+lifecycle trace, the monitor's alert stream and a sha256 of its whole
+payload, chaos reports, and the ``serving.*``/``faults.*`` telemetry
+counters.  ``tests/test_fleet_golden.py`` re-runs each scenario and
+compares the rendered JSON with ``tests/fixtures/fleet_golden/<name>.json``
+byte for byte, so any change to event order, float arithmetic or
+accounting shows up as a fixture diff.
+
+Scenarios that need real model costs (BERT, ResNet-50) read them from
+``costs.json`` in the same directory instead of compiling the models,
+so the fixtures pin the fleet semantics, not the compiler's cycle
+counts.
+
+Regenerate (only when a change to the fleet's numbers is intended, and
+say why per field in the change description)::
+
+    PYTHONPATH=src python tests/fleet_golden.py [name ...]
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import zlib
+from pathlib import Path
+from typing import Any, Callable, Dict
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "fleet_golden"
+COSTS_FILE = FIXTURES / "costs.json"
+#: Seed every scenario runs under (the knob registry's default).
+SEED = "12345"
+REAL_MODELS = ("bert", "resnet50")
+
+
+def _sha(value: Any) -> str:
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def render(result: Dict[str, Any]) -> str:
+    """The fixture text of one scenario result."""
+    return json.dumps(result, indent=1, sort_keys=True) + "\n"
+
+
+def toy_costs(latency_s=0.010, compile_s=0.005, amortized=0.5,
+              models=("m",), tiles=1):
+    """Hand-set costs (the same toy numbers as ``tests/test_faults.py``)."""
+    from repro.serving import ModelCost, ServiceCosts
+    return ServiceCosts(
+        costs={m: ModelCost(latency_s, compile_s, True, tiles)
+               for m in models},
+        amortized_fraction=amortized)
+
+
+def real_costs(models=("bert",)):
+    """Frozen BERT/ResNet-50 costs from ``costs.json``."""
+    from repro.serving import ModelCost, ServiceCosts
+    frozen = json.loads(COSTS_FILE.read_text())
+    return ServiceCosts(
+        costs={m: ModelCost(*frozen["costs"][m]) for m in models},
+        amortized_fraction=frozen["amortized_fraction"])
+
+
+def freeze_costs() -> None:
+    """Write ``costs.json`` from the compiler's current numbers."""
+    from repro.serving import ServiceCosts
+    costs = ServiceCosts.resolve(list(REAL_MODELS))
+    COSTS_FILE.write_text(render({
+        "amortized_fraction": costs.amortized_fraction,
+        "costs": {m: [c.latency_s, c.compile_s, c.verified, c.tiles]
+                  for m, c in costs.costs.items()},
+    }))
+
+
+def _fleet(workload, costs, *, rate_rps=0.0, trace_in_full=True,
+           **kwargs) -> Dict[str, Any]:
+    """One traced fleet run reduced to report + trace (+ monitor)."""
+    from repro.serving import FleetSimulator
+    from repro.telemetry import Telemetry, scoped_telemetry
+    sim = FleetSimulator(costs, collect_trace=True, **kwargs)
+    with scoped_telemetry(Telemetry(enabled=True, label="golden")) as tel:
+        report = sim.run(workload, rate_rps=rate_rps)
+        counters = tel.snapshot()["counters"]
+    out: Dict[str, Any] = {
+        "report": json.loads(report.to_json()),
+        "counters": {k: v for k, v in sorted(counters.items())
+                     if k.startswith(("serving.", "faults."))},
+    }
+    if trace_in_full:
+        out["trace"] = sim.trace_log
+    else:
+        out["trace_sha256"] = _sha(sim.trace_log)
+        out["trace_len"] = len(sim.trace_log)
+    if sim.monitor_payload is not None:
+        out["monitor_alerts"] = sim.monitor_payload["alerts"]
+        out["monitor_sha256"] = _sha(sim.monitor_payload)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tests/test_faults.py scenarios (single-request batching, toy costs)
+# ---------------------------------------------------------------------------
+def _single(workload, costs, *, devices=1, routing="least_loaded",
+            fault_plan=None, resilience=None, max_queue=256):
+    from repro.serving import AdmissionPolicy, BatchPolicy
+    return _fleet(workload, costs, devices=devices,
+                  batch_policy=BatchPolicy("single"),
+                  admission=AdmissionPolicy(max_queue), routing=routing,
+                  fault_plan=fault_plan, resilience=resilience)
+
+
+def _crash(resilience):
+    from repro.faults import CrashSpec, FaultPlan
+    from repro.serving import TraceReplay
+    pin = zlib.crc32(b"m") % 2
+    plan = FaultPlan(name="one-crash", crash=CrashSpec(at=((pin, 1.0),)))
+    return _single(TraceReplay([(0.0, "m"), (5.0, "m")]), toy_costs(),
+                   devices=2, routing="model_affinity", fault_plan=plan,
+                   resilience=resilience)
+
+
+def faults_crash_naive():
+    from repro.serving import ResiliencePolicy
+    return _crash(ResiliencePolicy.naive())
+
+
+def faults_crash_resilient():
+    from repro.serving import ResiliencePolicy
+    return _crash(ResiliencePolicy(eject_threshold=2,
+                                   retry_budget_fraction=1.0))
+
+
+def faults_retry_budget_zero():
+    from repro.faults import CrashSpec, FaultPlan
+    from repro.serving import ResiliencePolicy, TraceReplay
+    plan = FaultPlan(crash=CrashSpec(at=((0, 0.5),)))
+    policy = ResiliencePolicy(retry_budget_fraction=0.0, eject_threshold=0)
+    return _single(TraceReplay([(1.0, "m")]), toy_costs(), fault_plan=plan,
+                   resilience=policy)
+
+
+def _tile(resilience, faulted_tiles=1, total_tiles=5):
+    from repro.faults import FaultPlan, TileFaultSpec
+    from repro.serving import TraceReplay
+    plan = FaultPlan(tile_fault=TileFaultSpec(p_per_batch=1.0,
+                                              tiles=faulted_tiles))
+    return _single(TraceReplay([(0.0, "m")]), toy_costs(tiles=total_tiles),
+                   fault_plan=plan, resilience=resilience)
+
+
+def faults_tile_resilient():
+    from repro.serving import ResiliencePolicy
+    return _tile(ResiliencePolicy())
+
+
+def faults_tile_naive():
+    from repro.serving import ResiliencePolicy
+    return _tile(ResiliencePolicy.naive())
+
+
+def faults_tile_clamped():
+    from repro.serving import ResiliencePolicy
+    return _tile(ResiliencePolicy(), faulted_tiles=99, total_tiles=5)
+
+
+def _flaky(resilience):
+    from repro.faults import FaultPlan, FlakyCompileSpec
+    from repro.serving import TraceReplay
+    plan = FaultPlan(flaky_compile=FlakyCompileSpec(p=1.0))
+    return _single(TraceReplay([(0.0, "m")]), toy_costs(), fault_plan=plan,
+                   resilience=resilience)
+
+
+def faults_flaky_naive():
+    from repro.serving import ResiliencePolicy
+    return _flaky(ResiliencePolicy.naive())
+
+
+def faults_flaky_resilient():
+    from repro.serving import ResiliencePolicy
+    return _flaky(ResiliencePolicy(max_retries=3))
+
+
+def _corrupt(resilience, detection_rate=1.0):
+    from repro.faults import CorruptSpec, FaultPlan
+    from repro.serving import TraceReplay
+    plan = FaultPlan(corrupt=CorruptSpec(p_per_download=1.0,
+                                         detection_rate=detection_rate))
+    return _single(TraceReplay([(0.0, "m")]), toy_costs(), fault_plan=plan,
+                   resilience=resilience)
+
+
+def faults_corrupt_naive():
+    from repro.serving import ResiliencePolicy
+    return _corrupt(ResiliencePolicy.naive())
+
+
+def faults_corrupt_resilient():
+    from repro.serving import ResiliencePolicy
+    return _corrupt(ResiliencePolicy(max_retries=3))
+
+
+def faults_corrupt_undetected():
+    from repro.serving import ResiliencePolicy
+    return _corrupt(ResiliencePolicy(), detection_rate=0.0)
+
+
+def faults_queue_burst():
+    from repro.faults import BurstSpec, FaultPlan
+    from repro.serving import TraceReplay
+    plan = FaultPlan(burst=BurstSpec(size=3, at=(0.0,)))
+    return _single(TraceReplay([(0.0, "m")]), toy_costs(), fault_plan=plan,
+                   max_queue=2)
+
+
+def faults_all_ejected():
+    from repro.faults import CrashSpec, FaultPlan
+    from repro.serving import ResiliencePolicy, TraceReplay
+    plan = FaultPlan(crash=CrashSpec(at=((0, 0.5),)))
+    policy = ResiliencePolicy(eject_threshold=1, cooldown_s=50.0,
+                              retry_budget_fraction=0.0)
+    return _single(TraceReplay([(1.0, "m"), (2.0, "m")]), toy_costs(),
+                   fault_plan=plan, resilience=policy)
+
+
+def faults_quiet_plan():
+    from repro.faults import FaultPlan
+    from repro.serving import BatchPolicy, TraceReplay
+    workload = TraceReplay([(0.0, "m"), (0.001, "m"), (0.002, "m")])
+    return _fleet(workload, toy_costs(), batch_policy=BatchPolicy("single"),
+                  fault_plan=FaultPlan())
+
+
+def _small_chaos_points():
+    from repro.faults import (CorruptSpec, CrashSpec, FaultPlan,
+                              TileFaultSpec, chaos_grid)
+    plan = FaultPlan(name="small",
+                     crash=CrashSpec(p_per_device_s=0.05),
+                     tile_fault=TileFaultSpec(p_per_batch=0.2),
+                     corrupt=CorruptSpec(p_per_download=0.5))
+    return chaos_grid(plan=plan, scales=(1.0,), model="m", devices=2,
+                      rate_rps=300.0, duration_s=1.0,
+                      costs=toy_costs(latency_s=0.004, compile_s=0.002))
+
+
+def faults_chaos_small_grid():
+    from repro.faults import chaos_report, chaos_report_json, run_chaos
+    points = _small_chaos_points()
+    return json.loads(chaos_report_json(chaos_report(points,
+                                                     run_chaos(points))))
+
+
+# ---------------------------------------------------------------------------
+# Fault-free runs (once pinned as legacy-vs-scaled bit identity)
+# ---------------------------------------------------------------------------
+TWO = ("a", "b")
+
+
+def _plain(routing):
+    from repro.serving import OpenLoopPoisson
+    return _fleet(OpenLoopPoisson(TWO, 300.0, 2.0), toy_costs(models=TWO),
+                  rate_rps=300.0, devices=4, routing=routing,
+                  trace_in_full=False)
+
+
+def plain_round_robin():
+    return _plain("round_robin")
+
+
+def plain_least_loaded():
+    return _plain("least_loaded")
+
+
+def plain_model_affinity():
+    return _plain("model_affinity")
+
+
+def plain_closed_loop():
+    from repro.serving import ClosedLoop
+    return _fleet(ClosedLoop(TWO, clients=12, duration_s=1.0,
+                             think_s=0.002),
+                  toy_costs(models=TWO), devices=3, trace_in_full=False)
+
+
+def plain_overload():
+    from repro.serving import AdmissionPolicy, BatchPolicy, OpenLoopPoisson
+    return _fleet(OpenLoopPoisson(TWO, 2000.0, 1.0), toy_costs(models=TWO),
+                  rate_rps=2000.0, devices=2,
+                  admission=AdmissionPolicy(max_queue=4),
+                  batch_policy=BatchPolicy("single"), trace_in_full=False)
+
+
+def plain_unverified_reject():
+    from repro.serving import ModelCost, OpenLoopPoisson, ServiceCosts
+    costs = ServiceCosts(
+        costs={"m": ModelCost(0.01, 0.0),
+               "dirty": ModelCost(0.01, 0.0, verified=False)},
+        amortized_fraction=0.5)
+    return _fleet(OpenLoopPoisson(("m", "dirty"), 200.0, 1.0), costs,
+                  rate_rps=200.0, devices=2, trace_in_full=False)
+
+
+def plain_sweep_point():
+    from repro.serving import SweepPoint, run_point
+    point = SweepPoint(costs=toy_costs(), model="m", policy_kind="dynamic",
+                       devices=4, rate_rps=400.0, duration_s=1.0)
+    return json.loads(run_point(point).to_json())
+
+
+# ---------------------------------------------------------------------------
+# Everything at once: faults + resilience + monitor + trace
+# ---------------------------------------------------------------------------
+def _storm_plan():
+    from repro.faults import (BurstSpec, CorruptSpec, CrashSpec, FaultPlan,
+                              FlakyCompileSpec, SlowdownSpec, TileFaultSpec)
+    return FaultPlan(
+        name="storm", stream="golden",
+        crash=CrashSpec(p_per_device_s=0.15, outage_s=0.6,
+                        at=((1, 0.4),)),
+        slowdown=SlowdownSpec(p_per_device_s=0.2, factor=3.0,
+                              duration_s=0.5),
+        flaky_compile=FlakyCompileSpec(p=0.3),
+        tile_fault=TileFaultSpec(p_per_batch=0.05, tiles=2),
+        corrupt=CorruptSpec(p_per_download=0.3, detection_rate=0.7),
+        burst=BurstSpec(p_per_s=0.5, size=24, at=(1.0,)))
+
+
+def _storm(routing, kind="resilient", closed_loop=False):
+    from repro.serving import (ClosedLoop, MonitorConfig, OpenLoopPoisson,
+                               ResiliencePolicy)
+    from repro.serving.scheduler import AdmissionPolicy
+    costs = toy_costs(latency_s=0.004, compile_s=0.003, models=TWO, tiles=4)
+    if closed_loop:
+        workload, rate = ClosedLoop(TWO, clients=16, duration_s=3.0,
+                                    think_s=0.001), 0.0
+    else:
+        workload, rate = OpenLoopPoisson(TWO, 900.0, 3.0), 900.0
+    policy = (ResiliencePolicy(eject_threshold=2, cooldown_s=0.2)
+              if kind == "resilient" else ResiliencePolicy.naive())
+    return _fleet(workload, costs, rate_rps=rate, devices=4,
+                  routing=routing, admission=AdmissionPolicy(64),
+                  fault_plan=_storm_plan(), resilience=policy,
+                  monitor_config=MonitorConfig(interval_s=0.05),
+                  trace_in_full=False)
+
+
+def storm_round_robin():
+    return _storm("round_robin")
+
+
+def storm_least_loaded():
+    return _storm("least_loaded")
+
+
+def storm_model_affinity():
+    return _storm("model_affinity")
+
+
+def storm_naive():
+    return _storm("least_loaded", kind="naive")
+
+
+def storm_closed_loop():
+    return _storm("round_robin", closed_loop=True)
+
+
+def serve_trace_out():
+    """The device-event list ``repro serve --trace-out`` writes."""
+    from repro.faults import default_plan
+    from repro.serving import (FleetSimulator, MonitorConfig,
+                               OpenLoopPoisson, ResiliencePolicy)
+    from repro.telemetry.export import (monitor_counter_events,
+                                        serving_trace_events)
+    costs = toy_costs(latency_s=0.004, compile_s=0.003, models=TWO, tiles=4)
+    sim = FleetSimulator(costs, devices=3, collect_trace=True,
+                         fault_plan=default_plan().scaled(5.0),
+                         resilience=ResiliencePolicy(),
+                         monitor_config=MonitorConfig(interval_s=0.25))
+    sim.run(OpenLoopPoisson(TWO, 100.0, 1.0), rate_rps=100.0)
+    events = list(serving_trace_events(sim.trace_log))
+    events.extend(monitor_counter_events(sim.monitor_payload))
+    return {"device_events": events}
+
+
+# ---------------------------------------------------------------------------
+# Real-model scenarios (frozen costs)
+# ---------------------------------------------------------------------------
+def _monitor_point(**kwargs):
+    from repro.serving import MonitorPoint, run_monitor_point
+    out = run_monitor_point(MonitorPoint(**kwargs))
+    return {"serving": out["serving"],
+            "monitor_alerts": out["monitor"]["alerts"],
+            "monitor_sha256": _sha(out["monitor"])}
+
+
+def _mon_crash_plan():
+    from repro.faults import FaultPlan
+    from repro.faults.plan import CrashSpec
+    return FaultPlan(name="mon-crash-a",
+                     crash=CrashSpec(p_per_device_s=0.01, outage_s=6.0))
+
+
+def monitoring_slo_crashed():
+    """``monitoring_slo``'s crashed run (its alerts are BENCH_monitoring's)."""
+    return _monitor_point(costs=real_costs(), models=("bert",), devices=6,
+                          rate_rps=120.0, duration_s=20.0,
+                          fault_plan=_mon_crash_plan())
+
+
+def monitoring_slo_control():
+    return _monitor_point(costs=real_costs(), models=("bert",), devices=6,
+                          rate_rps=120.0, duration_s=20.0)
+
+
+def fleet_chaos_smoke():
+    """The benchmark's fleet_chaos point at its smoke size."""
+    from repro.faults import (CorruptSpec, CrashSpec, FaultPlan,
+                              FlakyCompileSpec, TileFaultSpec)
+    plan = FaultPlan(name="bench-chaos",
+                     crash=CrashSpec(p_per_device_s=0.01, outage_s=6.0),
+                     tile_fault=TileFaultSpec(p_per_batch=0.02),
+                     corrupt=CorruptSpec(p_per_download=0.05),
+                     flaky_compile=FlakyCompileSpec(p=0.05))
+    return _monitor_point(costs=real_costs(REAL_MODELS), models=REAL_MODELS,
+                          devices=8, rate_rps=250.0, duration_s=10.0,
+                          resilience_kind="resilient", fault_plan=plan)
+
+
+def chaos_default_grid():
+    """``repro chaos`` with every default (BERT, default plan)."""
+    from repro.faults import (chaos_grid, chaos_report, chaos_report_json,
+                              run_chaos)
+    points = chaos_grid(costs=real_costs())
+    return json.loads(chaos_report_json(chaos_report(points,
+                                                     run_chaos(points))))
+
+
+def chaos_bench_crash_1pct():
+    """``benchmarks/test_perf_chaos.py``'s sweep (BENCH_chaos.json)."""
+    from repro.faults import (CrashSpec, FaultPlan, chaos_grid, chaos_report,
+                              chaos_report_json, run_chaos)
+    plan = FaultPlan(name="crash-1pct",
+                     crash=CrashSpec(p_per_device_s=0.01, outage_s=None))
+    points = chaos_grid(plan=plan, scales=(1.0,), model="bert", devices=6,
+                        rate_rps=120.0, duration_s=20.0, costs=real_costs())
+    return json.loads(chaos_report_json(chaos_report(points,
+                                                     run_chaos(points))))
+
+
+SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
+    fn.__name__: fn for fn in (
+        faults_crash_naive, faults_crash_resilient, faults_retry_budget_zero,
+        faults_tile_resilient, faults_tile_naive, faults_tile_clamped,
+        faults_flaky_naive, faults_flaky_resilient, faults_corrupt_naive,
+        faults_corrupt_resilient, faults_corrupt_undetected,
+        faults_queue_burst, faults_all_ejected, faults_quiet_plan,
+        faults_chaos_small_grid,
+        plain_round_robin, plain_least_loaded, plain_model_affinity,
+        plain_closed_loop, plain_overload, plain_unverified_reject,
+        plain_sweep_point,
+        storm_round_robin, storm_least_loaded, storm_model_affinity,
+        storm_naive, storm_closed_loop, serve_trace_out,
+        monitoring_slo_crashed, monitoring_slo_control, fleet_chaos_smoke,
+        chaos_default_grid, chaos_bench_crash_1pct,
+    )}
+
+
+def main(names) -> int:
+    import os
+    os.environ["REPRO_SEED"] = SEED
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    if not COSTS_FILE.exists():
+        freeze_costs()
+    for name in names or SCENARIOS:
+        path = FIXTURES / f"{name}.json"
+        path.write_text(render(SCENARIOS[name]()))
+        print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -29,6 +29,23 @@ def test_unknown_experiment_raises():
         run_experiment("fig99")
 
 
+@pytest.mark.parametrize("argv, env, expect", [
+    (["table3"], {"REPRO_JOBS": "two"}, "REPRO_JOBS='two'"),
+    (["fig99"], {}, "unknown experiment(s) fig99"),
+])
+def test_harness_main_bad_input_exits_two_with_one_line(
+        argv, env, expect, monkeypatch, capsys):
+    from repro.harness.__main__ import main
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("python -m repro.harness: ")
+    assert expect in captured.err
+
+
 def test_cheap_experiments_render():
     for exp_id in ("table3", "fig01", "fig02", "fig05", "fig26"):
         experiment = run_experiment(exp_id)

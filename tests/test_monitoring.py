@@ -390,6 +390,23 @@ def test_llm_monitor_is_observational():
 # ---------------------------------------------------------------------------
 # Report validation, dashboard, env plumbing
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("bad, expect", [
+    ([], "not a JSON object"),
+    ({"alerts": [None]}, "alert None is not an object"),
+    ({"series": {"queue.depth": 3}}, "series 'queue.depth' is not an object"),
+])
+def test_validator_reports_wrong_json_types(bad, expect, tmp_path, capsys):
+    problems = validate_monitor_report(bad)
+    assert any(expect in p for p in problems), problems
+    # The replay command lists the problems and exits 1, no traceback.
+    from repro.cli import main
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["monitor", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert expect in err and "Traceback" not in err
+
+
 def test_validator_flags_corrupted_reports():
     payload = run_monitor_point(_small_point())["monitor"]
     assert validate_monitor_report(payload) == []

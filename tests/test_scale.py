@@ -1,31 +1,41 @@
-"""Datacenter-scale core: bit-identity, autoscaling, traces, determinism."""
+"""The fleet core at scale: every feature together, cells, autoscaling, traces."""
 
 import json
+import zlib
 
 import pytest
 
+from repro.faults import (
+    CorruptSpec,
+    CrashSpec,
+    FaultPlan,
+    FlakyCompileSpec,
+    TileFaultSpec,
+)
 from repro.runtime import knobs, parallel_map
 from repro.serving import (
     AutoscaleConfig,
     AutoscaleController,
     BatchPolicy,
-    ClosedLoop,
     CostModel,
     DiurnalTrace,
     FleetSimulator,
+    MonitorConfig,
+    MonitorPoint,
     OpenLoopPoisson,
+    ResiliencePolicy,
     ScaledFleetSimulator,
     ScalePoint,
     ServiceCosts,
-    SweepPoint,
     TraceReplay,
     load_trace,
-    run_point,
+    run_monitor_point,
     run_scale_point,
     save_trace,
     scale_table,
     tail_bounded_throughput,
     validate_fleet_scale_report,
+    validate_monitor_report,
 )
 from repro.serving.scheduler import ModelCost
 
@@ -43,60 +53,106 @@ COSTS = toy_costs(models=MODELS)
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity with the legacy fleet (cells=1, autoscale off)
+# One core: faults, resilience, monitor, trace, cells and autoscale together
 # ---------------------------------------------------------------------------
+def _chaos_plan():
+    return FaultPlan(name="cells-chaos",
+                     crash=CrashSpec(p_per_device_s=0.2, outage_s=0.5),
+                     tile_fault=TileFaultSpec(p_per_batch=0.05, tiles=2),
+                     corrupt=CorruptSpec(p_per_download=0.2,
+                                         detection_rate=0.5),
+                     flaky_compile=FlakyCompileSpec(p=0.2))
+
+
+def test_fleet_simulator_is_the_scaled_core():
+    from repro.serving import fleet, scale
+    assert fleet.FleetSimulator is scale.ScaledFleetSimulator
+    assert FleetSimulator is ScaledFleetSimulator
+
+
+def test_every_feature_combines_on_one_run():
+    sim = ScaledFleetSimulator(
+        COSTS, devices=8, cells=4, routing="least_loaded",
+        fault_plan=_chaos_plan(), resilience=ResiliencePolicy(),
+        monitor_config=MonitorConfig(interval_s=0.1), collect_trace=True,
+        autoscale=AutoscaleConfig(interval_s=0.1, queue_high=2.0,
+                                  cooldown_s=0.3))
+    report = sim.run(DiurnalTrace(MODELS, 1500.0, 2.0), rate_rps=1500.0)
+    assert report.offered == (report.completed + report.rejected
+                              + report.failed)
+    assert report.faults.get("device_crash", 0) > 0
+    assert validate_fleet_scale_report(sim.payload) == []
+    assert validate_monitor_report(sim.monitor_payload) == []
+    assert sim.payload["serving"] == report.as_dict()
+    assert any(e["kind"] == "crash" for e in sim.trace_log)
+
+
 @pytest.mark.parametrize("routing",
                          ["round_robin", "least_loaded", "model_affinity"])
-def test_scaled_core_bit_identical_to_legacy(routing):
-    legacy = FleetSimulator(COSTS, devices=4, routing=routing).run(
-        OpenLoopPoisson(MODELS, 300.0, 2.0), rate_rps=300.0)
-    scaled = ScaledFleetSimulator(COSTS, devices=4, routing=routing).run(
-        OpenLoopPoisson(MODELS, 300.0, 2.0), rate_rps=300.0)
-    assert legacy.to_json() == scaled.to_json()
+def test_faulted_monitored_cells_conserve_requests(routing):
+    points = [MonitorPoint(costs=COSTS, models=MODELS, devices=8, cells=4,
+                           rate_rps=800.0, duration_s=2.0, routing=routing,
+                           resilience_kind=kind, fault_plan=_chaos_plan(),
+                           stream=i)
+              for i, kind in enumerate(("naive", "resilient"))]
+    serial = parallel_map(run_monitor_point, points, jobs=1)
+    forked = parallel_map(run_monitor_point, points, jobs=2)
+    assert json.dumps(serial, sort_keys=True) == \
+        json.dumps(forked, sort_keys=True)
+    for out in serial:
+        report = out["serving"]
+        assert report["offered"] == (report["completed"]
+                                     + report["rejected"]
+                                     + report["failed"])
+        assert report["faults"].get("device_crash", 0) > 0
+        assert validate_monitor_report(out["monitor"]) == []
+    assert serial[1]["serving"]["retries"] > 0
 
 
-def test_scaled_core_bit_identical_closed_loop():
-    def wl():
-        return ClosedLoop(MODELS, clients=12, duration_s=1.0,
-                          think_s=0.002)
-    legacy = FleetSimulator(COSTS, devices=3).run(wl())
-    scaled = ScaledFleetSimulator(COSTS, devices=3).run(wl())
-    assert legacy.to_json() == scaled.to_json()
+@pytest.mark.parametrize("routing",
+                         ["round_robin", "least_loaded", "model_affinity"])
+def test_ejected_cell_is_skipped_not_shed(routing):
+    # Both devices of the cell that model "a" hashes to die for good at
+    # t=0.1.  Requests routed there time out, eject their device
+    # (threshold 1, cooldown longer than the run) and retry; once the
+    # whole cell is ejected, every arrival goes to the other cell
+    # instead of being shed.
+    dead = [2 * (zlib.crc32(b"a") % 2) + d for d in (0, 1)]
+    plan = FaultPlan(name="one-cell-dies",
+                     crash=CrashSpec(at=tuple((d, 0.1) for d in dead)))
+    sim = ScaledFleetSimulator(
+        COSTS, devices=4, cells=2, routing=routing,
+        batch_policy=BatchPolicy("single"), collect_trace=True,
+        fault_plan=plan,
+        resilience=ResiliencePolicy(eject_threshold=1, cooldown_s=100.0,
+                                    retry_budget_fraction=1.0))
+    trace = TraceReplay([(i * 0.04, m) for i in range(50)
+                         for m in MODELS])
+    report = sim.run(trace)
+    ejects = [e for e in sim.trace_log if e["kind"] == "eject"]
+    assert {e["device"] for e in ejects} == set(dead)
+    assert report.devices_ejected == len(ejects)
+    assert not any(e["kind"] == "shed" for e in sim.trace_log)
+    assert report.rejected == 0
+    assert report.completed == report.offered
+    last_eject = max(e["t_s"] for e in ejects)
+    late = [e for e in sim.trace_log
+            if e["kind"] == "batch" and e["t_s"] > last_eject]
+    assert late and all(e["device"] not in dead for e in late)
 
 
-def test_scaled_core_bit_identical_under_overload():
-    # Tiny admission queue: the reject path must match too.
-    from repro.serving import AdmissionPolicy
-    kwargs = dict(devices=2, admission=AdmissionPolicy(max_queue=4),
-                  batch_policy=BatchPolicy("single"))
-    legacy = FleetSimulator(COSTS, **kwargs).run(
-        OpenLoopPoisson(MODELS, 2000.0, 1.0), rate_rps=2000.0)
-    scaled = ScaledFleetSimulator(COSTS, **kwargs).run(
-        OpenLoopPoisson(MODELS, 2000.0, 1.0), rate_rps=2000.0)
-    assert legacy.rejected > 0
-    assert legacy.to_json() == scaled.to_json()
-
-
-def test_scaled_core_bit_identical_unverified_reject():
-    costs = ServiceCosts(
-        costs={"m": ModelCost(0.01, 0.0),
-               "dirty": ModelCost(0.01, 0.0, verified=False)},
-        amortized_fraction=0.5)
-    legacy = FleetSimulator(costs, devices=2).run(
-        OpenLoopPoisson(("m", "dirty"), 200.0, 1.0), rate_rps=200.0)
-    scaled = ScaledFleetSimulator(costs, devices=2).run(
-        OpenLoopPoisson(("m", "dirty"), 200.0, 1.0), rate_rps=200.0)
-    assert legacy.verify_rejected > 0
-    assert legacy.to_json() == scaled.to_json()
-
-
-def test_sweep_point_use_scale_matches_legacy_run_point():
-    point = SweepPoint(costs=toy_costs(), model="m", policy_kind="dynamic",
-                       devices=4, rate_rps=400.0, duration_s=1.0)
-    from dataclasses import replace
-    legacy = run_point(point)
-    scaled = run_point(replace(point, use_scale=True))
-    assert legacy.to_json() == scaled.to_json()
+def test_all_cells_ejected_sheds():
+    plan = FaultPlan(name="all-die",
+                     crash=CrashSpec(at=tuple((d, 0.1) for d in range(4))))
+    sim = ScaledFleetSimulator(
+        COSTS, devices=4, cells=2, routing="round_robin",
+        collect_trace=True, fault_plan=plan,
+        resilience=ResiliencePolicy(eject_threshold=1, cooldown_s=100.0))
+    report = sim.run(TraceReplay([(i * 0.05, "a") for i in range(100)]))
+    assert report.devices_ejected == 4
+    assert any(e["kind"] == "shed" for e in sim.trace_log)
+    assert report.offered == (report.completed + report.rejected
+                              + report.failed)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +453,17 @@ def test_validator_flags_malformed_payloads():
     assert any("cell_size" in p for p in problems)
     assert any("explode" in p for p in problems)
     assert any("cost" in p for p in problems)
+
+
+@pytest.mark.parametrize("bad, expect", [
+    ([], "not a JSON object"),
+    ({"alerts": [None]}, "alert None is not an object"),
+    ({"autoscale_events": [None]}, "autoscale event None is not an object"),
+    ({"timeline": {"t_s": 3}}, "timeline.t_s is not a list"),
+])
+def test_validator_reports_wrong_json_types(bad, expect):
+    problems = validate_fleet_scale_report(bad)
+    assert any(expect in p for p in problems), problems
 
 
 def test_tail_bounded_throughput_falls_back_to_goodput():
