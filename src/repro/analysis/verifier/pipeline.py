@@ -21,7 +21,7 @@ reconstructed. ``REPRO_DEPS`` selects the mode — ``off`` disables it,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...isa import Namespace, ProgramDecodeError, TandemProgram, decode
 from ...runtime import knobs
@@ -81,20 +81,53 @@ def verify_program(program: TandemProgram,
     validation pass cross-checks the tile's IR-level access metadata
     against the interpreted binary.
     """
-    params = params or TandemParams()
+    return _verify(program, params or TandemParams(), owns_obuf, tile,
+                   deps_mode(deps))
+
+
+#: What the word-level passes produce for one program: its trace, the
+#: decode/loops/dataflow/ownership findings, and the lint findings.
+_WordPasses = Tuple[ProgramTrace, List[Finding], List[Finding]]
+
+
+def _word_passes(program: TandemProgram, params: TandemParams,
+                 owns_obuf: Optional[bool],
+                 memo: Optional[Dict[tuple, _WordPasses]]) -> _WordPasses:
+    """Interpret ``program`` and run every pass but deps over the trace.
+
+    These passes read only the instructions, the Output-BUF ownership
+    and ``params``, so ``memo`` (one per model verification) shares
+    their results between tiles whose instructions are equal, such as
+    the tiles of repeated blocks.
+    """
+    key = None
+    if memo is not None:
+        key = (tuple(program.instructions), owns_obuf, params)
+        if key in memo:
+            return memo[key]
     trace = interpret(program, params)
     if owns_obuf is None:
         owns_obuf = _infer_owns_obuf(trace)
-    mode = deps_mode(deps)
+    checked = (decode_pass.run(trace) + loops.run(trace)
+               + dataflow.run(trace) + ownership.run(trace, owns_obuf))
+    result = (trace, checked, lint.run(trace))
+    if key is not None:
+        memo[key] = result
+        get_telemetry().count("verifier.programs.distinct")
+    return result
+
+
+def _verify(program: TandemProgram, params: TandemParams,
+            owns_obuf: Optional[bool], tile, mode: str,
+            memo: Optional[Dict[tuple, _WordPasses]] = None) -> VerifyReport:
+    """One program's report; translation validation always runs per tile."""
+    trace, checked, linted = _word_passes(program, params, owns_obuf, memo)
     ran_deps = mode != "off" and tile is not None
     report = VerifyReport(program=program.name,
                           instructions=len(program.instructions))
     report.passes = [name for name in PASS_NAMES
                      if name != "deps" or ran_deps]
-    report.extend(decode_pass.run(trace))
-    report.extend(loops.run(trace))
-    report.extend(dataflow.run(trace))
-    report.extend(ownership.run(trace, owns_obuf))
+    report.extend(checked)
     if ran_deps:
         from ..deps import validate_tile
         deps_findings = validate_tile(tile, trace)
@@ -103,7 +136,7 @@ def verify_program(program: TandemProgram,
         if tel.enabled:
             tel.count("verifier.deps.programs")
             tel.count("verifier.deps.findings", len(deps_findings))
-    report.extend(lint.run(trace))
+    report.extend(linted)
     report.findings.sort(
         key=lambda f: (f.pc if f.pc is not None else -1, -int(f.severity)))
     return report
@@ -174,13 +207,13 @@ def verify_model(model, params: Optional[TandemParams] = None, *,
     params = params or model.sim_params.tandem
     mode = deps_mode(deps)
     report = ModelVerifyReport(model=model.name)
+    memo: Dict[tuple, _WordPasses] = {}
     for block in model.blocks:
         if block.tile is None:
             continue
         owns = block.block.gemm is not None
-        report.reports.append(
-            verify_program(block.tile.program, params, owns_obuf=owns,
-                           tile=block.tile, deps=mode))
+        report.reports.append(_verify(block.tile.program, params, owns,
+                                      block.tile, mode, memo))
     if mode != "off":
         from ..deps import check_model
         races = VerifyReport(program=f"{model.name}::model",
@@ -204,13 +237,14 @@ def verify_block_dicts(model_name: str, blocks: Iterable[dict],
     graph and are only available through :func:`verify_model`.
     """
     report = ModelVerifyReport(model=model_name)
+    params = params or TandemParams()
     mode = deps_mode(deps)
+    memo: Dict[tuple, _WordPasses] = {}
     for blk in blocks:
         tile = blk.get("tile")
         if tile is None:
             continue
         owns = blk.get("gemm_node") is not None
-        report.reports.append(
-            verify_program(tile.program, params, owns_obuf=owns,
-                           tile=tile, deps=mode))
+        report.reports.append(_verify(tile.program, params, owns, tile,
+                                      mode, memo))
     return report

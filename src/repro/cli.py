@@ -1177,6 +1177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
+        knobs.check_all()
         return _COMMANDS[args.command](args)
     except KnobError as err:
         print(f"repro: {err}", file=sys.stderr)

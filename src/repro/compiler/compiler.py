@@ -9,13 +9,13 @@ functional runner replays the same programs on real data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..gemm import GemmCost, SystolicArray, SystolicParams, gemm_dims
 from ..graph import DTYPE_BYTES, Graph, Node
-from ..isa import Namespace
+from ..isa import Namespace, TandemProgram
 from ..simulator.params import SimParams
 from .fusion import Block, external_outputs, form_blocks, split_block
 from .integer_ops import FRAC_BITS
@@ -290,17 +290,82 @@ def explain_compile(graph: Graph, sim_params: Optional[SimParams] = None,
     return model, lines
 
 
+def _block_key(block: Block, graph: Graph,
+               stores: List[str]) -> Tuple[tuple, List[str]]:
+    """A block's structural key, and its tensors in key order.
+
+    The key covers everything :func:`_compile_block_tile` and
+    :func:`search_tiles` read of a block: whether it has a GEMM, each
+    node's operator and attributes, its tensor edges renamed by first
+    appearance, each renamed tensor's shape and dtype, and which tensors
+    escape the block (``stores``). The compiler never derives anything
+    from a tensor's name, so two blocks with equal keys lower to the
+    same tile up to that renaming.
+    """
+    index: Dict[str, int] = {}
+
+    def ref(name: str) -> int:
+        return index.setdefault(name, len(index))
+
+    nodes = tuple((node.op_type, repr(sorted(node.attrs.items())),
+                   tuple(map(ref, node.inputs)), tuple(map(ref, node.outputs)),
+                   tuple(map(ref, node.params)))
+                  for node in block.nodes)
+    escapes = tuple(map(ref, stores))
+    specs = tuple((graph.tensor(name).shape, graph.tensor(name).dtype)
+                  for name in index)
+    return (block.gemm is not None, nodes, escapes, specs), list(index)
+
+
+def _rebind_tile(tile: LoweredTile, name: str,
+                 names: Dict[str, str]) -> LoweredTile:
+    """``tile``, lowered for an equal-keyed block, renamed for this one.
+
+    ``names`` maps the source block's tensors to this block's. Everything
+    but the program name and the DRAM tensor bindings is shared by value;
+    each list is copied so the two tiles stay independent objects.
+    """
+    def rename(tensor: str) -> str:
+        if tensor not in names:
+            raise RuntimeError(
+                f"{tile.program.name} binds tensor {tensor!r}, which its "
+                f"block key does not cover")
+        return names[tensor]
+
+    access = tile.access_meta
+    if access is not None:
+        access = replace(
+            access, nests=list(access.nests), permutes=list(access.permutes),
+            claims=list(access.claims),
+            transfers=[replace(t, tensor=rename(t.tensor))
+                       for t in access.transfers],
+            dram_alias={rename(alias): rename(root)
+                        for alias, root in access.dram_alias.items()})
+    return replace(
+        tile, program=TandemProgram(name, list(tile.program.instructions)),
+        transfers=[replace(t, tensor=rename(t.tensor)) for t in tile.transfers],
+        permutes=list(tile.permutes), imm_values=list(tile.imm_values),
+        op_metas=list(tile.op_metas), access_meta=access)
+
+
 def _compile_model_uncached(graph: Graph, sim_params: SimParams,
                             gemm_params: SystolicParams, frac_bits: int,
                             special_functions: bool,
                             pipeline: Optional[PipelineConfig] = None,
                             pass_log: Optional[Dict[str, int]] = None
                             ) -> CompiledModel:
+    from ..telemetry import get_telemetry
+
     array = SystolicArray(gemm_params)
     passes = PassPipeline(pipeline) if pipeline is not None else None
     strategy = pipeline.tile_search if pipeline is not None else "pow2"
+    tel = get_telemetry()
 
     compiled: List[CompiledBlock] = []
+    # Block key -> (its tensors, tile count, tile, chosen attempt's pass
+    # log) of the first block lowered under that key.
+    lowered: Dict[tuple, Tuple[List[str], int, LoweredTile,
+                               Dict[str, int]]] = {}
     pending = form_blocks(graph)
     if passes is not None:
         state = PipelineState(config=pipeline, blocks=pending)
@@ -316,33 +381,44 @@ def _compile_model_uncached(graph: Graph, sim_params: SimParams,
             compiled.append(CompiledBlock(block=block, tiles=1, tile=None,
                                           gemm_cost=gemm_cost))
             continue
-        # Per-attempt pass logs: only the chosen tile count's log counts
-        # toward the model-level summary.
-        attempt_logs: Dict[int, Dict[str, int]] = {}
+        stores = external_outputs(block, graph)
+        key, names = _block_key(block, graph, stores)
+        if key in lowered:
+            source, tiles, tile, chosen_log = lowered[key]
+            tile = _rebind_tile(tile, f"{block.name}_tile",
+                                dict(zip(source, names)))
+            tel.count("compiler.blocks.reused")
+        else:
+            # Per-attempt pass logs: only the chosen tile count's log
+            # counts toward the model-level summary.
+            attempt_logs: Dict[int, Dict[str, int]] = {}
 
-        def try_compile(t, block=block, attempt_logs=attempt_logs):
-            """Compile one tile-count candidate, capturing its pass log."""
-            tile_log: Dict[str, int] = {}
-            tile = _compile_block_tile(block, graph, sim_params, t,
-                                       frac_bits, special_functions,
-                                       pipeline=passes, pass_log=tile_log)
-            attempt_logs[t] = tile_log
-            return tile
+            def try_compile(t, block=block, attempt_logs=attempt_logs):
+                """Compile one tile-count candidate, capturing its pass log."""
+                tile_log: Dict[str, int] = {}
+                tile = _compile_block_tile(block, graph, sim_params, t,
+                                           frac_bits, special_functions,
+                                           pipeline=passes, pass_log=tile_log)
+                attempt_logs[t] = tile_log
+                return tile
 
-        try:
-            tiles, tile = search_tiles(block, graph, sim_params.tandem,
-                                       try_compile, strategy=strategy)
-        except CompileError as err:
-            if "IMM BUF" in str(err) and len(block.ops) > 1:
-                # Too many distinct constants for one bundle: split it.
-                pending = split_block(block) + pending
-                continue
-            raise
+            try:
+                tiles, tile = search_tiles(block, graph, sim_params.tandem,
+                                           try_compile, strategy=strategy)
+            except CompileError as err:
+                if "IMM BUF" in str(err) and len(block.ops) > 1:
+                    # Too many distinct constants for one bundle: split it.
+                    pending = split_block(block) + pending
+                    continue
+                raise
+            chosen_log = attempt_logs.get(tiles, {})
+            lowered[key] = (names, tiles, tile, chosen_log)
+            tel.count("compiler.blocks.lowered")
         if pass_log is not None:
-            for stage, applied in attempt_logs.get(tiles, {}).items():
+            for stage, applied in chosen_log.items():
                 pass_log[stage] = pass_log.get(stage, 0) + applied
         compiled.append(CompiledBlock(
             block=block, tiles=tiles, tile=tile, gemm_cost=gemm_cost,
-            stores=external_outputs(block, graph)))
+            stores=stores))
     return CompiledModel(graph=graph, blocks=compiled,
                          sim_params=sim_params, gemm_params=gemm_params)

@@ -67,6 +67,7 @@ def main(argv=None) -> int:
               f"{', '.join(all_experiment_ids())}", file=sys.stderr)
         return 2
     try:
+        knobs.check_all()
         return _run(args)
     except KnobError as err:
         print(f"python -m repro.harness: {err}", file=sys.stderr)

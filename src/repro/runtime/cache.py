@@ -31,7 +31,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import get_telemetry
 from . import knobs
@@ -83,7 +83,12 @@ def _canonical(obj: Any, depth: int = 0) -> Any:
 
 def fingerprint(*parts: Any) -> str:
     """Stable hex digest of the canonical form of ``parts``."""
-    payload = json.dumps([CACHE_EPOCH] + [_canonical(p) for p in parts],
+    return _digest([_canonical(p) for p in parts])
+
+
+def _digest(canonical: List[Any]) -> str:
+    """The digest of parts already reduced by :func:`_canonical`."""
+    payload = json.dumps([CACHE_EPOCH] + canonical,
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
@@ -103,7 +108,7 @@ def graph_fingerprint(graph) -> str:
         "inputs": list(graph.graph_inputs),
         "outputs": list(graph.graph_outputs),
     }
-    fp = fingerprint(desc)
+    fp = _digest([desc])   # ``desc`` is built canonical
     graph.__dict__["_fingerprint"] = fp
     return fp
 

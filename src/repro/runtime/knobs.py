@@ -111,6 +111,16 @@ def get(name: str) -> Any:
     return parse(name, os.environ.get(name, ""))
 
 
+def check_all() -> None:
+    """Parse every set knob now, so a bad value fails at startup.
+
+    Entry points call this first: a typo in a knob the command never
+    reads then still raises :class:`KnobError` instead of going unseen.
+    """
+    for name in KNOBS:
+        get(name)
+
+
 def switch(name: str, flag: bool = False) -> bool:
     """A tri-state kill switch: a set variable wins, else ``flag`` decides.
 

@@ -263,3 +263,13 @@ def test_bad_knob_exits_two_with_one_line(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == ("repro: REPRO_DEPS='stirct': "
                    "expected one of off, on, strict\n")
+
+
+def test_bad_knob_fails_even_where_it_is_never_read(capsys, monkeypatch):
+    # ``repro models`` never prices a fleet; the knob is checked at start.
+    monkeypatch.setenv("REPRO_AUTOSCALE_PRICE", "x")
+    assert main(["models"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("repro: REPRO_AUTOSCALE_PRICE='x': "
+                            "expected a number\n")

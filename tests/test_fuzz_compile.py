@@ -51,15 +51,11 @@ def random_pipelines(draw):
     return rows, cols, ops, seed
 
 
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(random_pipelines())
-def test_random_pipeline_bit_exact(case):
-    rows, cols, ops, seed = case
-    rng = seeded_rng("fuzz", seed)
+def pipeline_graph(case):
+    """The graph a :func:`random_pipelines` example describes."""
+    rows, cols, ops, _seed = case
     b = GraphBuilder("fuzz")
     x = b.input("x", (rows, cols), dtype="int32")
-    value_lo, value_hi = -300, 300
     current = x
     previous = x
     for kind, op in ops:
@@ -71,9 +67,17 @@ def test_random_pipeline_bit_exact(case):
             previous, current = current, out
         else:
             previous, current = current, getattr(b, op)(current, previous)
-    graph = b.finish([current])
+    return b.finish([current])
 
-    data = rng.integers(value_lo, value_hi, (rows, cols))
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(random_pipelines())
+def test_random_pipeline_bit_exact(case):
+    rows, cols, _ops, seed = case
+    rng = seeded_rng("fuzz", seed)
+    graph = pipeline_graph(case)
+    data = rng.integers(-300, 300, (rows, cols))
     reference = ReferenceExecutor(graph).run({"x": data})
     model = compile_model(graph)
     # Every randomly generated lowering must survive static verification.

@@ -32,6 +32,8 @@ def test_unknown_experiment_raises():
 @pytest.mark.parametrize("argv, env, expect", [
     (["table3"], {"REPRO_JOBS": "two"}, "REPRO_JOBS='two'"),
     (["fig99"], {}, "unknown experiment(s) fig99"),
+    # Never read by table3: caught by the startup check.
+    (["table3"], {"REPRO_AUTOSCALE_PRICE": "x"}, "REPRO_AUTOSCALE_PRICE='x'"),
 ])
 def test_harness_main_bad_input_exits_two_with_one_line(
         argv, env, expect, monkeypatch, capsys):

@@ -67,6 +67,28 @@ def test_graph_fingerprint_changes_with_structure():
         graph_fingerprint(_small_graph(shape=(4, 9)))
 
 
+#: Every zoo graph's fingerprint. These are cache keys: a change here
+#: orphans every artifact cached on disk, so it needs a CACHE_EPOCH bump.
+ZOO_FINGERPRINTS = {
+    "bert": "086c9dc8ff2122ad9fc623f732a97fb3",
+    "efficientnet": "db0ccd8d16307096d169f6a16a519b74",
+    "gpt2": "7207871f0004487528539f763e30c9fa",
+    "gpt2_rms": "c8f9d460be29ae9c738b24f27b6323ff",
+    "mobilenetv2": "7fbf0681127e4c359b93cce0633cfbc9",
+    "resnet50": "4d4127cb2749edd893f3be521808aa02",
+    "tinynet": "143a2ebce00eded14e92d39413c65b8b",
+    "vgg16": "b9cc194b79a91986fbf31141d2a5dcf5",
+    "yolov3": "694d902835ebf17b7efbbfa38ed1f146",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_FINGERPRINTS))
+def test_zoo_graph_fingerprints_are_pinned(name):
+    # A fresh graph: the memoized zoo graph may carry a cached digest.
+    graph = build_model.__wrapped__(name)
+    assert graph_fingerprint(graph) == ZOO_FINGERPRINTS[name]
+
+
 # ---------------------------------------------------------------------------
 # Hit/miss accounting and tiers
 # ---------------------------------------------------------------------------
