@@ -86,6 +86,14 @@ _DESIGNS: Dict[str, Callable[[], object]] = {
 }
 
 
+def _invalid(command: str, what: str, problems: List[str]) -> bool:
+    """Print a report's validation problems to stderr; True if any."""
+    if problems:
+        print(f"repro {command}: invalid {what}:\n  " + "\n  ".join(problems),
+              file=sys.stderr)
+    return bool(problems)
+
+
 def _result_row(result) -> tuple:
     return (result.design, result.total_seconds * 1e3,
             result.energy_joules * 1e3, result.average_power_watts)
@@ -391,11 +399,8 @@ def _cmd_serve_llm(args) -> int:
     jobs = args.jobs if args.jobs is not None else 1
     reports = run_llm_sweep(points, jobs=jobs)
     payload = llm_report(points, reports)
-    problems = validate_llm_report(payload)
-    if problems:  # pragma: no cover - internal invariant
-        print("repro serve: invalid LLM report:\n  " + "\n  ".join(problems),
-              file=sys.stderr)
-        return 1
+    if _invalid("serve", "LLM report", validate_llm_report(payload)):
+        return 1  # pragma: no cover - internal invariant
     print(llm_table(payload))
     for scheduler in schedulers:
         entry = payload["summary"][scheduler]
@@ -438,11 +443,9 @@ def _cmd_serve_llm(args) -> int:
             "rate_rps": monitored.rate_rps,
             "duration_s": monitored.duration_s,
         })
-        problems = validate_monitor_report(monitor_payload)
-        if problems:  # pragma: no cover - internal invariant
-            print("repro serve: invalid monitor report:\n  "
-                  + "\n  ".join(problems), file=sys.stderr)
-            return 1
+        if _invalid("serve", "monitor report",
+                    validate_monitor_report(monitor_payload)):
+            return 1  # pragma: no cover - internal invariant
         print(render_dashboard(monitor_payload,
                                color=sys.stdout.isatty()))
         if args.monitor_out:
@@ -613,10 +616,8 @@ def cmd_serve(args) -> int:
     problems = validate_fleet_scale_report(sim.payload)
     if sim.monitor_payload is not None:
         problems += validate_monitor_report(sim.monitor_payload)
-    if problems:  # pragma: no cover - internal invariant
-        print("repro serve: invalid report:\n  " + "\n  ".join(problems),
-              file=sys.stderr)
-        return 1
+    if _invalid("serve", "report", problems):
+        return 1  # pragma: no cover - internal invariant
     print(report.table())
     print(scale_table(sim.payload))
     if sim.monitor_payload is not None:
@@ -650,10 +651,8 @@ def cmd_monitor(args) -> int:
         print(f"repro monitor: cannot read {args.report}: {error}",
               file=sys.stderr)
         return 2
-    problems = validate_monitor_report(payload)
-    if problems:
-        print(f"repro monitor: invalid report {args.report}:\n  "
-              + "\n  ".join(problems), file=sys.stderr)
+    if _invalid("monitor", f"report {args.report}",
+                validate_monitor_report(payload)):
         return 1
     color = sys.stdout.isatty() and not args.no_color
     print(render_dashboard(payload, color=color))
@@ -697,11 +696,8 @@ def cmd_chaos(args) -> int:
     jobs = args.jobs if args.jobs is not None else 1
     reports = run_chaos(points, jobs=jobs)
     payload = chaos_report(points, reports)
-    problems = validate_chaos_report(payload)
-    if problems:  # pragma: no cover - internal invariant
-        print("repro chaos: invalid report:\n  " + "\n  ".join(problems),
-              file=sys.stderr)
-        return 1
+    if _invalid("chaos", "report", validate_chaos_report(payload)):
+        return 1  # pragma: no cover - internal invariant
     print(chaos_table(payload))
     for policy, entry in payload["summary"].items():
         print(f"{policy}: worst goodput retention "

@@ -3,6 +3,7 @@
 from .autotune import (
     AutotuneReport,
     autotune_model,
+    validate_autotune_report,
 )
 from .compiler import (
     CompiledBlock,
@@ -67,6 +68,7 @@ __all__ = [
     "explain_compile",
     "knob_space_size",
     "split_at_depth",
+    "validate_autotune_report",
     "fission",
     "fissionable",
     "interchange",

@@ -29,16 +29,18 @@ which keeps traces identical between serial and parallel searches.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..graph import Graph
+from ..schema import check
 from .integer_ops import FRAC_BITS
 from .ir import CompileError
 from .pipeline import (KNOB_SPACE, PIPELINE_VERSION, PipelineConfig,
                        all_configs, knob_space_size)
 
-#: Schema tag stamped into every report (validated by the CI smoke job).
+#: Schema tag stamped into every report (see :data:`AUTOTUNE_SPEC`).
 REPORT_SCHEMA = "repro-autotune-report-v1"
 
 @dataclass
@@ -104,6 +106,37 @@ class AutotuneReport:
                    improvement=data["improvement"],
                    candidates=list(data["candidates"]),
                    counters=dict(data["counters"]))
+
+
+#: Shape of an autotune report (:meth:`AutotuneReport.as_dict`).
+AUTOTUNE_SPEC = {"keys": {
+    "schema": {"enum": [REPORT_SCHEMA]},
+    "model": "str", "budget": "int",
+    "strategy": {"enum": ["exhaustive", "greedy"]},
+    "space_size": "int", "seed": "int", "baseline_cycles": "number",
+    "best": {"keys": {"config": "object", "label": "str",
+                      "cycles": "number"}},
+    "improvement": "number",
+    "candidates": {"min": 1, "items": {"keys": {
+        "config": "object", "label": "str",
+        "status": {"enum": ["ok", "verify-rejected", "compile-error"]},
+        "cycles": "any", "error": "any", "cache_hit": "bool"}}},
+    "counters": {"keys": {"candidates": "int", "verifier_rejects": "int",
+                          "cache_hits": "int"}},
+}}
+
+
+def validate_autotune_report(payload: Any) -> List[str]:
+    """Problems with an autotune report (empty list = valid)."""
+    return check(payload, AUTOTUNE_SPEC)
+
+
+def _decode_report(text: str) -> Dict:
+    """Parse a cached report; a record that fails validation is stale."""
+    payload = json.loads(text)
+    if validate_autotune_report(payload):
+        raise ValueError("malformed autotune report")
+    return payload
 
 
 def _score_candidate(work: Tuple) -> Dict:
@@ -187,7 +220,7 @@ def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
         if cache.enabled:
             key = _report_key(graph, npu_config, frac_bits,
                               special_functions, budget)
-            hit = cache.get("autotune", key)
+            hit = cache.get("autotune", key, decode=_decode_report)
             if hit is not None:
                 if tel_on:
                     tel.count("compiler.autotune.report_hits")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..runtime import knobs, parallel_map
+from ..schema import check
 from ..serving.fleet import FleetSimulator
 from ..serving.metrics import ServingReport
 from ..serving.scheduler import (
@@ -179,55 +180,27 @@ def chaos_report_json(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-#: Required row fields and their types (None in a pair = any number).
-_ROW_FIELDS = {
-    "policy": str, "fault_scale": (int, float), "offered": int,
-    "completed": int, "failed": int, "rejected": int,
-    "bad_completions": int, "retries": int, "timeouts": int,
-    "compile_retries": int, "devices_ejected": int,
-    "devices_readmitted": int, "faults": dict,
-    "throughput_rps": (int, float), "goodput_rps": (int, float),
-    "goodput_retention": (int, float), "slo_attainment": (int, float),
-    "p99_ms": (int, float),
-}
+#: Shape of a chaos report (:func:`chaos_report`).
+CHAOS_SPEC = {"keys": {
+    "schema": {"enum": [CHAOS_SCHEMA]},
+    "seed": "int", "plan": "object", "model": "str", "devices": "int",
+    "rate_rps": "number", "duration_s": "number",
+    "rows": {"min": 1, "items": {"keys": {
+        "policy": {"enum": RESILIENCE_POLICIES}, "fault_scale": "number",
+        "offered": "int", "completed": "int", "failed": "int",
+        "rejected": "int", "bad_completions": "int", "retries": "int",
+        "timeouts": "int", "compile_retries": "int",
+        "devices_ejected": "int", "devices_readmitted": "int",
+        "faults": "object", "throughput_rps": "number",
+        "goodput_rps": "number", "goodput_retention": "number",
+        "slo_attainment": "number", "p99_ms": "number"}}},
+    "summary": {"values": {"keys": {"min_goodput_retention": "number"}}},
+}}
 
 
 def validate_chaos_report(payload: Any) -> List[str]:
-    """Structural problems with a chaos report (empty list = valid)."""
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return [f"report must be an object, got {type(payload).__name__}"]
-    if payload.get("schema") != CHAOS_SCHEMA:
-        problems.append(f"schema must be {CHAOS_SCHEMA!r}, "
-                        f"got {payload.get('schema')!r}")
-    for key, kind in (("seed", int), ("plan", dict), ("model", str),
-                      ("devices", int), ("rate_rps", (int, float)),
-                      ("duration_s", (int, float)), ("rows", list),
-                      ("summary", dict)):
-        if not isinstance(payload.get(key), kind):
-            problems.append(f"missing or mistyped field {key!r}")
-    rows = payload.get("rows")
-    if isinstance(rows, list):
-        if not rows:
-            problems.append("rows must be non-empty")
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"rows[{i}] must be an object")
-                continue
-            for key, kind in _ROW_FIELDS.items():
-                if not isinstance(row.get(key), kind) or \
-                        isinstance(row.get(key), bool):
-                    problems.append(f"rows[{i}].{key} missing or mistyped")
-            if row.get("policy") not in RESILIENCE_POLICIES:
-                problems.append(f"rows[{i}].policy not a known policy")
-    summary = payload.get("summary")
-    if isinstance(summary, dict):
-        for policy, entry in summary.items():
-            if not isinstance(entry, dict) or not isinstance(
-                    entry.get("min_goodput_retention"), (int, float)):
-                problems.append(
-                    f"summary[{policy!r}].min_goodput_retention missing")
-    return problems
+    """Problems with a chaos report (empty list = valid)."""
+    return check(payload, CHAOS_SPEC)
 
 
 def chaos_table(payload: Dict[str, Any]) -> str:

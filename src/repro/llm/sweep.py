@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime import knobs, parallel_map
+from ..schema import check
 from ..serving.continuous import (
     LLM_SCHEDULERS,
     LLMServiceCosts,
@@ -160,63 +161,33 @@ def llm_report_json(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-#: Required row fields and their types.
-_ROW_FIELDS = {
-    "scheduler": str, "config": str, "max_slots": int,
-    "kv_budget_tokens": int, "rate_rps": (int, float),
-    "duration_s": (int, float), "slo_multiplier": (int, float),
-    "offered": int, "completed": int, "rejected": int,
-    "makespan_s": (int, float), "throughput_rps": (int, float),
-    "goodput_rps": (int, float), "slo_attainment": (int, float),
-    "tokens_generated": int, "tokens_per_s": (int, float),
-    "mean_batch_size": (int, float), "kv_peak_tokens": int,
-    "ttft_p50_ms": (int, float), "ttft_p95_ms": (int, float),
-    "ttft_p99_ms": (int, float), "itl_p50_ms": (int, float),
-    "itl_p95_ms": (int, float), "itl_p99_ms": (int, float),
-}
+#: Shape of an LLM serving report (:func:`llm_report`).
+LLM_SPEC = {"keys": {
+    "schema": {"enum": [LLM_SCHEMA]},
+    "seed": "int", "config": "str", "max_slots": "int",
+    "kv_budget_tokens": "int", "slo_multiplier": "number",
+    "slo_attainment_bar": "number", "duration_s": "number",
+    "rows": {"min": 1, "items": {"keys": {
+        "scheduler": {"enum": LLM_SCHEDULERS}, "config": "str",
+        "max_slots": "int", "kv_budget_tokens": "int",
+        "rate_rps": "number", "duration_s": "number",
+        "slo_multiplier": "number", "offered": "int", "completed": "int",
+        "rejected": "int", "makespan_s": "number",
+        "throughput_rps": "number", "goodput_rps": "number",
+        "slo_attainment": "number", "tokens_generated": "int",
+        "tokens_per_s": "number", "mean_batch_size": "number",
+        "kv_peak_tokens": "int", "ttft_p50_ms": "number",
+        "ttft_p95_ms": "number", "ttft_p99_ms": "number",
+        "itl_p50_ms": "number", "itl_p95_ms": "number",
+        "itl_p99_ms": "number"}}},
+    "summary": {"optional": dict.fromkeys(
+        LLM_SCHEDULERS, {"keys": {"goodput_at_slo_rps": "number"}})},
+}}
 
 
 def validate_llm_report(payload: Any) -> List[str]:
-    """Structural problems with an LLM report (empty list = valid)."""
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return [f"report must be an object, got {type(payload).__name__}"]
-    if payload.get("schema") != LLM_SCHEMA:
-        problems.append(f"schema must be {LLM_SCHEMA!r}, "
-                        f"got {payload.get('schema')!r}")
-    for key, kind in (("seed", int), ("config", str), ("max_slots", int),
-                      ("kv_budget_tokens", int),
-                      ("slo_multiplier", (int, float)),
-                      ("slo_attainment_bar", (int, float)),
-                      ("duration_s", (int, float)), ("rows", list),
-                      ("summary", dict)):
-        if not isinstance(payload.get(key), kind):
-            problems.append(f"missing or mistyped field {key!r}")
-    rows = payload.get("rows")
-    if isinstance(rows, list):
-        if not rows:
-            problems.append("rows must be non-empty")
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"rows[{i}] must be an object")
-                continue
-            for key, kind in _ROW_FIELDS.items():
-                if not isinstance(row.get(key), kind) or \
-                        isinstance(row.get(key), bool):
-                    problems.append(f"rows[{i}].{key} missing or mistyped")
-            if row.get("scheduler") not in LLM_SCHEDULERS:
-                problems.append(f"rows[{i}].scheduler not a known scheduler")
-    summary = payload.get("summary")
-    if isinstance(summary, dict):
-        for scheduler in LLM_SCHEDULERS:
-            entry = summary.get(scheduler)
-            if entry is None:
-                continue
-            if not isinstance(entry, dict) or not isinstance(
-                    entry.get("goodput_at_slo_rps"), (int, float)):
-                problems.append(
-                    f"summary[{scheduler!r}].goodput_at_slo_rps missing")
-    return problems
+    """Problems with an LLM report (empty list = valid)."""
+    return check(payload, LLM_SPEC)
 
 
 def llm_table(payload: Dict[str, Any]) -> str:

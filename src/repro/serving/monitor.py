@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..runtime import knobs
+from ..schema import check, passed
 from ..telemetry.alerts import AlertEngine
 from ..telemetry.slo import (
     BurnRateRule,
@@ -508,105 +509,54 @@ class LLMMonitor(_MonitorBase):
 # ---------------------------------------------------------------------------
 # Report validation + rendering
 # ---------------------------------------------------------------------------
-def validate_monitor_report(payload: Dict[str, Any]) -> List[str]:
-    """Structural checks on a monitor report; returns problem strings.
+#: Shape of a monitor report (:meth:`_MonitorBase.payload`). Fields only
+#: the dashboard reads are untyped; the invariants' fields are typed.
+MONITOR_SPEC = {"keys": {
+    "schema": {"enum": [MONITOR_SCHEMA]},
+    "kind": {"enum": ["fleet", "llm"]},
+    "intervals": {"type": "int", "min": 0},
+    "interval_s": {"type": "number", "gt": 0},
+    "slo": {"keys": {
+        "name": "any", "target": "any", "budget": "any", "good": "int",
+        "bad": "int", "total": "int", "error_rate": "any",
+        "budget_burned": "any"}},
+    "rules": {"min": 1, "items": {"keys": {
+        "name": "str", "severity": "any", "factor": "any",
+        "long_window_s": "any", "short_window_s": "any"}}},
+    "series": {"min": 1, "values": {"keys": {
+        "kind": "any", "unit": "any", "samples": "list"}}},
+    "alerts": {"items": {"keys": {
+        "kind": {"enum": ["fire", "resolve"]}, "rule": "str"}}},
+    "active_alerts": {"items": "str"},
+}}
 
-    Never raises on malformed input: a value of the wrong JSON type is
-    reported as a problem like a missing one.
-    """
-    if not isinstance(payload, dict):
-        return [f"report is a {type(payload).__name__}, not a JSON object"]
-    problems: List[str] = []
-    if payload.get("schema") != MONITOR_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {MONITOR_SCHEMA!r}")
-    if payload.get("kind") not in ("fleet", "llm"):
-        problems.append(f"kind is {payload.get('kind')!r}")
-    intervals = payload.get("intervals")
-    if not isinstance(intervals, int) or intervals < 0:
-        problems.append(f"intervals is {intervals!r}")
-        intervals = None
-    if not (isinstance(payload.get("interval_s"), (int, float))
-            and payload.get("interval_s", 0) > 0):
-        problems.append(f"interval_s is {payload.get('interval_s')!r}")
-    slo = payload.get("slo")
-    if not isinstance(slo, dict):
-        problems.append("slo block missing")
-    else:
-        for key in ("name", "target", "budget", "good", "bad", "total",
-                    "error_rate", "budget_burned"):
-            if key not in slo:
-                problems.append(f"slo.{key} missing")
-        if isinstance(slo.get("good"), int) and isinstance(
-                slo.get("bad"), int) and \
-                slo.get("total") != slo["good"] + slo["bad"]:
-            problems.append("slo.total != good + bad")
-    rules = payload.get("rules")
-    rule_names = set()
-    if not isinstance(rules, list) or not rules:
-        problems.append("rules list missing or empty")
-    else:
-        for rule in rules:
-            if not isinstance(rule, dict):
-                problems.append(f"rule {rule!r} is not an object")
-                continue
-            for key in ("name", "severity", "factor", "long_window_s",
-                        "short_window_s"):
-                if key not in rule:
-                    problems.append(f"rule missing {key}: {rule}")
-            if isinstance(rule.get("name"), str):
-                rule_names.add(rule["name"])
-    series = payload.get("series")
-    if not isinstance(series, dict) or not series:
-        problems.append("series block missing or empty")
-    else:
-        for name, column in series.items():
-            if not isinstance(column, dict):
-                problems.append(f"series {name!r} is not an object")
-                continue
-            for key in ("kind", "unit", "samples"):
-                if key not in column:
-                    problems.append(f"series {name!r} missing {key}")
-            samples = column.get("samples")
-            if not isinstance(samples, list):
-                problems.append(f"series {name!r} samples not a list")
-            elif intervals is not None and len(samples) != intervals:
-                problems.append(f"series {name!r} has {len(samples)} "
-                                f"samples, expected {intervals}")
-    alerts = payload.get("alerts")
-    if not isinstance(alerts, list):
-        problems.append("alerts list missing")
-        alerts = []
-    state: Dict[str, bool] = {}
-    for event in alerts:
-        if not isinstance(event, dict):
-            problems.append(f"alert {event!r} is not an object")
-            continue
-        if event.get("kind") not in ("fire", "resolve"):
-            problems.append(f"alert kind {event.get('kind')!r}")
-            continue
-        rule = event.get("rule")
-        if not isinstance(rule, str):
-            problems.append(f"alert rule {rule!r} is not a string")
-            continue
-        if rule_names and rule not in rule_names:
-            problems.append(f"alert references unknown rule {rule!r}")
-        firing = state.get(rule, False)
-        if event["kind"] == "fire" and firing:
-            problems.append(f"rule {rule!r} fired twice without resolve")
-        if event["kind"] == "resolve" and not firing:
-            problems.append(f"rule {rule!r} resolved without firing")
-        state[rule] = event["kind"] == "fire"
-    active = payload.get("active_alerts")
-    if not isinstance(active, list) or not all(
-            isinstance(rule, str) for rule in active):
-        problems.append(f"active_alerts is not a list of rule names: "
-                        f"{active!r}")
-    else:
-        expected = sorted(rule for rule, firing in state.items() if firing)
-        if sorted(active) != expected:
-            problems.append(f"active_alerts {active!r} inconsistent with "
-                            f"alert stream (expected {expected!r})")
+
+def validate_monitor_report(payload: Any) -> List[str]:
+    """Problems with a monitor report (empty list = valid)."""
+    problems = check(payload, MONITOR_SPEC)
+    if passed(problems, "slo") and payload["slo"]["total"] != \
+            payload["slo"]["good"] + payload["slo"]["bad"]:
+        problems.append("$.slo.total: not equal to good + bad")
+    if passed(problems, "intervals", "series"):
+        for name, column in payload["series"].items():
+            if len(column["samples"]) != payload["intervals"]:
+                problems.append(f"$.series[{name!r}].samples: not one "
+                                f"sample per interval")
+    if passed(problems, "rules", "alerts", "active_alerts"):
+        rules = {rule["name"] for rule in payload["rules"]}
+        firing: Dict[str, bool] = {}
+        for index, event in enumerate(payload["alerts"]):
+            rule, fire = event["rule"], event["kind"] == "fire"
+            if rule not in rules:
+                problems.append(f"$.alerts[{index}].rule: unknown {rule!r}")
+            if fire == firing.get(rule, False):
+                problems.append(f"$.alerts[{index}]: {rule!r} " + (
+                    "fired twice without resolve" if fire
+                    else "resolved without firing"))
+            firing[rule] = fire
+        if sorted(payload["active_alerts"]) != sorted(
+                rule for rule, on in firing.items() if on):
+            problems.append("$.active_alerts: disagrees with the alerts")
     return problems
 
 

@@ -76,6 +76,7 @@ from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime import knobs
+from ..schema import check, passed
 from ..telemetry import get_telemetry
 from ..telemetry.timeseries import percentile
 from .autoscale import AUTOSCALE_ACTIONS, AutoscaleConfig, AutoscaleController
@@ -1090,104 +1091,56 @@ def tail_bounded_throughput(report: ServingReport) -> float:
     return report.goodput_rps
 
 
-def validate_fleet_scale_report(payload: Dict[str, Any]) -> List[str]:
-    """Structural checks on a fleet-scale report; returns problems.
+#: Shape of a fleet-scale report (``ScaledFleetSimulator._build_payload``).
+#: Fields only the tables read are untyped; the invariants' are typed.
+SCALE_SPEC = {"keys": {
+    "schema": {"enum": [SCALE_SCHEMA]},
+    "devices": {"type": "int", "min": 1},
+    "cells": {"type": "int", "min": 1},
+    "cell_size": {"type": "int", "min": 1},
+    "serving": {"keys": dict.fromkeys((
+        "offered", "completed", "rejected", "p99_ms", "throughput_rps",
+        "goodput_rps", "slo_attainment", "makespan_s"), "any")},
+    "sim": {"keys": dict.fromkeys(("events", "requests"),
+                                  {"type": "int", "min": 0})},
+    "cost": {"keys": dict.fromkeys((
+        "price_per_device_hour", "device_seconds", "dollars",
+        "static_device_seconds", "static_dollars", "savings_fraction"),
+        "number")},
+    "slo": {"keys": dict.fromkeys((
+        "good", "bad", "p99_ms", "goodput_rps",
+        "tail_bounded_throughput_rps", "bounded_throughput_per_dollar"),
+        "any")},
+    "autoscale_events": {"items": {"keys": {
+        "action": {"enum": AUTOSCALE_ACTIONS}, "t_s": "number",
+        "cells_active": "int"}}},
+    "alerts": {"items": "object"},
+    "timeline": {"keys": dict.fromkeys(
+        ("t_s", "cells_active", "queue_depth", "burn_long"), "list")},
+}}
 
-    Never raises on malformed input: a value of the wrong JSON type is
-    reported as a problem like a missing one.
-    """
-    if not isinstance(payload, dict):
-        return [f"report is a {type(payload).__name__}, not a JSON object"]
-    problems: List[str] = []
-    if payload.get("schema") != SCALE_SCHEMA:
-        problems.append(f"schema is {payload.get('schema')!r}, "
-                        f"expected {SCALE_SCHEMA!r}")
-    for key in ("devices", "cells", "cell_size"):
-        value = payload.get(key)
-        if not isinstance(value, int) or value < 1:
-            problems.append(f"{key} is {value!r}")
-    devices = payload.get("devices")
-    cells = payload.get("cells")
-    if isinstance(devices, int) and isinstance(cells, int) and cells >= 1:
-        if payload.get("cell_size") != devices // cells:
-            problems.append("cell_size != devices // cells")
-    serving = payload.get("serving")
-    if not isinstance(serving, dict):
-        problems.append("serving block missing")
-    else:
-        for key in ("offered", "completed", "rejected", "p99_ms",
-                    "throughput_rps", "goodput_rps", "slo_attainment",
-                    "makespan_s"):
-            if key not in serving:
-                problems.append(f"serving.{key} missing")
-    sim = payload.get("sim")
-    if not isinstance(sim, dict) or not all(
-            isinstance(sim.get(k), int) and sim.get(k) >= 0
-            for k in ("events", "requests")):
-        problems.append(f"sim block malformed: {sim!r}")
-    cost = payload.get("cost")
-    if not isinstance(cost, dict):
-        problems.append("cost block missing")
-    else:
-        for key in ("price_per_device_hour", "device_seconds", "dollars",
-                    "static_device_seconds", "static_dollars",
-                    "savings_fraction"):
-            if not isinstance(cost.get(key), (int, float)):
-                problems.append(f"cost.{key} missing or non-numeric")
-        if isinstance(cost.get("device_seconds"), (int, float)) and \
-                isinstance(cost.get("static_device_seconds"), (int, float)) \
-                and cost["device_seconds"] > cost["static_device_seconds"] \
-                + 1e-6:
-            problems.append("cost.device_seconds exceeds the static fleet")
-    slo = payload.get("slo")
-    if not isinstance(slo, dict):
-        problems.append("slo block missing")
-    else:
-        for key in ("good", "bad", "p99_ms", "goodput_rps",
-                    "tail_bounded_throughput_rps",
-                    "bounded_throughput_per_dollar"):
-            if key not in slo:
-                problems.append(f"slo.{key} missing")
-    events = payload.get("autoscale_events")
-    if not isinstance(events, list):
-        problems.append("autoscale_events list missing")
-        events = []
-    last_t = float("-inf")
-    for event in events:
-        if not isinstance(event, dict):
-            problems.append(f"autoscale event {event!r} is not an object")
-            continue
-        action = event.get("action")
-        if action not in AUTOSCALE_ACTIONS:
-            problems.append(f"autoscale action {action!r}")
-        t_s = event.get("t_s")
-        if not isinstance(t_s, (int, float)) or t_s < last_t:
-            problems.append(f"autoscale event out of order at {t_s!r}")
-        else:
-            last_t = t_s
-        active = event.get("cells_active")
-        if isinstance(cells, int) and (not isinstance(active, int)
-                                       or not 0 <= active <= cells):
-            problems.append(f"cells_active {active!r} outside [0, {cells}]")
-    alerts = payload.get("alerts")
-    if not isinstance(alerts, list):
-        problems.append("alerts list missing")
-    else:
-        problems.extend(f"alert {alert!r} is not an object"
-                        for alert in alerts if not isinstance(alert, dict))
-    timeline = payload.get("timeline")
-    if not isinstance(timeline, dict):
-        problems.append("timeline block missing")
-    else:
-        lengths = {}
-        for key in ("t_s", "cells_active", "queue_depth", "burn_long"):
-            column = timeline.get(key, [])
-            if isinstance(column, list):
-                lengths[key] = len(column)
-            else:
-                problems.append(f"timeline.{key} is not a list")
-        if len(set(lengths.values())) > 1:
-            problems.append(f"timeline series lengths differ: {lengths}")
+
+def validate_fleet_scale_report(payload: Any) -> List[str]:
+    """Problems with a fleet-scale report (empty list = valid)."""
+    problems = check(payload, SCALE_SPEC)
+    if passed(problems, "devices", "cells", "cell_size") and \
+            payload["cell_size"] != payload["devices"] // payload["cells"]:
+        problems.append("$.cell_size: not equal to devices // cells")
+    if passed(problems, "cost") and payload["cost"]["device_seconds"] > \
+            payload["cost"]["static_device_seconds"] + 1e-6:
+        problems.append("$.cost.device_seconds: exceeds the static fleet's")
+    if passed(problems, "cells", "autoscale_events"):
+        events = payload["autoscale_events"]
+        if [e["t_s"] for e in events] != sorted(e["t_s"] for e in events):
+            problems.append("$.autoscale_events: not in time order")
+        cells = payload["cells"]
+        if not all(0 <= e["cells_active"] <= cells for e in events):
+            problems.append(f"$.autoscale_events: cells_active outside "
+                            f"[0, {cells}]")
+    if passed(problems, "timeline"):
+        columns = SCALE_SPEC["keys"]["timeline"]["keys"]
+        if len({len(payload["timeline"][key]) for key in columns}) > 1:
+            problems.append("$.timeline: columns differ in length")
     return problems
 
 

@@ -10,8 +10,8 @@ carries the merged hardware-counter dump and the timestamp-free
 canonical span tree — the two artifacts the determinism tests compare
 byte for byte.
 
-``validate_trace`` is the schema check shared by the tests and the CI
-``profile-smoke`` step.
+``validate_trace_file`` is the schema check shared by the tests and the
+CI ``profile-smoke`` step.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
+from ..schema import check, passed
 from .counters import CounterRegistry, format_counters
 from .spans import span_tree
 
@@ -336,57 +337,38 @@ def monitor_counter_events(payload: Mapping[str, Any],
 # ---------------------------------------------------------------------------
 # Validation + IO
 # ---------------------------------------------------------------------------
-def validate_trace(payload: Any) -> None:
-    """Check ``payload`` against the trace-event schema; raise on error.
+#: Shape of a trace file: what chrome://tracing and Perfetto need to load.
+TRACE_SPEC = {
+    "keys": {"traceEvents": {"min": 1, "items": {
+        "keys": {"ph": {"enum": KNOWN_PHASES},
+                 "name": {"type": "str", "min": 1},
+                 "pid": "int", "tid": "int"},
+        "optional": {"ts": {"type": "number", "min": 0},
+                     "dur": {"type": "number", "min": 0},
+                     "args": "object"}}}},
+    "optional": {"otherData": {"optional": {"counters": "object"}}},
+}
 
-    Covers what chrome://tracing / Perfetto actually require to load the
-    file: the ``traceEvents`` list, known phases, string names, integer
-    pid/tid, numeric non-negative timestamps, and durations on complete
-    events.
-    """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        raise ValueError(f"trace must be a JSON object, got {type(payload).__name__}")
-    events = payload.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        raise ValueError("trace must carry a non-empty traceEvents list")
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        ph = event.get("ph")
-        if ph not in KNOWN_PHASES:
-            problems.append(f"{where}: unknown phase {ph!r}")
-            continue
-        if not isinstance(event.get("name"), str) or not event["name"]:
-            problems.append(f"{where}: missing/empty name")
-        for key in ("pid", "tid"):
-            if not isinstance(event.get(key), int):
-                problems.append(f"{where}: {key} must be an integer")
-        if ph != "M":
-            ts = event.get("ts")
-            if not isinstance(ts, (int, float)) or ts < 0:
-                problems.append(f"{where}: ts must be a non-negative number")
-        if ph == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                problems.append(f"{where}: X event needs non-negative dur")
-        if "args" in event and not isinstance(event["args"], dict):
-            problems.append(f"{where}: args must be an object")
-    counters = payload.get("otherData", {}).get("counters")
-    if counters is not None and not isinstance(counters, dict):
-        problems.append("otherData.counters must be an object")
-    if problems:
-        raise ValueError("invalid trace-event JSON:\n  "
-                         + "\n  ".join(problems[:20]))
+
+def validate_trace(payload: Any) -> List[str]:
+    """Problems with ``payload`` as trace-event JSON (empty list = valid)."""
+    problems = check(payload, TRACE_SPEC)
+    if passed(problems, "traceEvents"):  # ts and dur depend on the phase
+        for index, event in enumerate(payload["traceEvents"]):
+            if event["ph"] != "M" and "ts" not in event:
+                problems.append(f"$.traceEvents[{index}].ts: missing")
+            if event["ph"] == "X" and "dur" not in event:
+                problems.append(f"$.traceEvents[{index}].dur: missing")
+    return problems
 
 
 def validate_trace_file(path: str) -> Dict[str, Any]:
-    """Load + validate a trace file; returns the parsed payload."""
+    """Load + validate a trace file; raises ValueError listing problems."""
     with open(path) as handle:
         payload = json.load(handle)
-    validate_trace(payload)
+    problems = validate_trace(payload)
+    if problems:
+        raise ValueError("invalid trace JSON:\n  " + "\n  ".join(problems))
     return payload
 
 

@@ -1,5 +1,7 @@
 """Autotuned pass pipeline: plumbing, search, caching, equivalence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.compiler import (
     form_blocks,
     knob_space_size,
     split_at_depth,
+    validate_autotune_report,
 )
 from repro.compiler.compiler import _compile_key
 from repro.compiler.tiling import search_tiles
@@ -212,6 +215,35 @@ def test_autotune_report_is_cached(tmp_path):
         set_cache(prev)
     assert not cold.cached and warm.cached
     assert cold.as_dict() == warm.as_dict()
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda record: record.pop("best"), id="missing-best"),
+    pytest.param(lambda record: record.update(best=3), id="best-is-int"),
+])
+def test_autotune_discards_a_corrupt_cached_report(tmp_path, corrupt):
+    prev = get_cache()
+    graph = build_model("tinynet")
+    try:
+        set_cache(EvalCache(directory=tmp_path / "cold"))
+        cold = autotune_model(graph, budget=6)
+        assert validate_autotune_report(cold.as_dict()) == []
+        # A cache holding only the corrupted report, so the re-search
+        # compiles from scratch exactly as the cold one did.
+        (path,) = (tmp_path / "cold" / "autotune").glob("*.json")
+        record = json.loads(path.read_text())
+        corrupt(record)
+        (tmp_path / "corrupt" / "autotune").mkdir(parents=True)
+        (tmp_path / "corrupt" / "autotune" / path.name).write_text(
+            json.dumps(record))
+        cache = EvalCache(directory=tmp_path / "corrupt")
+        set_cache(cache)
+        again = autotune_model(graph, budget=6)
+    finally:
+        set_cache(prev)
+    assert not again.cached
+    assert again.as_dict() == cold.as_dict()
+    assert cache.stats.invalidations == 1
 
 
 def test_autotune_winner_compiles_verifier_clean():

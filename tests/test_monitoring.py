@@ -352,7 +352,7 @@ def test_monitor_counter_events_are_a_valid_trace():
     events = monitor_counter_events(payload)
     assert events and all(e["pid"] == MONITOR_PID for e in events)
     assert any(e["ph"] == "C" for e in events)
-    validate_trace(chrome_trace([], device_events=events))
+    assert validate_trace(chrome_trace([], device_events=events)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +391,13 @@ def test_llm_monitor_is_observational():
 # Report validation, dashboard, env plumbing
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("bad, expect", [
-    ([], "not a JSON object"),
-    ({"alerts": [None]}, "alert None is not an object"),
-    ({"series": {"queue.depth": 3}}, "series 'queue.depth' is not an object"),
+    pytest.param([], "$: expected object, got list",
+                 id="bad0-not a JSON object"),
+    pytest.param({"alerts": [None]}, "$.alerts[0]: expected object, got null",
+                 id="bad1-alert None is not an object"),
+    pytest.param({"series": {"queue.depth": 3}},
+                 "$.series['queue.depth']: expected object, got int",
+                 id="bad2-series 'queue.depth' is not an object"),
 ])
 def test_validator_reports_wrong_json_types(bad, expect, tmp_path, capsys):
     problems = validate_monitor_report(bad)

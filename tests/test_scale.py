@@ -456,10 +456,16 @@ def test_validator_flags_malformed_payloads():
 
 
 @pytest.mark.parametrize("bad, expect", [
-    ([], "not a JSON object"),
-    ({"alerts": [None]}, "alert None is not an object"),
-    ({"autoscale_events": [None]}, "autoscale event None is not an object"),
-    ({"timeline": {"t_s": 3}}, "timeline.t_s is not a list"),
+    pytest.param([], "$: expected object, got list",
+                 id="bad0-not a JSON object"),
+    pytest.param({"alerts": [None]}, "$.alerts[0]: expected object, got null",
+                 id="bad1-alert None is not an object"),
+    pytest.param({"autoscale_events": [None]},
+                 "$.autoscale_events[0]: expected object, got null",
+                 id="bad2-autoscale event None is not an object"),
+    pytest.param({"timeline": {"t_s": 3}},
+                 "$.timeline.t_s: expected list, got int",
+                 id="bad3-timeline.t_s is not a list"),
 ])
 def test_validator_reports_wrong_json_types(bad, expect):
     problems = validate_fleet_scale_report(bad)

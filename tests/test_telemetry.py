@@ -264,7 +264,7 @@ def test_serving_trace_log_exports_valid_events():
                for e in sim.trace_log)
     events = serving_trace_events(sim.trace_log)
     payload = chrome_trace([], device_events=events)
-    validate_trace(payload)
+    assert validate_trace(payload) == []
     batches = [e for e in events if e["ph"] == "X"]
     assert len(batches) == len([e for e in sim.trace_log
                                 if e["kind"] == "batch"])
@@ -286,7 +286,7 @@ def test_chrome_trace_merges_snapshots_and_counters():
     with b.span("work"):
         b.count("n", 2)
     payload = chrome_trace([a.snapshot(), b.snapshot()])
-    validate_trace(payload)
+    assert validate_trace(payload) == []
     pids = {e["pid"] for e in payload["traceEvents"] if e["ph"] == "X"}
     assert pids == {0, 1}
     assert payload["otherData"]["counters"] == {"n": 3}
@@ -298,7 +298,7 @@ def test_tile_timeline_events_from_npu_trace():
     from repro.npu import trace_model
     events = tile_timeline_events(trace_model("tinynet"))
     payload = chrome_trace([], device_events=events)
-    validate_trace(payload)
+    assert validate_trace(payload) == []
     slices = [e for e in events if e["ph"] == "X"]
     assert slices and {e["tid"] for e in slices} <= {0, 1}
     assert all(e["cat"] == "device" for e in slices)
@@ -312,6 +312,9 @@ def test_write_and_validate_trace_file(tmp_path):
     write_trace(str(path), chrome_trace([tel.snapshot()]))
     payload = validate_trace_file(str(path))
     assert payload["displayTimeUnit"] == "ms"
+
+
+_X_EVENT = {"ph": "X", "name": "x", "pid": 0, "tid": 0, "ts": 0, "dur": 1}
 
 
 @pytest.mark.parametrize("payload", [
@@ -328,10 +331,25 @@ def test_write_and_validate_trace_file(tmp_path):
                       "ts": 0}]},                    # empty name
     {"traceEvents": [{"ph": "i", "name": "x", "pid": "0", "tid": 0,
                       "ts": 0}]},                    # non-int pid
+    {"traceEvents": [_X_EVENT], "otherData": []},    # otherData not object
+    {"traceEvents": [_X_EVENT], "otherData": True},
+    {"traceEvents": [_X_EVENT], "otherData": "x"},
+    {"traceEvents": [_X_EVENT], "otherData": {"counters": []}},
+    {"traceEvents": [dict(_X_EVENT, pid=True)]},     # bool is not an int
 ])
 def test_validate_trace_rejects_malformed(payload):
-    with pytest.raises(ValueError):
-        validate_trace(payload)
+    problems = validate_trace(payload)
+    assert problems and all(isinstance(p, str) for p in problems)
+
+
+def test_validate_trace_file_raises_on_malformed(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"traceEvents": [_X_EVENT],
+                                "otherData": []}))
+    with pytest.raises(ValueError, match=r"\$\.otherData: expected object"):
+        validate_trace_file(str(path))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------
