@@ -176,18 +176,19 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
 
 def _llm_monitor_payload():
     from repro.serving import (
-        LLMMonitor,
+        FleetSimulator,
         LLMServiceCosts,
+        LLMWorkload,
         MonitorConfig,
         llm_poisson_requests,
-        make_llm_batcher,
+        llm_policy,
     )
     costs = LLMServiceCosts.resolve("gpt2_rms")
-    monitor = LLMMonitor(MonitorConfig())
     requests = llm_poisson_requests(4.0, 8.0, (8, 32), (8, 32), 0)
-    make_llm_batcher("continuous", costs, monitor=monitor).run(
-        requests, rate_rps=4.0, duration_s=8.0)
-    return monitor.payload(context={"config": "gpt2_rms"})
+    sim = FleetSimulator(costs, batch_policy=llm_policy("continuous"),
+                         monitor_config=MonitorConfig())
+    sim.run(LLMWorkload(requests, 8.0), rate_rps=4.0)
+    return sim.monitor_payload
 
 
 def test_monitoring_slo_experiment_shapes(benchmark):

@@ -94,6 +94,18 @@ def _invalid(command: str, what: str, problems: List[str]) -> bool:
     return bool(problems)
 
 
+def _write(path: str, text: str) -> None:
+    """Write one output file and say so."""
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"wrote {path}")
+
+
+def _json(payload) -> str:
+    """The canonical JSON text of a report: sorted keys, 2-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _result_row(result) -> tuple:
     return (result.design, result.total_seconds * 1e3,
             result.energy_joules * 1e3, result.average_power_watts)
@@ -163,9 +175,7 @@ def cmd_compile(args) -> int:
             if shown >= args.disassemble:
                 break
     if args.dump:
-        with open(args.dump, "w") as handle:
-            handle.write(dump_model(model))
-        print(f"wrote {args.dump}")
+        _write(args.dump, dump_model(model))
     return 0
 
 
@@ -198,10 +208,7 @@ def cmd_autotune(args) -> int:
           f"{report.counters['verifier_rejects']} verifier-rejected, "
           f"{report.counters['cache_hits']} cache hits)")
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write(args.json, _json(report.as_dict()))
     return 0
 
 
@@ -356,10 +363,7 @@ def cmd_decode(args) -> int:
                        "machine_cycles": r.machine_cycles}
                       for r in session.records],
         }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write(args.json, _json(payload))
     return 0
 
 
@@ -367,13 +371,14 @@ def _cmd_serve_llm(args) -> int:
     """The ``serve --llm`` path: continuous vs one-shot batching sweep."""
     from .llm import (
         llm_grid,
+        llm_point_workload,
         llm_report,
         llm_report_json,
         llm_table,
         run_llm_sweep,
         validate_llm_report,
     )
-    from .serving import LLM_SCHEDULERS, LLMServiceCosts, make_llm_batcher
+    from .serving import LLM_SCHEDULERS, LLMServiceCosts
 
     schedulers = tuple(s.strip() for s in args.schedulers.split(",")
                        if s.strip())
@@ -413,75 +418,42 @@ def _cmd_serve_llm(args) -> int:
                    if payload["summary"]["continuous_beats_oneshot"]
                    else "continuous batching does NOT beat one-shot")
         print(verdict)
-    if knobs.switch("REPRO_MONITOR", args.monitor):
-        # Re-run the busiest continuous point with the monitor attached
-        # (monitoring is observational, so the sweep numbers above are
-        # untouched) and render its dashboard.
-        from .serving import (
-            LLMMonitor,
-            MonitorConfig,
-            llm_poisson_requests,
-            validate_monitor_report,
-        )
+    monitored = knobs.switch("REPRO_MONITOR", args.monitor)
+    if monitored or args.trace_out:
+        # Re-run the busiest continuous point once with the monitor and
+        # tracing attached (both are observational, so the sweep numbers
+        # above are untouched).
+        from .serving import (FleetSimulator, MonitorConfig, llm_policy,
+                              validate_monitor_report)
         from .telemetry.dashboard import render_dashboard
-        monitored = max((p for p in points if p.scheduler == "continuous"),
-                        default=points[-1], key=lambda p: p.rate_rps)
-        monitor = LLMMonitor(
-            MonitorConfig.from_env(interval_s=args.monitor_interval))
-        requests = llm_poisson_requests(
-            monitored.rate_rps, monitored.duration_s,
-            monitored.prompt_range, monitored.output_range,
-            monitored.stream)
-        batcher = make_llm_batcher(monitored.scheduler, monitored.costs,
-                                   max_slots=monitored.max_slots,
-                                   monitor=monitor)
-        batcher.run(requests, rate_rps=monitored.rate_rps,
-                    duration_s=monitored.duration_s)
-        monitor_payload = monitor.payload(context={
-            "config": args.llm_config,
-            "scheduler": monitored.scheduler,
-            "rate_rps": monitored.rate_rps,
-            "duration_s": monitored.duration_s,
-        })
-        if _invalid("serve", "monitor report",
-                    validate_monitor_report(monitor_payload)):
-            return 1  # pragma: no cover - internal invariant
-        print(render_dashboard(monitor_payload,
-                               color=sys.stdout.isatty()))
-        if args.monitor_out:
-            with open(args.monitor_out, "w") as handle:
-                json.dump(monitor_payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.monitor_out}")
-    if args.trace_out:
-        from .telemetry.export import (
-            chrome_trace,
-            llm_trace_events,
-            write_trace,
-        )
-        # Re-run the busiest continuous point with tracing on.
-        traced = max((p for p in points if p.scheduler == "continuous"),
-                     default=points[-1], key=lambda p: p.rate_rps)
-        from .serving import llm_poisson_requests
-        requests = llm_poisson_requests(
-            traced.rate_rps, traced.duration_s, traced.prompt_range,
-            traced.output_range, traced.stream)
-        batcher = make_llm_batcher(traced.scheduler, traced.costs,
-                                   max_slots=traced.max_slots,
-                                   collect_trace=True)
-        batcher.run(requests, rate_rps=traced.rate_rps,
-                    duration_s=traced.duration_s)
-        trace_payload = chrome_trace(
-            [], device_events=llm_trace_events(batcher.trace_log),
-            extra_other_data={"config": args.llm_config,
-                              "scheduler": traced.scheduler,
-                              "rate_rps": traced.rate_rps})
-        write_trace(args.trace_out, trace_payload)
-        print(f"wrote {args.trace_out}")
+        from .telemetry.export import (chrome_trace, llm_trace_events,
+                                       write_trace)
+        point = max((p for p in points if p.scheduler == "continuous"),
+                    default=points[-1], key=lambda p: p.rate_rps)
+        sim = FleetSimulator(
+            point.costs,
+            batch_policy=llm_policy(point.scheduler, point.max_slots),
+            collect_trace=bool(args.trace_out),
+            monitor_config=(MonitorConfig.from_env(
+                interval_s=args.monitor_interval) if monitored else None))
+        sim.run(llm_point_workload(point), rate_rps=point.rate_rps)
+        if monitored:
+            if _invalid("serve", "monitor report",
+                        validate_monitor_report(sim.monitor_payload)):
+                return 1  # pragma: no cover - internal invariant
+            print(render_dashboard(sim.monitor_payload,
+                                   color=sys.stdout.isatty()))
+            if args.monitor_out:
+                _write(args.monitor_out, _json(sim.monitor_payload))
+        if args.trace_out:
+            write_trace(args.trace_out, chrome_trace(
+                [], device_events=llm_trace_events(sim.trace_log),
+                extra_other_data={"config": args.llm_config,
+                                  "scheduler": point.scheduler,
+                                  "rate_rps": point.rate_rps}))
+            print(f"wrote {args.trace_out}")
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(llm_report_json(payload))
-        print(f"wrote {args.json}")
+        _write(args.json, llm_report_json(payload))
     return 0
 
 
@@ -627,16 +599,11 @@ def cmd_serve(args) -> int:
     for path, payload in ((args.monitor_out, sim.monitor_payload),
                           (args.scale_out, sim.payload)):
         if path and payload is not None:
-            with open(path, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {path}")
+            _write(path, _json(payload))
     if args.trace_out:
         print(f"wrote {args.trace_out}")
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json}")
+        _write(args.json, report.to_json())
     return 0
 
 
@@ -704,9 +671,7 @@ def cmd_chaos(args) -> int:
               f"{entry['min_goodput_retention']:.4f} "
               f"(baseline {entry['baseline_goodput_rps']:.2f} req/s)")
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(chaos_report_json(payload))
-        print(f"wrote {args.json}")
+        _write(args.json, chaos_report_json(payload))
     return 0
 
 
@@ -747,9 +712,7 @@ def cmd_docs(args) -> int:
         out_dir = os.path.dirname(out)
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-        with open(out, "w") as handle:
-            handle.write(rendered)
-        print(f"wrote {out}")
+        _write(out, rendered)
         return 0
 
     if args.coverage:
@@ -791,9 +754,7 @@ def cmd_docs(args) -> int:
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as handle:
-        handle.write(rendered)
-    print(f"wrote {args.out}")
+    _write(args.out, rendered)
     return 0
 
 

@@ -32,6 +32,7 @@ from .sweep import (
     LLMSweepPoint,
     goodput_at_slo,
     llm_grid,
+    llm_point_workload,
     llm_report,
     llm_report_json,
     llm_table,
@@ -57,6 +58,7 @@ __all__ = [
     "get_llm_config",
     "goodput_at_slo",
     "llm_grid",
+    "llm_point_workload",
     "llm_report",
     "llm_report_json",
     "llm_table",

@@ -30,10 +30,12 @@ from ..schema import check
 from ..serving.continuous import (
     LLM_SCHEDULERS,
     LLMServiceCosts,
+    LLMWorkload,
     llm_poisson_requests,
-    make_llm_batcher,
+    llm_policy,
 )
 from ..serving.metrics import LLMServingReport
+from ..serving.scale import ScaledFleetSimulator
 
 LLM_SCHEMA = "repro-llm-report-v1"
 
@@ -55,15 +57,18 @@ class LLMSweepPoint:
     stream: int = 0
 
 
+def llm_point_workload(point: LLMSweepPoint) -> LLMWorkload:
+    """The point's seeded Poisson request stream."""
+    return LLMWorkload(llm_poisson_requests(
+        point.rate_rps, point.duration_s, point.prompt_range,
+        point.output_range, point.stream), point.duration_s)
+
+
 def run_llm_point(point: LLMSweepPoint) -> LLMServingReport:
     """Simulate one cell (module-level so process pools can pickle)."""
-    requests = llm_poisson_requests(point.rate_rps, point.duration_s,
-                                    point.prompt_range,
-                                    point.output_range, point.stream)
-    batcher = make_llm_batcher(point.scheduler, point.costs,
-                               max_slots=point.max_slots)
-    return batcher.run(requests, rate_rps=point.rate_rps,
-                       duration_s=point.duration_s)
+    sim = ScaledFleetSimulator(point.costs, batch_policy=llm_policy(
+        point.scheduler, point.max_slots))
+    return sim.run(llm_point_workload(point), rate_rps=point.rate_rps)
 
 
 def llm_grid(costs: Optional[LLMServiceCosts] = None,

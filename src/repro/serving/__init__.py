@@ -1,14 +1,16 @@
 """Serving layer: a multi-device NPU-Tandem fleet simulator.
 
 Layers a discrete-event serving simulation on top of the ``npu`` /
-``runtime`` stack: load generators (:mod:`~repro.serving.workload`),
-admission control, batching and resilience policies
+``runtime`` stack: load generators (:mod:`~repro.serving.workload`,
+and the LLM workload in :mod:`~repro.serving.continuous`), admission
+control, batching and resilience policies
 (:mod:`~repro.serving.scheduler`), one routed device-fleet event core
 (:mod:`~repro.serving.scale`, exported as both ``FleetSimulator`` and
-``ScaledFleetSimulator``) with fault injection, retries, a circuit
-breaker, streaming monitoring (:mod:`~repro.serving.monitor`) and
-cell autoscaling (:mod:`~repro.serving.autoscale`, a $/device-hour
-cost model), SLO metrics (:mod:`~repro.serving.metrics`) and the
+``ScaledFleetSimulator``) that also runs continuous and one-shot LLM
+batching, with fault injection, retries, a circuit breaker, streaming
+monitoring (:mod:`~repro.serving.monitor`) and cell autoscaling
+(:mod:`~repro.serving.autoscale`, a $/device-hour cost model), SLO
+metrics (:mod:`~repro.serving.metrics`) and the
 ``serving_sweep`` grid (:mod:`~repro.serving.sweep`). Entry points:
 ``python -m repro serve`` and the ``serving_sweep`` harness experiment;
 see ``docs/operations.md`` for the capacity-planning guide.
@@ -23,12 +25,11 @@ from .autoscale import (
 from .continuous import (
     DEFAULT_LLM_SLO_MULTIPLIER,
     LLM_SCHEDULERS,
-    ContinuousBatcher,
     LLMRequest,
     LLMServiceCosts,
-    OneShotBatcher,
+    LLMWorkload,
     llm_poisson_requests,
-    make_llm_batcher,
+    llm_policy,
 )
 from .fleet import FleetSimulator, simulate
 from .metrics import (
@@ -40,7 +41,6 @@ from .metrics import (
 from .monitor import (
     MONITOR_SCHEMA,
     FleetMonitor,
-    LLMMonitor,
     MonitorConfig,
     MonitorPoint,
     monitor_table,
@@ -62,12 +62,9 @@ from .scheduler import (
     RESILIENCE_POLICIES,
     AdmissionPolicy,
     BatchPolicy,
-    Launch,
     ModelCost,
     ResiliencePolicy,
     ServiceCosts,
-    Wait,
-    plan_batch,
 )
 from .sweep import (
     SweepPoint,
@@ -107,21 +104,18 @@ __all__ = [
     "AutoscaleController",
     "BatchPolicy",
     "ClosedLoop",
-    "ContinuousBatcher",
     "CostModel",
     "DiurnalTrace",
     "FleetSimulator",
     "FleetMonitor",
-    "LLMMonitor",
     "LLMRequest",
     "LLMServiceCosts",
     "LLMServingReport",
-    "Launch",
+    "LLMWorkload",
     "MONITOR_SCHEMA",
     "ModelCost",
     "MonitorConfig",
     "MonitorPoint",
-    "OneShotBatcher",
     "OpenLoopPoisson",
     "Request",
     "ResiliencePolicy",
@@ -131,10 +125,9 @@ __all__ = [
     "ServingReport",
     "SweepPoint",
     "TraceReplay",
-    "Wait",
     "Workload",
     "llm_poisson_requests",
-    "make_llm_batcher",
+    "llm_policy",
     "monitor_table",
     "by_config",
     "default_grid",
@@ -142,7 +135,6 @@ __all__ = [
     "load_trace",
     "max_throughput_at_slo",
     "percentile",
-    "plan_batch",
     "run_monitor_point",
     "run_point",
     "run_scale_point",

@@ -198,37 +198,3 @@ class LLMServingReport:
     def as_dict(self) -> Dict:
         """Plain-dict form for JSON export."""
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys + trailing newline."""
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
-
-    def table(self) -> str:
-        """Fixed-width metric/value table for the CLI."""
-        from ..harness.report import render_table
-        rows = [
-            ("scheduler", self.scheduler),
-            ("config", self.config),
-            ("slots / KV budget (tokens)",
-             f"{self.max_slots} / {self.kv_budget_tokens}"),
-            ("offered rate (req/s)", self.rate_rps),
-            ("offered / completed / rejected",
-             f"{self.offered} / {self.completed} / {self.rejected}"),
-            ("throughput (req/s)", self.throughput_rps),
-            ("goodput (req/s)", self.goodput_rps),
-            ("SLO attainment", self.slo_attainment),
-            ("tokens/s", self.tokens_per_s),
-            ("mean decode batch", self.mean_batch_size),
-            ("KV peak (tokens)", self.kv_peak_tokens),
-            ("latency p50/p95/p99 (ms)",
-             f"{self.p50_ms:.3f} / {self.p95_ms:.3f} / {self.p99_ms:.3f}"),
-            ("TTFT p50/p95/p99 (ms)",
-             f"{self.ttft_p50_ms:.3f} / {self.ttft_p95_ms:.3f} / "
-             f"{self.ttft_p99_ms:.3f}"),
-            ("ITL p50/p95/p99 (ms)",
-             f"{self.itl_p50_ms:.3f} / {self.itl_p95_ms:.3f} / "
-             f"{self.itl_p99_ms:.3f}"),
-        ]
-        title = (f"llm serving: {self.config}, {self.scheduler} batching "
-                 f"@ {self.rate_rps:g} req/s")
-        return render_table(("metric", "value"), rows, title=title)

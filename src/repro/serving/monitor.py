@@ -3,8 +3,8 @@
 The fleet simulator used to be a batch scorer — one
 :class:`~repro.serving.metrics.ServingReport` at the end of the run.
 This module turns it into a *monitored service*: the event loop feeds
-lifecycle hooks into a :class:`FleetMonitor` (or :class:`LLMMonitor`
-for the continuous-batching engine), which samples every series on a
+lifecycle hooks into a :class:`FleetMonitor` (``kind="llm"`` when the
+core runs an LLM batch policy), which samples every series on a
 fixed simulated-time grid, evaluates Google-SRE multi-window
 burn-rate rules over the SLO error budget, and emits a versioned
 ``repro-monitor-report-v1`` payload that the CLI renders as a terminal
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..runtime import knobs
 from ..schema import check, passed
@@ -112,20 +112,35 @@ class MonitorConfig:
         )
 
 
-class _MonitorBase:
+class FleetMonitor:
     """Interval grid + series registry + settle-once SLO accounting.
 
-    Subclasses register their series in ``__init__`` (registration
-    order is the report order — keep it deterministic) and feed events
-    through the hooks; the shared machinery closes interval boundaries,
-    rolls the latency windows, evaluates the alert engine, and records
-    per-rule burn-rate series.
+    The fleet event core feeds events through the hooks; the monitor
+    closes interval boundaries, rolls the latency windows, evaluates
+    the alert engine, and records per-rule burn-rate series.  Series
+    registration order is the report order (deterministic).
+
+    ``kind="fleet"`` series: fleet queue depth, devices down / circuit-
+    breaker-ejected, arrival/completion/rejection/timeout/retry/batch
+    rates, the batcher's launch-trigger mix, windowed p50/p95/p99
+    end-to-end latency (``None`` on empty windows, never 0), per-rule
+    burn rates, and — filled in at :meth:`finish` from the recorded
+    busy windows — per-device and fleet-mean utilization with
+    crash-truncated busy time, matching the simulator's refund
+    accounting.
+
+    ``kind="llm"`` (the core under an LLM batch policy) series: active
+    decode slots, KV tokens reserved and requests waiting (arrived, not
+    yet admitted) — all three set at each decode-step or batch launch —
+    arrival/completion/rejection/token rates, windowed TTFT / ITL /
+    end-to-end latency percentiles, and the burn-rate pair.
     """
 
-    kind = "base"
-
-    def __init__(self, config: MonitorConfig) -> None:
+    def __init__(self, config: MonitorConfig, devices: int = 1,
+                 kind: str = "fleet") -> None:
         self.config = config
+        self.kind = kind
+        self.devices = devices
         self.engine = AlertEngine(config.objective, config.rules,
                                   config.interval_s)
         self._boundary = 0            # completed intervals
@@ -146,8 +161,41 @@ class _MonitorBase:
             for window in ("long", "short"):
                 name = f"burn.{rule.name}.{window}"
                 self.series[name] = TimeSeries(name, "burn_rate", "x")
+        llm = kind == "llm"
+        if llm:
+            self._gauge("slots.active", "slots")
+            self._gauge("kv.reserved", "tokens")
+            self._gauge("queue.pending", "requests")
+        else:
+            self._gauge("queue.depth", "requests")
+            self._gauge("devices.down", "devices")
+            self._gauge("devices.ejected", "devices")
+        for name in ("arrivals", "completions", "rejections", "slo_misses"):
+            self._rate(f"rate.{name}")
+        if llm:
+            self._rate("rate.tokens", "tok/s")
+            self._window("ttft")
+            self._window("itl")
+            self._window("latency")
+            return
+        self._rate("rate.timeouts")
+        self._rate("rate.retries")
+        self._rate("rate.batches", "batch/s")
+        for reason in LAUNCH_REASONS:
+            self._rate(f"rate.launch.{reason}", "batch/s")
+        self._window("latency")
+        # Utilization series are computed at finish() from the busy
+        # windows; registered now so report order stays deterministic.
+        self.series["util.mean"] = TimeSeries("util.mean", "gauge",
+                                              "fraction")
+        for index in range(devices):
+            name = f"util.d{index}"
+            self.series[name] = TimeSeries(name, "gauge", "fraction")
+        self._busy: List[List[List[float]]] = [[] for _ in range(devices)]
+        self._down: Set[int] = set()
+        self._ejected: Set[int] = set()
 
-    # -- series registration (call from subclass __init__ only) ------------
+    # -- series registration (call from __init__ only) ---------------------
     def _gauge(self, name: str, unit: str) -> None:
         self._gauges[name] = GaugeSampler()
         self.series[name] = TimeSeries(name, "gauge", unit)
@@ -209,11 +257,7 @@ class _MonitorBase:
         while (self._boundary + 1) * interval <= now_s + _EPS:
             self._close_interval((self._boundary + 1) * interval)
 
-    def _on_boundary(self, t_s: float) -> None:
-        """Subclass hook, called first when a boundary closes."""
-
     def _close_interval(self, t_s: float) -> None:
-        self._on_boundary(t_s)
         # Expired deadlines of unsettled requests become bad events at
         # their deadline — the streaming signal a crash produces while
         # the run is still in flight.
@@ -250,10 +294,14 @@ class _MonitorBase:
         closing empty intervals until every firing rule resolves, capped
         at the longest rule window plus its resolve streak, so a run
         that ends mid-incident deterministically records the resolve.
+        The fleet's utilization series are filled in last; an LLM
+        engine has drained by now, so its gauges read zero.
         """
         if self._finished:
             return
         self._finished = True
+        if self.kind == "llm":
+            self.note_state(0, 0, 0)
         last = horizon_s
         for deadline_s, rid in self._deadlines:
             if rid not in self._settled:
@@ -271,6 +319,8 @@ class _MonitorBase:
             while self.engine.any_firing and drained < cap:
                 self._close_interval((self._boundary + 1) * interval)
                 drained += 1
+        if self.kind == "fleet":
+            self._fill_utilization()
 
     # -- report ------------------------------------------------------------
     def payload(self, context: Optional[Dict[str, Any]] = None
@@ -308,54 +358,11 @@ class _MonitorBase:
         }
 
 
-class FleetMonitor(_MonitorBase):
-    """Per-interval sampling hooks for the discrete-event device fleet.
-
-    Series: fleet queue depth, devices down / circuit-breaker-ejected,
-    arrival/completion/rejection/timeout/retry/batch rates, the
-    batcher's launch-trigger mix, windowed p50/p95/p99 end-to-end
-    latency (``None`` on empty windows, never 0), per-rule burn rates,
-    and — filled in at :meth:`finish` from the recorded busy windows —
-    per-device and fleet-mean utilization with crash-truncated busy
-    time, matching the simulator's refund accounting.
-    """
-
-    kind = "fleet"
-
-    def __init__(self, config: MonitorConfig, slo_s: Dict[str, float],
-                 devices: int) -> None:
-        super().__init__(config)
-        self.slo_s = dict(slo_s)
-        self.devices = devices
-        self._gauge("queue.depth", "requests")
-        self._gauge("devices.down", "devices")
-        self._gauge("devices.ejected", "devices")
-        self._rate("rate.arrivals")
-        self._rate("rate.completions")
-        self._rate("rate.rejections")
-        self._rate("rate.slo_misses")
-        self._rate("rate.timeouts")
-        self._rate("rate.retries")
-        self._rate("rate.batches", "batch/s")
-        for reason in LAUNCH_REASONS:
-            self._rate(f"rate.launch.{reason}", "batch/s")
-        self._window("latency")
-        # Utilization series are computed at finish() from the busy
-        # windows; registered now so report order stays deterministic.
-        self.series["util.mean"] = TimeSeries("util.mean", "gauge",
-                                              "fraction")
-        for index in range(devices):
-            name = f"util.d{index}"
-            self.series[name] = TimeSeries(name, "gauge", "fraction")
-        self._busy: List[List[List[float]]] = [[] for _ in range(devices)]
-        self._down: Set[int] = set()
-        self._ejected: Set[int] = set()
-
     # -- lifecycle hooks (called by the fleet event loop) -----------------
-    def note_arrival(self, rid: int, model: str, now_s: float) -> None:
-        """First-attempt arrival: count it and arm the SLO deadline."""
+    def note_arrival(self, rid: int, deadline_s: float) -> None:
+        """First-attempt arrival: count it and arm its SLO deadline."""
         self._rates["rate.arrivals"].bump()
-        self.push_deadline(rid, now_s + self.slo_s[model])
+        self.push_deadline(rid, deadline_s)
 
     def note_reject(self, rid: int, now_s: float) -> None:
         """Any shed (verify, breaker, queue full): bad at reject time."""
@@ -375,7 +382,7 @@ class FleetMonitor(_MonitorBase):
         self._rates[f"rate.launch.{reason}"].bump()
 
     def note_complete(self, rid: int, now_s: float, latency_ms: float,
-                      bad: bool) -> None:
+                      bad: bool = False) -> None:
         self._rates["rate.completions"].bump()
         self._windows["latency"].observe(latency_ms)
         good = (not bad) and self.within_deadline(rid, now_s)
@@ -408,8 +415,24 @@ class FleetMonitor(_MonitorBase):
         self._ejected.discard(device)
         self._gauges["devices.ejected"].set(len(self._ejected))
 
-    def finish(self, horizon_s: float) -> None:
-        super().finish(horizon_s)
+    # -- LLM engine hooks ---------------------------------------------------
+    def note_state(self, slots: int, kv_reserved: int,
+                   pending: int) -> None:
+        self._gauges["slots.active"].set(slots)
+        self._gauges["kv.reserved"].set(kv_reserved)
+        self._gauges["queue.pending"].set(pending)
+
+    def note_tokens(self, count: int) -> None:
+        self._rates["rate.tokens"].bump(count)
+
+    def note_ttft(self, ttft_s: float) -> None:
+        self._windows["ttft"].observe(ttft_s * 1e3)
+
+    def note_itl(self, itl_s: float) -> None:
+        self._windows["itl"].observe(itl_s * 1e3)
+
+    def _fill_utilization(self) -> None:
+        """Per-device and fleet-mean utilization from the busy windows."""
         interval = self.config.interval_s
         n = self.engine.intervals
         per_device: List[List[float]] = []
@@ -433,83 +456,10 @@ class FleetMonitor(_MonitorBase):
         ] if per_device and n else []
 
 
-class LLMMonitor(_MonitorBase):
-    """Per-interval sampling hooks for the LLM batching engines.
-
-    Series: active decode slots, KV tokens reserved, requests waiting,
-    arrival/completion/rejection/token rates, windowed TTFT / ITL /
-    end-to-end latency percentiles, and the burn-rate pair.  Deadlines
-    (``arrival + slo_s(request)``) are armed up front in :meth:`start`
-    because the whole request list is known before the engine runs.
-    """
-
-    kind = "llm"
-
-    def __init__(self, config: MonitorConfig) -> None:
-        super().__init__(config)
-        self._gauge("slots.active", "slots")
-        self._gauge("kv.reserved", "tokens")
-        self._gauge("queue.pending", "requests")
-        self._rate("rate.arrivals")
-        self._rate("rate.completions")
-        self._rate("rate.rejections")
-        self._rate("rate.slo_misses")
-        self._rate("rate.tokens", "tok/s")
-        self._window("ttft")
-        self._window("itl")
-        self._window("latency")
-        self._arrivals: List[float] = []
-        self._arrival_head = 0
-
-    def start(self, requests: Sequence[Any], slo_s_fn) -> None:
-        """Arm every request's deadline and arrival time up front."""
-        for request in requests:
-            self.push_deadline(request.rid,
-                               request.arrival_s + slo_s_fn(request))
-        self._arrivals = sorted(r.arrival_s for r in requests)
-        self._arrival_head = 0
-
-    def _on_boundary(self, t_s: float) -> None:
-        count = 0
-        while (self._arrival_head < len(self._arrivals)
-               and self._arrivals[self._arrival_head] <= t_s + _EPS):
-            self._arrival_head += 1
-            count += 1
-        self._rates["rate.arrivals"].bump(count)
-
-    # -- lifecycle hooks (called by the batchers) --------------------------
-    def note_state(self, slots: int, kv_reserved: int,
-                   pending: int) -> None:
-        self._gauges["slots.active"].set(slots)
-        self._gauges["kv.reserved"].set(kv_reserved)
-        self._gauges["queue.pending"].set(pending)
-
-    def note_reject(self, rid: int) -> None:
-        self._rates["rate.rejections"].bump()
-        self.settle(rid, good=False)
-
-    def note_tokens(self, count: int) -> None:
-        self._rates["rate.tokens"].bump(count)
-
-    def note_ttft(self, ttft_s: float) -> None:
-        self._windows["ttft"].observe(ttft_s * 1e3)
-
-    def note_itl(self, itl_s: float) -> None:
-        self._windows["itl"].observe(itl_s * 1e3)
-
-    def note_complete(self, rid: int, now_s: float,
-                      latency_ms: float) -> None:
-        self._rates["rate.completions"].bump()
-        self._windows["latency"].observe(latency_ms)
-        good = self.within_deadline(rid, now_s)
-        if self.settle(rid, good=good) and not good:
-            self._rates["rate.slo_misses"].bump()
-
-
 # ---------------------------------------------------------------------------
 # Report validation + rendering
 # ---------------------------------------------------------------------------
-#: Shape of a monitor report (:meth:`_MonitorBase.payload`). Fields only
+#: Shape of a monitor report (:meth:`FleetMonitor.payload`). Fields only
 #: the dashboard reads are untyped; the invariants' fields are typed.
 MONITOR_SPEC = {"keys": {
     "schema": {"enum": [MONITOR_SCHEMA]},

@@ -42,6 +42,12 @@ the policy's batch limit: ``single``/``greedy`` launch it at once,
 fill the batch.  Every launch goes through one dispatch site in the
 event loop.
 
+The same loop serves LLM batching: under the ``continuous`` and
+``oneshot`` policies (:mod:`repro.serving.continuous`, one device, one
+cell) a local test at the arrival, batch-timer and completion sites
+hands each event to the LLM launch rule, and ``run`` returns an
+:class:`~repro.serving.metrics.LLMServingReport` with TTFT and ITL.
+
 Faults and responses are optional layers on the same loop.  A
 :class:`~repro.faults.plan.FaultPlan` decides what goes wrong (device
 crashes and recoveries, slowdowns, queue bursts, flaky first-touch
@@ -83,9 +89,11 @@ from .autoscale import AUTOSCALE_ACTIONS, AutoscaleConfig, AutoscaleController
 from .metrics import (
     DEFAULT_MIN_SLO_S,
     DEFAULT_SLO_MULTIPLIER,
+    LLMServingReport,
     ServingReport,
 )
 from .scheduler import (
+    LLM_SCHEDULERS,
     AdmissionPolicy,
     BatchPolicy,
     ResiliencePolicy,
@@ -157,6 +165,12 @@ class ScaledFleetSimulator:
         self.devices = devices
         self.cells = cells
         self.policy = batch_policy or BatchPolicy()
+        if self.policy.kind in LLM_SCHEDULERS and (
+                devices > 1 or autoscale or fault_plan is not None
+                or (resilience and resilience.active)):
+            raise ValueError(f"the {self.policy.kind!r} LLM batch policy "
+                             f"runs on one device with no fault plan, "
+                             f"resilience or autoscaling")
         self.admission = admission or AdmissionPolicy()
         self.routing = routing
         self.slo_multiplier = slo_multiplier
@@ -186,26 +200,37 @@ class ScaledFleetSimulator:
         flat parallel lists, every per-event step is a handful of list
         index operations, and the only per-request allocations are one
         latency float and (amortised 1/batch) the completion event.
-        Each optional layer (faults, resilience, monitor, trace) costs
-        the fault-free path one local test per hook site.
+        Each optional layer (faults, resilience, monitor, trace) and
+        the LLM batch policies cost the fleet path one local test per
+        hook site (an LLM run returns an :class:`LLMServingReport`).
         """
         costs = self.costs
-        models = costs.models()
+        policy = self.policy
+        llm = policy.kind in LLM_SCHEDULERS
+        if llm:
+            # LLM costs are per request (token counts); the per-model
+            # tables hold one neutral entry for the config.
+            models: Tuple[str, ...] = (costs.config,)
+            lat = comp = fixed = var = slo = [0.0]
+            verified, crc, tiles = [True], [0], [1]
+        else:
+            models = costs.models()
+            lat = [costs.latency_s(m) for m in models]
+            comp = [costs.compile_s(m) for m in models]
+            verified = [costs.is_verified(m) for m in models]
+            crc = [zlib.crc32(m.encode("utf-8")) for m in models]
+            # batch_service_s(model, b) == fixed + (latency - fixed) * b;
+            # precomputing the two terms keeps the same float operations.
+            fixed = [costs.amortized_fraction * v for v in lat]
+            var = [v - f for v, f in zip(lat, fixed)]
+            slo = [max(self.min_slo_s, self.slo_multiplier * v)
+                   for v in lat]
+            tiles = [costs.tiles(m) for m in models]
         midx = {m: i for i, m in enumerate(models)}
-        lat = [costs.latency_s(m) for m in models]
-        comp = [costs.compile_s(m) for m in models]
-        verified = [costs.is_verified(m) for m in models]
-        crc = [zlib.crc32(m.encode("utf-8")) for m in models]
-        # batch_service_s(model, b) == fixed + (latency - fixed) * b;
-        # precomputing the two terms keeps the same float operations.
-        fixed = [costs.amortized_fraction * v for v in lat]
-        var = [v - f for v, f in zip(lat, fixed)]
-        slo = [max(self.min_slo_s, self.slo_multiplier * v) for v in lat]
 
         ndev = self.devices
         ncell = self.cells
         csize = ndev // ncell
-        policy = self.policy
         limit = policy.effective_max_batch
         launch_now = policy.kind in ("single", "greedy")
         wait_s = policy.max_wait_ms * 1e-3
@@ -230,7 +255,8 @@ class ScaledFleetSimulator:
                          key=attrgetter("arrival_s", "rid"))
         try:
             arr_t = [r.arrival_s for r in initial]
-            arr_m = [midx[r.model] for r in initial]
+            arr_m = ([0] * len(initial) if llm
+                     else [midx[r.model] for r in initial])
         except KeyError as err:
             raise ValueError(f"workload model {err} not in ServiceCosts")
         n0 = len(arr_t)
@@ -253,7 +279,6 @@ class ScaledFleetSimulator:
         # deadline) but keeps its first arrival for latency.
         born = list(arr_t) if resilient else arr_t
         tmo = [res.timeout_slo_multiple * v + wait_s for v in slo]
-        tiles = [costs.tiles(m) for m in models]
         healthy = [True] * ndev
         admitted = [True] * ndev
         cell_admitted = [csize] * ncell
@@ -318,8 +343,8 @@ class ScaledFleetSimulator:
         mon = None
         if self.monitor_config is not None:
             from .monitor import FleetMonitor
-            mon = FleetMonitor(self.monitor_config, dict(zip(models, slo)),
-                               ndev)
+            mon = FleetMonitor(self.monitor_config, ndev,
+                               kind="llm" if llm else "fleet")
         self.monitor = mon
         self.monitor_payload = None
         tracing = self.collect_trace
@@ -485,6 +510,185 @@ class ScaledFleetSimulator:
             boundary += 1
             next_b = (boundary + 1) * interval
 
+        # -- LLM batch policies: one engine (device 0), token costs ------
+        if llm:
+            oneshot = policy.kind == "oneshot"
+            budget = costs.kv_budget_tokens
+            prompt = [r.prompt_tokens for r in initial]
+            out_tok = [r.output_tokens for r in initial]
+            foot = [r.kv_footprint for r in initial]
+            req_slo = [costs.slo_s(r) for r in initial]
+            rid_of = [r.rid for r in initial]
+            emitted = [0] * n0
+            last_tok = [0.0] * n0
+            active: List[int] = []    # continuous: the decoding slots
+            ttfts: List[float] = []
+            itls: List[float] = []
+            kv = kv_peak = tokens = 0
+
+        def llm_reject(s: int, now: float) -> None:
+            nonlocal rejected
+            rejected += 1
+            if tracing:
+                trace_log.append({"kind": "reject", "rid": rid_of[s],
+                                  "t_s": now})
+            if mon is not None:
+                mon.note_reject(s, now)
+
+        def llm_done(s: int, now: float) -> None:
+            nonlocal slo_met, tokens
+            lt = now - born[s]
+            latencies.append(lt * 1e3)
+            if lt <= req_slo[s]:
+                slo_met += 1
+            tokens += out_tok[s]
+            if mon is not None:
+                mon.note_complete(s, now, lt * 1e3)
+            if tracing:
+                trace_log.append({"kind": "complete", "rid": rid_of[s],
+                                  "t_s": now})
+
+        def llm_launch(finish: float, phase) -> None:
+            nonlocal seq
+            busy_until[0] = finish
+            push(heap, (finish, seq, _FREE, 0, phase))
+            seq += 1
+
+        def join_or_step(now: float, q: List[int]) -> None:
+            """Continuous: prefill the next FIFO joiner while a slot is
+            free and its KV footprint fits, else decode one step."""
+            nonlocal kv, kv_peak, batches_sum, batches_n
+            while q and len(active) < limit:
+                s = q[0]
+                if foot[s] > budget:     # can never run
+                    del q[0]
+                    llm_reject(s, now)
+                    continue
+                if kv + foot[s] > budget:
+                    break                # head-of-line waits for KV space
+                del q[0]
+                kv += foot[s]
+                finish = now + costs.prefill_s(prompt[s])
+                if tracing:
+                    trace_log.append({
+                        "kind": "prefill", "rid": rid_of[s], "start_s": now,
+                        "finish_s": finish, "slot": len(active),
+                        "tokens": prompt[s]})
+                llm_launch(finish, s)
+                return
+            if not active:
+                return
+            batch = len(active)
+            batches_sum += batch
+            batches_n += 1
+            kv_peak = max(kv_peak, kv)
+            finish = now + costs.batched_s(costs.decode_step_s, batch)
+            if tracing:
+                trace_log.append({
+                    "kind": "step", "start_s": now, "finish_s": finish,
+                    "batch": batch, "rids": [rid_of[a] for a in active]})
+            if mon is not None:
+                mon.note_state(batch, kv, len(q))
+            llm_launch(finish, None)
+
+        def launch_padded(now: float, q: List[int]) -> None:
+            """One-shot: hold the head ``max_wait``, then launch the queued
+            requests that fit the budget at the padded footprint."""
+            nonlocal kv_peak, seq, batches_sum, batches_n
+            while q and foot[q[0]] > budget:     # can never run
+                llm_reject(q.pop(0), now)
+            if not q:
+                return
+            start = born[q[0]] + wait_s
+            if now < start:
+                t = timer_at[0]
+                if t is None or t > start:
+                    timer_at[0] = start
+                    push(heap, (start, seq, _TIMER, 0, None))
+                    seq += 1
+                return
+            members: List[int] = []
+            max_p = max_o = scan = 0
+            while scan < len(q) and len(members) < limit:
+                c = q[scan]
+                if foot[c] > budget:
+                    scan += 1
+                    llm_reject(c, now)
+                    continue
+                padded_p = max(max_p, prompt[c])
+                padded_o = max(max_o, out_tok[c])
+                if members and (len(members) + 1) * (
+                        padded_p + padded_o) > budget:
+                    break
+                members.append(c)
+                max_p, max_o = padded_p, padded_o
+                scan += 1
+            del q[:scan]
+            batch = len(members)
+            batches_sum += batch
+            batches_n += 1
+            padded = batch * (max_p + max_o)
+            kv_peak = max(kv_peak, padded)
+            prefill = costs.prefill_s(max_p, batch)
+            step = costs.batched_s(costs.decode_step_s, batch)
+            finish = now + prefill + max_o * step
+            if mon is not None:
+                mon.note_state(batch, padded, len(q))
+            if tracing:
+                trace_log.append({
+                    "kind": "prefill", "rid": rid_of[members[0]],
+                    "start_s": now, "finish_s": now + prefill, "slot": 0,
+                    "tokens": max_p, "batch": batch})
+                trace_log.append({
+                    "kind": "step", "start_s": now + prefill,
+                    "finish_s": finish, "batch": batch,
+                    "rids": [rid_of[m] for m in members]})
+            llm_launch(finish, (members, now + prefill + step, step))
+
+        def llm_dispatch(now: float) -> None:
+            """The LLM launch rule, if the engine is idle at ``now``."""
+            if busy_until[0] <= now:
+                (launch_padded if oneshot else join_or_step)(now, dq[0])
+
+        def llm_phase_end(phase, now: float) -> None:
+            """Retire a prefill (slot id), a decode step (``None``) or a
+            padded batch (members, first-token time, step), then
+            dispatch again."""
+            nonlocal kv
+            if type(phase) is int:
+                active.append(phase)
+            elif phase is None:
+                if mon is not None:
+                    mon.note_tokens(len(active))
+                still: List[int] = []
+                for s in active:
+                    first = not emitted[s]
+                    gap = now - (born[s] if first else last_tok[s])
+                    (ttfts if first else itls).append(gap * 1e3)
+                    if mon is not None:
+                        (mon.note_ttft if first else mon.note_itl)(gap)
+                    emitted[s] += 1
+                    last_tok[s] = now
+                    if emitted[s] >= out_tok[s]:
+                        kv -= foot[s]
+                        llm_done(s, now)
+                    else:
+                        still.append(s)
+                active[:] = still
+            else:
+                members, first_s, step = phase
+                if mon is not None:
+                    mon.note_tokens(sum(out_tok[m] for m in members))
+                for m in members:
+                    ttfts.append((first_s - born[m]) * 1e3)
+                    itls.extend([step * 1e3] * (out_tok[m] - 1))
+                    if mon is not None:
+                        mon.note_ttft(first_s - born[m])
+                        for _ in range(out_tok[m] - 1):
+                            mon.note_itl(step)
+                    llm_done(m, now)
+            llm_dispatch(now)
+
         if inj is not None:
             # Scheduled faults take the first heap sequence numbers.
             for t_s, d in inj.crashes:
@@ -537,6 +741,13 @@ class ScaledFleetSimulator:
                     close_boundary(next_b)
             if kind <= RETRY:
                 # ---- arrival of slot s (a first attempt or a retry) ---
+                if llm:
+                    offered += 1
+                    if mon is not None:
+                        mon.note_arrival(s, now + req_slo[s])
+                    dq[0].append(s)
+                    llm_dispatch(now)
+                    continue
                 m = arr_m[s]
                 if kind == ARRIVAL:
                     offered += 1
@@ -546,7 +757,7 @@ class ScaledFleetSimulator:
                     if qt > queue_max:
                         queue_max = qt
                     if mon is not None:
-                        mon.note_arrival(s, models[m], now)
+                        mon.note_arrival(s, now + slo[m])
                 if require_verified and not verified[m]:
                     verify_rejected += 1
                     reject(s, now, "verify-reject")
@@ -658,6 +869,9 @@ class ScaledFleetSimulator:
                     seq += 1
             elif kind == TIMER:
                 timer_at[s] = None
+                if llm:
+                    llm_dispatch(now)
+                    continue
                 dev = s
                 q = dq[s]
             elif kind == FREE:
@@ -666,6 +880,9 @@ class ScaledFleetSimulator:
                     continue   # the device crashed mid-batch
                 if now > last_finish:
                     last_finish = now
+                if llm:
+                    llm_phase_end(batch, now)
+                    continue
                 bad = False
                 if guarded:
                     failures[s] = ejects[s] = 0
@@ -913,6 +1130,41 @@ class ScaledFleetSimulator:
         # never completed (stuck on a dead device with no retry).
         failed += status.count(_QUEUED) + status.count(_FLIGHT)
         makespan = max(last_finish, workload.duration_s)
+        horizon = makespan if makespan > 0 else 1.0
+        latencies.sort()
+        completed = len(latencies)
+        # The outcome fields ServingReport and LLMServingReport share.
+        shared = dict(
+            rate_rps=rate_rps, duration_s=workload.duration_s,
+            offered=offered, completed=completed, rejected=rejected,
+            makespan_s=makespan, throughput_rps=completed / horizon,
+            goodput_rps=slo_met / horizon,
+            mean_latency_ms=(sum(latencies) / completed
+                             if completed else 0.0),
+            p50_ms=percentile(latencies, 50),
+            p95_ms=percentile(latencies, 95),
+            p99_ms=percentile(latencies, 99),
+            mean_batch_size=(batches_sum / batches_n
+                             if batches_n else 0.0),
+            slo_attainment=(slo_met / offered if offered else 0.0))
+        if llm:
+            if mon is not None:
+                mon.finish(makespan)
+                self.monitor_payload = mon.payload(context={
+                    "config": costs.config, "scheduler": policy.kind,
+                    "rate_rps": rate_rps, "duration_s": workload.duration_s})
+            self.payload = None
+            ttfts.sort()
+            itls.sort()
+            return LLMServingReport(
+                scheduler=policy.kind, config=costs.config,
+                max_slots=limit, kv_budget_tokens=budget,
+                slo_multiplier=costs.slo_multiplier,
+                tokens_generated=tokens, tokens_per_s=tokens / horizon,
+                kv_peak_tokens=kv_peak, **shared,
+                **{f"{name}_p{q}_ms": percentile(values, q)
+                   for name, values in (("ttft", ttfts), ("itl", itls))
+                   for q in (50, 95, 99)})
         if auto_on:
             # Keep closing (empty) boundaries through the tail so the
             # trough after the last completion can still scale in/park
@@ -929,9 +1181,6 @@ class ScaledFleetSimulator:
         else:
             device_seconds = float(ndev) * makespan
 
-        horizon = makespan if makespan > 0 else 1.0
-        latencies.sort()
-        completed = len(latencies)
         report = ServingReport(
             models=models,
             devices=ndev,
@@ -939,27 +1188,12 @@ class ScaledFleetSimulator:
             max_batch=policy.effective_max_batch,
             max_wait_ms=policy.max_wait_ms,
             routing=routing,
-            rate_rps=rate_rps,
-            duration_s=workload.duration_s,
-            offered=offered,
-            completed=completed,
-            rejected=rejected,
             verify_rejected=verify_rejected,
             failed=failed,
             bad_completions=bad_done,
             faults=dict(sorted(faults.items())),
-            makespan_s=makespan,
-            throughput_rps=completed / horizon,
-            goodput_rps=slo_met / horizon,
-            mean_latency_ms=(sum(latencies) / completed
-                             if completed else 0.0),
-            p50_ms=percentile(latencies, 50),
-            p95_ms=percentile(latencies, 95),
-            p99_ms=percentile(latencies, 99),
             mean_queue_depth=(queue_sum / queue_n if queue_n else 0.0),
             max_queue_depth=queue_max,
-            mean_batch_size=(batches_sum / batches_n
-                             if batches_n else 0.0),
             device_utilization=(sum(busy_acc) / (ndev * horizon)),
             per_device_utilization=[v / horizon for v in busy_acc],
             compiles=compiles,
@@ -967,9 +1201,7 @@ class ScaledFleetSimulator:
                                     if batches_n else 0.0),
             slo_multiplier=self.slo_multiplier,
             slo_ms={m: s * 1e3 for m, s in zip(models, slo)},
-            slo_attainment=(slo_met / offered if offered else 0.0),
-            **tally,
-        )
+            **shared, **tally)
         if mon is not None:
             mon.finish(makespan)
             self.monitor_payload = mon.payload(context={

@@ -1,9 +1,10 @@
 """Admission control, batching and resilience policies, and the service model.
 
 The policies are frozen plain data; the fleet event loop
-(:mod:`repro.serving.scale`) applies them.  A device's batch is the
-same-model FIFO prefix of its queue (requests for a second model never
-jump ahead of the head request), capped at the policy's batch limit.
+(:mod:`repro.serving.scale`) applies them at its dispatch site.  A
+device's batch is the same-model FIFO prefix of its queue (requests for
+a second model never jump ahead of the head request), capped at the
+policy's batch limit.
 
 Service times come from :class:`ServiceCosts`, resolved once per sweep
 from the content-cached :meth:`repro.npu.NPUTandem.evaluate` /
@@ -14,9 +15,7 @@ data — picklable, so ``--jobs`` workers never re-evaluate models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
-
-from .workload import Request
+from typing import Dict, Sequence, Tuple
 
 #: Batching disciplines, in increasing sophistication:
 #: ``single`` serves one request per launch; ``greedy`` takes whatever
@@ -24,6 +23,12 @@ from .workload import Request
 #: waiting; ``dynamic`` additionally holds the head request up to
 #: ``max_wait_ms`` hoping to fill the batch.
 BATCH_POLICIES = ("single", "greedy", "dynamic")
+
+#: LLM batching disciplines (:mod:`repro.serving.continuous`), where
+#: ``max_batch`` is the decode-slot count: ``oneshot`` pads a batch to
+#: its longest member and always holds the head ``max_wait_ms``;
+#: ``continuous`` joins and retires requests at every decode step.
+LLM_SCHEDULERS = ("oneshot", "continuous")
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,9 @@ class BatchPolicy:
     max_wait_ms: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in BATCH_POLICIES:
-            raise ValueError(f"unknown batch policy {self.kind!r}; "
-                             f"known: {', '.join(BATCH_POLICIES)}")
+        if self.kind not in BATCH_POLICIES + LLM_SCHEDULERS:
+            raise ValueError(f"unknown batch policy {self.kind!r}; known: "
+                             f"{', '.join(BATCH_POLICIES + LLM_SCHEDULERS)}")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
 
@@ -112,44 +117,6 @@ class ResiliencePolicy:
     def naive(cls) -> "ResiliencePolicy":
         """The do-nothing policy (also the default fleet behaviour)."""
         return cls(kind="naive")
-
-
-@dataclass(frozen=True)
-class Launch:
-    """Launch the first ``count`` queued requests as one batch."""
-    count: int
-
-
-@dataclass(frozen=True)
-class Wait:
-    """Hold the queue until ``until_s`` (or an earlier arrival/free)."""
-    until_s: float
-
-
-def plan_batch(queue: Sequence[Request], now_s: float,
-               policy: BatchPolicy) -> Optional[object]:
-    """Decide what an idle device should do with its queue at ``now_s``.
-
-    Returns :class:`Launch`, :class:`Wait`, or ``None`` for an empty
-    queue.  This is the batch rule as a pure function of one device's
-    queue; the fleet core (:mod:`repro.serving.scale`) applies the same
-    rule over its slot arrays at its dispatch site.
-    """
-    if not queue:
-        return None
-    head = queue[0]
-    limit = policy.effective_max_batch
-    count = 0
-    for request in queue:
-        if request.model != head.model or count >= limit:
-            break
-        count += 1
-    if count >= limit or policy.kind in ("single", "greedy"):
-        return Launch(count)
-    deadline = head.arrival_s + policy.max_wait_ms * 1e-3
-    if now_s >= deadline:
-        return Launch(count)
-    return Wait(deadline)
 
 
 # ---------------------------------------------------------------------------

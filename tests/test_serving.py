@@ -9,15 +9,11 @@ from repro.serving import (
     BatchPolicy,
     ClosedLoop,
     FleetSimulator,
-    Launch,
     OpenLoopPoisson,
-    Request,
     ServiceCosts,
     TraceReplay,
-    Wait,
     default_grid,
     percentile,
-    plan_batch,
     run_sweep,
     simulate,
     sweep_table,
@@ -89,39 +85,56 @@ def test_closed_loop_one_outstanding_request_per_client():
 # ---------------------------------------------------------------------------
 # Batching decisions
 # ---------------------------------------------------------------------------
-def _queue(*arrivals, model="m"):
-    return [Request(i, model, t) for i, t in enumerate(arrivals)]
+def _launches(arrivals, policy, models=None):
+    """``(start_s, batch, model)`` of each launch on one device (trace).
+
+    ``arrivals`` are the request arrival times; the toy model takes
+    10 ms alone, so a request arriving while a batch runs waits.
+    """
+    models = models or ["m"] * len(arrivals)
+    sim = FleetSimulator(toy_costs(models=tuple(dict.fromkeys(models))),
+                         devices=1, batch_policy=policy, collect_trace=True)
+    sim.run(TraceReplay(list(zip(arrivals, models))))
+    return [(e["start_s"], e["batch"], e["model"]) for e in sim.trace_log
+            if e["kind"] == "batch"]
 
 
 def test_single_policy_launches_one():
-    decision = plan_batch(_queue(0.0, 0.0, 0.0), 0.0,
-                          BatchPolicy("single", max_batch=8))
-    assert decision == Launch(1)
+    launches = _launches([0.0, 0.0, 0.0], BatchPolicy("single", max_batch=8))
+    assert [batch for _, batch, _ in launches] == [1, 1, 1]
+    assert launches[0][0] == 0.0
 
 
 def test_greedy_policy_takes_what_is_queued():
-    decision = plan_batch(_queue(0.0, 0.0, 0.0), 0.0,
-                          BatchPolicy("greedy", max_batch=8))
-    assert decision == Launch(3)
+    # The first arrival launches alone at once; the two queued behind
+    # it go together when the device frees (10 ms + 5 ms compile).
+    launches = _launches([0.0, 0.001, 0.002],
+                         BatchPolicy("greedy", max_batch=8))
+    assert [batch for _, batch, _ in launches] == [1, 2]
+    assert launches[0][0] == 0.0
+    assert launches[1][0] == pytest.approx(0.015)
 
 
 def test_dynamic_policy_waits_then_launches_at_deadline():
     policy = BatchPolicy("dynamic", max_batch=4, max_wait_ms=2.0)
-    queue = _queue(0.0, 0.0)
-    assert plan_batch(queue, 0.0, policy) == Wait(0.002)
-    assert plan_batch(queue, 0.002, policy) == Launch(2)
+    assert _launches([0.0, 0.0], policy) == [(0.002, 2, "m")]
 
 
 def test_dynamic_policy_launches_full_batch_immediately():
     policy = BatchPolicy("dynamic", max_batch=2, max_wait_ms=50.0)
-    assert plan_batch(_queue(0.0, 0.0, 0.0), 0.0, policy) == Launch(2)
+    launches = _launches([0.0, 0.0, 0.0], policy)
+    assert launches[0] == (0.0, 2, "m")
+    assert [batch for _, batch, _ in launches] == [2, 1]
 
 
 def test_batches_never_mix_models():
     policy = BatchPolicy("greedy", max_batch=8)
-    queue = [Request(0, "a", 0.0), Request(1, "a", 0.0),
-             Request(2, "b", 0.0), Request(3, "a", 0.0)]
-    assert plan_batch(queue, 0.0, policy) == Launch(2)
+    launches = _launches([0.0, 0.001, 0.001, 0.001, 0.001], policy,
+                         models=["a", "a", "a", "b", "a"])
+    # Behind the first launch the queue is a, a, b, a: the batch is the
+    # same-model prefix, so "b" waits and the last "a" never jumps it.
+    assert [(batch, model) for _, batch, model in launches] == [
+        (1, "a"), (2, "a"), (1, "b"), (1, "a")]
 
 
 def test_batch_policy_validation():
