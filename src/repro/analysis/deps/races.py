@@ -213,9 +213,7 @@ def _check_obuf_handoff(model) -> List[Finding]:
     for cb in model.blocks:
         if cb.block.gemm is None or cb.tile is None or cb.tiles != 1:
             continue
-        meta = getattr(cb.tile, "access_meta", None)
-        if meta is None:
-            continue
+        meta = cb.tile.access_meta
         out_elems = model.graph.tensor(cb.block.gemm.outputs[0]).numel
         tile_elems = max(1, ceil(out_elems / cb.tiles))
         for nest in meta.nests:

@@ -53,11 +53,8 @@ def validate_tile(tile, trace) -> List[Finding]:
     :class:`~repro.analysis.verifier.state.ProgramTrace` of its program.
     Returns error findings for every disagreement; an empty list means
     the IR-level and binary-level dependence structures coincide.
-    Tiles without metadata (hand-built programs) validate vacuously.
     """
-    meta: Optional[TileAccessMeta] = getattr(tile, "access_meta", None)
-    if meta is None:
-        return []
+    meta: TileAccessMeta = tile.access_meta
     program = trace.program
     findings: List[Finding] = []
 

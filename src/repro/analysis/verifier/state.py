@@ -23,7 +23,6 @@ from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from ...isa import (
-    AluFunc,
     Instruction,
     IteratorConfigFunc,
     LdStFunc,
@@ -33,6 +32,8 @@ from ...isa import (
     SyncFunc,
     TandemProgram,
     is_compute_opcode,
+    is_unary,
+    reads_dst,
 )
 from ...simulator.params import TandemParams
 from .findings import Finding, Severity, snippet_at
@@ -130,19 +131,6 @@ class ProgramTrace:
     @property
     def uses(self) -> List[OperandUse]:
         return [use for nest in self.nests for use in nest.uses]
-
-
-def _is_unary(inst: Instruction) -> bool:
-    """Mirror of TandemMachine._is_unary: src2 is never read."""
-    if inst.opcode == Opcode.CALCULUS:
-        return True
-    return inst.opcode == Opcode.ALU and inst.func in (
-        int(AluFunc.MOVE), int(AluFunc.NOT))
-
-
-def _reads_dst(inst: Instruction) -> bool:
-    """MACC accumulates into dst, so dst is read as well as written."""
-    return inst.opcode == Opcode.ALU and inst.func == int(AluFunc.MACC)
 
 
 def interpret(program: TandemProgram,
@@ -289,9 +277,9 @@ def interpret(program: TandemProgram,
 
 def _resolve_uses(nest: NestTrace, pc: int, inst: Instruction,
                   tables: Dict[Tuple[Namespace, int], EntryConfig]) -> None:
-    operands = [("dst", inst.dst, _reads_dst(inst), True),
+    operands = [("dst", inst.dst, reads_dst(inst.opcode, inst.func), True),
                 ("src1", inst.src1, True, False)]
-    if not _is_unary(inst) and inst.src2 is not None:
+    if not is_unary(inst.opcode, inst.func) and inst.src2 is not None:
         operands.append(("src2", inst.src2, True, False))
     counts = nest.counts
     for role, operand, reads, writes in operands:

@@ -333,19 +333,18 @@ def _rebind_tile(tile: LoweredTile, name: str,
         return names[tensor]
 
     access = tile.access_meta
-    if access is not None:
-        access = replace(
-            access, nests=list(access.nests), permutes=list(access.permutes),
-            claims=list(access.claims),
-            transfers=[replace(t, tensor=rename(t.tensor))
-                       for t in access.transfers],
-            dram_alias={rename(alias): rename(root)
-                        for alias, root in access.dram_alias.items()})
+    access = replace(
+        access, nests=list(access.nests), permutes=list(access.permutes),
+        claims=list(access.claims),
+        transfers=[replace(t, tensor=rename(t.tensor))
+                   for t in access.transfers],
+        dram_alias={rename(alias): rename(root)
+                    for alias, root in access.dram_alias.items()})
     return replace(
         tile, program=TandemProgram(name, list(tile.program.instructions)),
         transfers=[replace(t, tensor=rename(t.tensor)) for t in tile.transfers],
         permutes=list(tile.permutes), imm_values=list(tile.imm_values),
-        op_metas=list(tile.op_metas), access_meta=access)
+        op_ranges=list(tile.op_ranges), access_meta=access)
 
 
 def _compile_model_uncached(graph: Graph, sim_params: SimParams,

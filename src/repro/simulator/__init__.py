@@ -1,7 +1,7 @@
 """Cycle-level + functional simulator of the Tandem Processor."""
 
 from .alu import ALU_OPS, CALCULUS_OPS, COMPARISON_OPS, cast_value, wrap32
-from .analytic import AnalyticNest, ProgramMeta, estimate, scale_result
+from .analytic import AnalyticNest, ProgramMeta, estimate
 from .dae import DataAccessEngine, DramStore, TileTransfer
 from .energy import EnergyLedger
 from .iterators import IteratorEntry, IteratorError, IteratorTable
@@ -50,6 +50,5 @@ __all__ = [
     "estimate",
     "nest_points",
     "nest_timing",
-    "scale_result",
     "wrap32",
 ]

@@ -4,9 +4,11 @@ Full-network sweeps over the seven benchmarks would take hours through
 the detailed interpreter; the analytic model computes the same nest
 timing (literally the same :func:`~repro.simulator.pipeline.nest_timing`
 and :func:`~repro.simulator.machine.charge_nest` code paths) from static
-metadata the compiler records while lowering. Tests validate analytic vs
-detailed agreement on real programs to within the paper's own 5 %
-simulator-vs-RTL margin.
+metadata: a :class:`ProgramMeta` derived from each lowered tile's access
+claims, the same walks the verifier checks against the binary (see
+:attr:`repro.compiler.lowering.LoweredTile.meta`). Tests validate
+analytic vs detailed agreement on real programs to within the paper's
+own 5 % simulator-vs-RTL margin.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .energy import EnergyLedger
 from .machine import MachineResult, charge_nest
 from .params import SimParams
 from .pipeline import BodyOpMeta, nest_timing
@@ -100,17 +101,3 @@ def estimate(meta: ProgramMeta, params: SimParams) -> MachineResult:
         result.energy.loop_addr_pj += issues * energy.loop_addr_pj_per_issue
     return result
 
-
-def scale_result(result: MachineResult, tiles: int) -> MachineResult:
-    """Replicate a per-tile estimate across ``tiles`` identical tiles."""
-    scaled = MachineResult()
-    scaled.cycles = result.cycles * tiles
-    scaled.compute_cycles = result.compute_cycles * tiles
-    scaled.dae_cycles = result.dae_cycles * tiles
-    scaled.config_cycles = result.config_cycles * tiles
-    scaled.permute_cycles = result.permute_cycles * tiles
-    scaled.vector_issues = result.vector_issues * tiles
-    scaled.scalar_ops = result.scalar_ops * tiles
-    scaled.instructions_decoded = result.instructions_decoded * tiles
-    scaled.energy = result.energy.scaled(tiles)
-    return scaled

@@ -32,6 +32,8 @@ from ..isa import (
     PermuteFunc,
     SyncFunc,
     TandemProgram,
+    is_unary,
+    reads_dst,
 )
 from ..telemetry import get_telemetry
 from .alu import ALU_OPS, CALCULUS_OPS, COMPARISON_OPS, cast_value, wrap32
@@ -281,14 +283,14 @@ class TandemMachine:
             func_name = self._FUNC_ENUMS[inst.opcode](inst.func).name.lower()
             count(f"sim.alu.ops.{inst.opcode.name.lower()}.{func_name}",
                   points)
-            sources = ((inst.src1,) if self._is_unary(inst)
+            sources = ((inst.src1,) if is_unary(inst.opcode, inst.func)
                        else (inst.src1, inst.src2))
             srcs = [src for src in sources if src is not None]
             count("sim.iter_table.reads", points * (1 + len(srcs)))
             dst_ns = inst.dst.ns.name.lower()
             count(f"sim.spad.{dst_ns}.writes", points)
             count(f"sim.spad.{dst_ns}.write_bytes", points * word_bytes)
-            if inst.opcode == Opcode.ALU and inst.func == int(AluFunc.MACC):
+            if reads_dst(inst.opcode, inst.func):
                 # The accumulator destination is read-modify-write.
                 count(f"sim.spad.{dst_ns}.reads", points)
                 count(f"sim.spad.{dst_ns}.read_bytes", points * word_bytes)
@@ -379,19 +381,12 @@ class TandemMachine:
     def _operand_entry(self, ns: Namespace, iter_idx: int):
         return self.iter_tables[ns].lookup(iter_idx)
 
-    @staticmethod
-    def _is_unary(inst: Instruction) -> bool:
-        if inst.opcode == Opcode.CALCULUS:
-            return True
-        return inst.opcode == Opcode.ALU and inst.func in (
-            int(AluFunc.MOVE), int(AluFunc.NOT))
-
     def _body_meta(self, body: List[Instruction]) -> List[BodyOpMeta]:
         metas = []
         for inst in body:
             dst_entry = self._operand_entry(inst.dst.ns, inst.dst.iter_idx)
-            sources = (inst.src1,) if self._is_unary(inst) else (inst.src1,
-                                                                 inst.src2)
+            sources = ((inst.src1,) if is_unary(inst.opcode, inst.func)
+                       else (inst.src1, inst.src2))
             src_strides = []
             mem_reads = 0
             for src in sources:

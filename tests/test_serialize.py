@@ -91,3 +91,23 @@ def test_restored_tile_runs_functionally(compiled, rng):
 def test_version_check():
     with pytest.raises(ValueError, match="format"):
         load_blocks(json.dumps({"format_version": 99, "blocks": []}))
+
+
+def test_artifact_stores_access_claims_not_analytic_metadata(compiled):
+    # Format v5: the cycle model's metadata is derived from the access
+    # claims the verifier checks, so the artifact carries only those.
+    from repro.compiler.serialize import FORMAT_VERSION
+    data = json.loads(dump_model(compiled))
+    assert data["format_version"] == FORMAT_VERSION == 5
+    tiles = [blk["tile"] for blk in data["blocks"] if blk["tile"]]
+    assert tiles
+    for tile in tiles:
+        assert "meta" not in tile and "op_metas" not in tile
+        assert "version" not in tile["access_meta"]
+    blocks = load_blocks(dump_model(compiled))
+    for original, restored in zip(compiled.blocks, blocks):
+        if original.tile is None:
+            continue
+        assert restored["tile"].op_ranges == original.tile.op_ranges
+        assert restored["tile"].meta == original.tile.meta
+        assert restored["tile"].op_metas == original.tile.op_metas
