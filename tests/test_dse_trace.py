@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import DesignPoint, config_for, pareto_frontier, sweep
 from repro.npu import (
+    ExecutionController,
     NPUTandem,
     overlap_fraction,
     render_timeline,
@@ -51,8 +52,16 @@ def test_config_for_sets_knobs():
 
 
 # -- tracing -------------------------------------------------------------------
+def _block(tiles, g, t, release):
+    """Events of one gemm_tandem block under the controller's schedule."""
+    schedule = ExecutionController().schedule(
+        "gemm_tandem", tiles, gemm_tile_cycles=g, tandem_tile_cycles=t,
+        obuf_release_cycles=release, max_spans=64)
+    return trace_block("b", schedule)
+
+
 def test_trace_block_pipelines():
-    events = trace_block("b", tiles=4, g=100, t=60, release=20)
+    events = _block(tiles=4, g=100, t=60, release=20)
     gemm = [e for e in events if e.unit == "gemm"]
     tandem = [e for e in events if e.unit == "tandem"]
     assert len(gemm) == len(tandem) == 4
@@ -81,7 +90,7 @@ def test_overlap_fraction_nonzero_for_fused_models():
 
 
 def test_render_timeline_shapes():
-    events = trace_block("b", tiles=3, g=50, t=50, release=10)
+    events = _block(tiles=3, g=50, t=50, release=10)
     art = render_timeline(events, width=40)
     lines = art.splitlines()
     assert len(lines) == 3
