@@ -610,14 +610,17 @@ def _window_setup(ctx, node, graph, tiles, pad_value):
     # Cost model: tiles split output rows first, then channels (channels
     # are independent for windows, so this never splits a reduction); the
     # input tile carries its kernel halo (Section 6: tiles must cover all
-    # adjacent elements of the window).
+    # adjacent elements of the window): ``h_t`` rows already count the
+    # vertical halo, and the DAE pads the ``2*pad`` halo columns the
+    # window walk spans.
     tiles_oh = min(tiles, oh)
     tiles_c = min(c, ceil(tiles / tiles_oh))
     oh_t = _split(oh, tiles_oh)
     c_t = _split(c, tiles_c)
     h_t = min(h + 2 * pad, oh_t * stride + (kh - stride))
-    x = ctx.source(node.inputs[0], (c_t, h_t, w), layout=(1, 2, 0))
-    return c_t, h_t, w, kh, kw, stride, oh_t, ow, x
+    x = ctx.source(node.inputs[0], (c_t, h_t, w), layout=(1, 2, 0),
+                   pad=((0, 0), (0, 0), (pad, pad)), pad_value=pad_value)
+    return c_t, h_t, w + 2 * pad, kh, kw, stride, oh_t, ow, x
 
 
 @template("MaxPool", "AveragePool")

@@ -1,5 +1,7 @@
 """Compiler IR: allocation, residency, relayout, broadcast fusion."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,3 +270,25 @@ def test_recipe_body_interns_constants():
 def test_c_strides():
     assert c_strides((2, 3, 4)) == [12, 4, 1]
     assert c_strides((5,)) == [1]
+
+
+@pytest.mark.parametrize("op", ["maxpool", "depthwise"])
+@pytest.mark.parametrize("tiles", [2, 3, 8])
+def test_window_tile_walk_stays_inside_its_input(op, tiles):
+    # The (kh, kw, oh, ow, c) input walk of a multi-tile padded window
+    # must stay inside the input tile the setup loads, halo included.
+    from repro.compiler.templates import _window_setup
+    from repro.graph import GraphBuilder
+    b = GraphBuilder("win")
+    x = b.input("x", (1, 8, 12, 12), dtype="int32")
+    y = (b.maxpool(x, 3, stride=1, pad=1) if op == "maxpool"
+         else b.depthwise_conv(x, 3))
+    graph = b.finish([y])
+    node = next(n for n in graph.nodes if n.outputs[0] == y)
+    ctx = _ctx(strict=False)
+    c, hp, wp, kh, kw, stride, oh_t, ow, res = _window_setup(
+        ctx, node, graph, tiles, 0)
+    last = ((kh - 1) * wp * c + (kw - 1) * c + (oh_t - 1) * stride * wp * c
+            + (ow - 1) * stride * c + (c - 1))
+    assert last < prod(res.shape)
+    assert res.shape == (hp, wp, c)
