@@ -51,7 +51,7 @@ from .pipeline import (
     knob_space_size,
 )
 from .reference import ReferenceExecutor
-from .serialize import dump_model, load_blocks, tile_from_dict, tile_to_dict
+from .serialize import dump_model, load_blocks
 from .templates import TEMPLATES, emit_op
 from .tiling import initial_tiles, search_tiles
 from .transforms import fission, fissionable, interchange, is_pointwise_parallel
@@ -75,8 +75,6 @@ __all__ = [
     "is_pointwise_parallel",
     "dump_model",
     "load_blocks",
-    "tile_from_dict",
-    "tile_to_dict",
     "Block",
     "CompileError",
     "CompiledBlock",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..gemm import GemmCost, SystolicArray, SystolicParams, gemm_dims
 from ..graph import DTYPE_BYTES, Graph, Node
@@ -318,12 +318,16 @@ def _block_key(block: Block, graph: Graph,
 
 
 def _rebind_tile(tile: LoweredTile, name: str,
-                 names: Dict[str, str]) -> LoweredTile:
+                 names: Dict[Union[str, int], str]) -> LoweredTile:
     """``tile``, lowered for an equal-keyed block, renamed for this one.
 
-    ``names`` maps the source block's tensors to this block's. Everything
+    ``names`` maps the source block's tensors (or, for a template decoded
+    from an artifact, its tensor indices) to this block's. Everything
     but the program name and the DRAM tensor bindings is shared by value;
-    each list is copied so the two tiles stay independent objects.
+    each list is copied so the two tiles stay independent objects. This
+    is the only place a tile is renamed: the compiler binds repeated
+    blocks here, and the artifact loader binds every block's tile here
+    from its program-table entry.
     """
     def rename(tensor: str) -> str:
         if tensor not in names:
@@ -336,15 +340,28 @@ def _rebind_tile(tile: LoweredTile, name: str,
     access = replace(
         access, nests=list(access.nests), permutes=list(access.permutes),
         claims=list(access.claims),
-        transfers=[replace(t, tensor=rename(t.tensor))
-                   for t in access.transfers],
+        transfers=[_renamed(t, rename(t.tensor)) for t in access.transfers],
         dram_alias={rename(alias): rename(root)
                     for alias, root in access.dram_alias.items()})
-    return replace(
+    bound = replace(
         tile, program=TandemProgram(name, list(tile.program.instructions)),
-        transfers=[replace(t, tensor=rename(t.tensor)) for t in tile.transfers],
+        transfers=[_renamed(t, rename(t.tensor)) for t in tile.transfers],
         permutes=list(tile.permutes), imm_values=list(tile.imm_values),
         op_ranges=list(tile.op_ranges), access_meta=access)
+    bound.template = tile.template or tile
+    return bound
+
+
+def _renamed(slot, tensor: str):
+    """A copy of the frozen ``slot`` bound to DRAM tensor ``tensor``.
+
+    Bypasses ``dataclasses.replace``, which re-runs ``__init__`` field by
+    field and dominates a warm artifact load.
+    """
+    copy = object.__new__(type(slot))
+    copy.__dict__.update(slot.__dict__)
+    copy.__dict__["tensor"] = tensor
+    return copy
 
 
 def _compile_model_uncached(graph: Graph, sim_params: SimParams,

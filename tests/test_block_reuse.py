@@ -23,12 +23,10 @@ from repro.analysis.deps import check_model
 from repro.analysis.verifier import (
     ModelVerifyReport,
     VerifyReport,
-    verify_block_dicts,
     verify_model,
     verify_program,
 )
-from repro.compiler import PipelineConfig, dump_model, explain_compile, \
-    load_blocks
+from repro.compiler import PipelineConfig, dump_model, explain_compile
 from repro.compiler.ir import CompileError
 from repro.isa import loop_num_inst
 from repro.isa.opcodes import LoopFunc, Opcode
@@ -109,17 +107,6 @@ def test_reuse_matches_per_block_compile(name, pipeline, monkeypatch):
 def test_reuse_matches_per_block_compile_on_fuzz_graphs(monkeypatch, case,
                                                         pipeline):
     _compare(pipeline_graph(case), PIPELINES[pipeline], monkeypatch)
-
-
-def test_loaded_blocks_verify_like_per_tile_programs():
-    model, _ = explain_compile(build_model("bert"))
-    blocks = load_blocks(dump_model(model))
-    report = verify_block_dicts(model.name, blocks, model.sim_params.tandem)
-    reference = [verify_program(b["tile"].program, model.sim_params.tandem,
-                                owns_obuf=b["gemm_node"] is not None,
-                                tile=b["tile"]).as_dict()
-                 for b in blocks if b.get("tile") is not None]
-    assert [r.as_dict() for r in report.reports] == reference
 
 
 def test_repeated_blocks_are_lowered_and_verified_once():

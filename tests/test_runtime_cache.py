@@ -199,8 +199,8 @@ def test_truncated_compiled_words_invalidate_and_recompile(fresh_cache):
                 if b.tile is not None]
     (path,) = (fresh_cache.directory / "compiled").glob("*.json")
     data = json.loads(path.read_text())
-    tile = next(blk["tile"] for blk in data["blocks"] if blk["tile"])
-    tile["words"] = tile["words"][:-4]
+    entry = data["programs"][0]
+    entry["words"] = entry["words"][:-4]
     path.write_text(json.dumps(data))
     set_cache(EvalCache(directory=fresh_cache.directory))
     second = compile_model(graph, config.sim, config.gemm)

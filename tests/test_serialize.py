@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.verifier import verify_block_dicts, verify_program
 from repro.compiler import compile_model, dump_model, load_blocks
+from repro.compiler.serialize import load_model
 from repro.isa import ProgramDecodeError
-from repro.models import build_tinynet
+from repro.llm import build_step, get_llm_config
+from repro.models import available_models, build_model, build_tinynet
 from repro.npu import FunctionalRunner
+from repro.runtime import EvalCache
 from repro.simulator import estimate
 
 
@@ -30,7 +34,8 @@ def test_dump_is_compact_with_hex_word_strings(compiled):
     for original, blk in zip(compiled.blocks, data["blocks"]):
         if original.tile is None:
             continue
-        words = blk["tile"]["words"]
+        assert blk["tile"]["name"] == original.tile.program.name
+        words = data["programs"][blk["tile"]["program"]]["words"]
         assert isinstance(words, str)
         assert len(words) == 8 * len(original.tile.program.instructions)
 
@@ -39,10 +44,65 @@ def test_dump_is_compact_with_hex_word_strings(compiled):
                          ids=["truncated", "non-hex"])
 def test_corrupt_word_string_raises_decode_error(compiled, damage):
     data = json.loads(dump_model(compiled))
-    tile = next(blk["tile"] for blk in data["blocks"] if blk["tile"])
-    tile["words"] = damage(tile["words"])
+    entry = data["programs"][0]
+    entry["words"] = damage(entry["words"])
     with pytest.raises(ProgramDecodeError):
         load_blocks(json.dumps(data))
+
+
+def _first_tiled(data):
+    return next(blk for blk in data["blocks"] if blk["tile"])
+
+
+def _set_program(data, pid):
+    _first_tiled(data)["tile"]["program"] = pid
+
+
+def _drop_tensor(data):
+    _first_tiled(data)["tile"]["tensors"].pop()
+
+
+def _negative_tensor_index(data):
+    pid = _first_tiled(data)["tile"]["program"]
+    data["programs"][pid]["transfers"][0]["tensor"] = -1
+
+
+def _entry_not_object(data):
+    pid = _first_tiled(data)["tile"]["program"]
+    data["programs"][pid] = ["not", "an", "entry"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda data: _set_program(data, len(data["programs"])),
+                 id="program-id-past-table"),
+    pytest.param(lambda data: _set_program(data, -1),
+                 id="program-id-negative"),
+    pytest.param(lambda data: _set_program(data, "0"),
+                 id="program-id-string"),
+    pytest.param(lambda data: _set_program(data, True),
+                 id="program-id-bool"),
+    pytest.param(_drop_tensor, id="tensor-index-past-tensors"),
+    pytest.param(_negative_tensor_index, id="tensor-index-negative"),
+    pytest.param(_entry_not_object, id="entry-not-object"),
+])
+def test_corrupt_program_table_raises_decode_error(compiled, corrupt):
+    data = json.loads(dump_model(compiled))
+    corrupt(data)
+    block = _first_tiled(data)["name"]
+    with pytest.raises(ProgramDecodeError, match=repr(block)):
+        load_blocks(json.dumps(data))
+
+
+def test_corrupt_program_table_invalidates_a_cached_artifact(compiled,
+                                                             tmp_path):
+    # A warm start drops the corrupt record instead of crashing.
+    data = json.loads(dump_model(compiled))
+    _set_program(data, len(data["programs"]))
+    cache = EvalCache(directory=tmp_path)
+    cache.put("compiled", "k", json.dumps(data), encode=lambda text: text)
+    cache = EvalCache(directory=tmp_path)
+    assert cache.get("compiled", "k", decode=load_blocks) is None
+    assert cache.stats.invalidations == 1
 
 
 def test_programs_roundtrip_bit_exact(compiled):
@@ -94,16 +154,17 @@ def test_version_check():
 
 
 def test_artifact_stores_access_claims_not_analytic_metadata(compiled):
-    # Format v5: the cycle model's metadata is derived from the access
-    # claims the verifier checks, so the artifact carries only those.
+    # The cycle model's metadata is derived from the access claims the
+    # verifier checks, so the program table carries only those.
     from repro.compiler.serialize import FORMAT_VERSION
     data = json.loads(dump_model(compiled))
-    assert data["format_version"] == FORMAT_VERSION == 5
-    tiles = [blk["tile"] for blk in data["blocks"] if blk["tile"]]
-    assert tiles
-    for tile in tiles:
-        assert "meta" not in tile and "op_metas" not in tile
-        assert "version" not in tile["access_meta"]
+    assert data["format_version"] == FORMAT_VERSION == 6
+    entries = data["programs"]
+    assert entries
+    for entry in entries:
+        assert "meta" not in entry and "op_metas" not in entry
+        assert "version" not in entry["access_meta"]
+        assert all(isinstance(t["tensor"], int) for t in entry["transfers"])
     blocks = load_blocks(dump_model(compiled))
     for original, restored in zip(compiled.blocks, blocks):
         if original.tile is None:
@@ -111,3 +172,53 @@ def test_artifact_stores_access_claims_not_analytic_metadata(compiled):
         assert restored["tile"].op_ranges == original.tile.op_ranges
         assert restored["tile"].meta == original.tile.meta
         assert restored["tile"].op_metas == original.tile.op_metas
+
+
+# ---------------------------------------------------------------------------
+# The program table round-trips every compiled benchmark
+# ---------------------------------------------------------------------------
+def _graph(name):
+    if name.endswith(":decode"):
+        return build_step(get_llm_config(name[:-len(":decode")]),
+                          past_len=4, n_new=1).graph
+    return build_model(name)
+
+
+@pytest.fixture(scope="module", params=available_models() + ["tinyllm:decode"])
+def artifact(request):
+    model = compile_model(_graph(request.param), verify=False)
+    return model, dump_model(model)
+
+
+def test_reloaded_artifact_dumps_byte_identically(artifact):
+    model, text = artifact
+    loaded = load_model(text, model.graph, model.sim_params,
+                        model.gemm_params)
+    assert dump_model(loaded) == text
+    for original, restored in zip(model.blocks, loaded.blocks):
+        if original.tile is not None:
+            assert (restored.tile.program.name
+                    == original.tile.program.name)
+            assert restored.tile.transfers == original.tile.transfers
+            assert restored.tile.access_meta == original.tile.access_meta
+
+
+def test_loaded_blocks_verify_like_per_tile_programs(artifact):
+    model, text = artifact
+    blocks = load_blocks(text)
+    params = model.sim_params.tandem
+    report = verify_block_dicts(model.name, blocks, params)
+    reference = [verify_program(b["tile"].program, params,
+                                owns_obuf=b["gemm_node"] is not None,
+                                tile=b["tile"]).as_dict()
+                 for b in blocks if b["tile"] is not None]
+    assert [r.as_dict() for r in report.reports] == reference
+
+
+def test_repeated_programs_are_stored_once():
+    model = compile_model(build_model("bert"), verify=False)
+    data = json.loads(dump_model(model))
+    tiles = [blk["tile"] for blk in data["blocks"] if blk["tile"]]
+    assert len(data["programs"]) < len(tiles)
+    assert sorted({tile["program"] for tile in tiles}) \
+        == list(range(len(data["programs"])))
