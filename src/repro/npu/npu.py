@@ -8,7 +8,7 @@ GEMM unit per the Section 4.2 double-buffering protocol.
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..compiler import CompiledModel, compile_model
 from ..graph import Graph
@@ -112,19 +112,32 @@ class NPUTandem:
         return result
 
     def block_schedules(self, model: CompiledModel, max_spans: int = 0):
-        """Yield ``(block, per-tile MachineResult or None, BlockSchedule)``.
+        """Yield ``(block, tile estimate, per-op estimates, BlockSchedule)``.
 
         The one place a block's per-tile GEMM and Tandem cycles, Output
         BUF release and dispatch are derived; both the evaluator and the
         Figure 10 trace (``max_spans`` > 0 draws the first tiles) read
-        them from here.
+        them from here. The tile estimate is a per-tile
+        :class:`MachineResult` (None for a GEMM-only block); the per-op
+        estimates are ``(op_type, MachineResult)`` per source operator.
+        Both are estimated once per distinct tile timing (see
+        ``LoweredTile.timing_key``), so repeated blocks cost one estimate.
         """
+        estimates: Dict[tuple, Tuple[MachineResult,
+                                     List[Tuple[str, MachineResult]]]] = {}
         for cb in model.blocks:
             tile_result: Optional[MachineResult] = None
+            op_results: List[Tuple[str, MachineResult]] = []
             release = None
             dispatch_insts = 0
             if cb.tile is not None:
-                tile_result = estimate(cb.tile.meta, model.sim_params)
+                key = cb.tile.timing_key
+                if key not in estimates:
+                    estimates[key] = (
+                        estimate(cb.tile.meta, model.sim_params),
+                        [(op_type, estimate(meta, model.sim_params))
+                         for op_type, meta in cb.tile.op_metas])
+                tile_result, op_results = estimates[key]
                 release = int(tile_result.pipelined_cycles
                               * cb.tile.obuf_release_fraction)
                 dispatch_insts = len(cb.tile.program)
@@ -157,7 +170,7 @@ class NPUTandem:
                 dispatch_insts=dispatch_insts,
                 overlap=self.overlap,
                 max_spans=max_spans)
-            yield cb, tile_result, schedule
+            yield cb, tile_result, op_results, schedule
 
     def _evaluate(self, graph: Union[str, Graph, CompiledModel]) -> RunResult:
         tel = get_telemetry()
@@ -172,7 +185,8 @@ class NPUTandem:
         tandem_energy = EnergyLedger()
         per_op_cycles: Dict[str, float] = {}
 
-        for cb, tile_result, schedule in self.block_schedules(model):
+        for cb, tile_result, op_results, schedule in \
+                self.block_schedules(model):
             total_cycles += schedule.total_cycles
             gemm_busy += schedule.gemm_busy_cycles
             tandem_busy += schedule.tandem_busy_cycles
@@ -185,8 +199,7 @@ class NPUTandem:
             if tile_result is not None:
                 tandem_energy = tandem_energy.add(
                     tile_result.energy.scaled(cb.tiles))
-                for op_type, meta in cb.tile.op_metas:
-                    op_result = estimate(meta, model.sim_params)
+                for op_type, op_result in op_results:
                     per_op_cycles[op_type] = (
                         per_op_cycles.get(op_type, 0.0)
                         + op_result.pipelined_cycles * cb.tiles)

@@ -49,7 +49,7 @@ def trace_model(graph: Union[str, Graph, CompiledModel],
     model = graph if isinstance(graph, CompiledModel) else npu.compile(graph)
     events: List[TraceEvent] = []
     origin = 0
-    for cb, _result, schedule in npu.block_schedules(
+    for cb, _result, _ops, schedule in npu.block_schedules(
             model, max_spans=max_tiles_per_block):
         events.extend(trace_block(cb.name, schedule, origin))
         origin += schedule.total_cycles

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler import LoweredTile
 from repro.models import MODEL_ORDER
 from repro.npu import (
     ExecutionController,
@@ -10,6 +11,7 @@ from repro.npu import (
     iso_a100_config,
     table3_config,
 )
+from repro.simulator import estimate
 
 
 # -- controller ----------------------------------------------------------------
@@ -141,3 +143,40 @@ def test_compile_accepts_graph_or_name():
     by_name = npu.compile("tinynet")
     by_graph = npu.compile(build_model("tinynet"))
     assert by_name.total_instructions() == by_graph.total_instructions()
+
+
+# -- one estimate per distinct tile timing -------------------------------------
+@pytest.fixture(scope="module")
+def bert_model():
+    return NPUTandem().compile("bert")
+
+
+def test_repeated_blocks_are_estimated_once(bert_model, monkeypatch):
+    import repro.npu.npu as npu_module
+    calls = []
+
+    def counting(meta, params):
+        calls.append(meta)
+        return estimate(meta, params)
+
+    monkeypatch.setattr(npu_module, "estimate", counting)
+    NPUTandem()._evaluate(bert_model)
+    tiles = [cb.tile for cb in bert_model.blocks if cb.tile is not None]
+    distinct = {tile.timing_key: tile for tile in tiles}
+    assert len(distinct) < len(tiles)
+    assert len(calls) == sum(1 + len(tile.op_ranges)
+                             for tile in distinct.values())
+    for tile in tiles:
+        first = distinct[tile.timing_key]
+        assert tile.meta == first.meta
+        assert tile.op_metas == first.op_metas
+
+
+@pytest.mark.parametrize("name", MODEL_ORDER)
+def test_estimating_once_keeps_results_bit_identical(name, monkeypatch):
+    model = NPUTandem().compile(name)
+    memoized = NPUTandem()._evaluate(model)
+    # A fresh key per tile: every tile is estimated on its own.
+    monkeypatch.setattr(LoweredTile, "timing_key",
+                        property(lambda tile: object()))
+    assert NPUTandem()._evaluate(model) == memoized
