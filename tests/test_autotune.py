@@ -269,6 +269,18 @@ def test_depth1_exact_mobilenetv2_compiles_verifier_clean(fission,
                for cb in model.blocks if cb.block.ops)
 
 
+def test_mobilenetv2_knob_space_compiles_verifier_clean():
+    # Every config of the whole space must compile verifier-clean: a
+    # rejected candidate there is a compiler bug, not a losing config.
+    report = autotune_model(build_model("mobilenetv2"), budget=1000)
+    assert report.strategy == "exhaustive"
+    assert len(report.candidates) == knob_space_size()
+    failed = {c["label"]: c["status"] for c in report.candidates
+              if c["status"] in ("verify-rejected", "compile-error")}
+    assert failed == {}
+    assert report.counters["verifier_rejects"] == 0
+
+
 def test_npu_autotune_opt_in(monkeypatch):
     assert not NPUTandem()._autotune_active()
     assert NPUTandem(autotune=True)._autotune_active()
