@@ -473,6 +473,7 @@ def cmd_serve(args) -> int:
         OpenLoopPoisson,
         ResiliencePolicy,
         ServiceCosts,
+        TraceFileError,
         load_trace,
         save_trace,
         scale_table,
@@ -499,8 +500,16 @@ def cmd_serve(args) -> int:
     autoscale = AutoscaleConfig.from_env() if autoscale_on else None
     if args.trace:
         # A replayed trace names its own model mix; --model is ignored.
-        workload = load_trace(args.trace)
-        models = sorted({r.model for r in workload.initial()})
+        try:
+            workload = load_trace(args.trace)
+        except TraceFileError as error:
+            _invalid("serve", f"trace {args.trace}", error.problems)
+            return 2
+        except (OSError, json.JSONDecodeError) as error:
+            print(f"repro serve: cannot read {args.trace}: {error}",
+                  file=sys.stderr)
+            return 2
+        models = sorted(set(workload.arrivals().models))
     config_rows = [
         ("models", "+".join(models)),
         ("devices", f"{args.devices} ({cells} cell(s) x "
@@ -535,20 +544,24 @@ def cmd_serve(args) -> int:
         print(render_table(("parameter", "value"), config_rows,
                            title="serve --dry-run (no simulation)"))
         return 0
-    if args.trace:
-        rate = 0.0
-    elif args.closed_loop:
-        workload = ClosedLoop(models, clients=args.clients,
-                              duration_s=args.duration,
-                              think_s=args.think_ms * 1e-3)
-        rate = 0.0
-    elif args.diurnal:
-        workload = DiurnalTrace(models, args.rate, args.duration,
-                                trough_fraction=args.trough)
-        rate = args.rate
-    else:
-        workload = OpenLoopPoisson(models, args.rate, args.duration)
-        rate = args.rate
+    try:
+        if args.trace:
+            rate = 0.0
+        elif args.closed_loop:
+            workload = ClosedLoop(models, clients=args.clients,
+                                  duration_s=args.duration,
+                                  think_s=args.think_ms * 1e-3)
+            rate = 0.0
+        elif args.diurnal:
+            workload = DiurnalTrace(models, args.rate, args.duration,
+                                    trough_fraction=args.trough)
+            rate = args.rate
+        else:
+            workload = OpenLoopPoisson(models, args.rate, args.duration)
+            rate = args.rate
+    except ValueError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
     if args.save_trace:
         written = save_trace(workload, args.save_trace)
         print(f"wrote {args.save_trace} ({written} requests)")

@@ -5,8 +5,10 @@ A spec is plain data: a JSON type name (``int``, ``number``, ``str``,
 ``number``) or a dict of ``type`` (implied by the other entries when
 omitted), ``keys``/``optional`` (required/optional object keys, each with
 a sub-spec), ``items``/``values`` (the sub-spec of every list item/object
-value), ``enum`` (allowed values), ``min`` (inclusive lower bound on a
-number or a length) and ``gt`` (exclusive lower bound on a number).
+value), ``tuple`` (a list of sub-specs: the value is a list of exactly
+that many items, item ``i`` checked against sub-spec ``i``), ``enum``
+(allowed values), ``min`` (inclusive lower bound on a number or a length)
+and ``gt`` (exclusive lower bound on a number).
 
 Each problem reads ``<json path>: <what is wrong>``, the path being ``$``
 then ``.key``, ``['map key']`` and ``[index]`` steps. This module imports
@@ -40,7 +42,7 @@ def _check(value: Any, spec: Any, path: str, out: List[str]) -> None:
     if isinstance(spec, str):
         spec = {"type": spec}
     kind = spec.get("type") or (
-        "list" if "items" in spec else
+        "list" if {"items", "tuple"} & spec.keys() else
         "object" if {"keys", "optional", "values"} & spec.keys() else "any")
     got = _NAMES.get(type(value), type(value).__name__)
     if kind not in ("any", got) and (kind, got) != ("number", "int"):
@@ -71,6 +73,13 @@ def _check(value: Any, spec: Any, path: str, out: List[str]) -> None:
     if "items" in spec:
         for index, item in enumerate(value):
             _check(item, spec["items"], f"{path}[{index}]", out)
+    if "tuple" in spec:
+        subs = spec["tuple"]
+        if len(value) != len(subs):
+            out.append(f"{path}: length {len(value)}, expected {len(subs)}")
+        else:
+            for index, (item, sub) in enumerate(zip(value, subs)):
+                _check(item, sub, f"{path}[{index}]", out)
 
 
 __all__ = ["check", "passed"]

@@ -77,11 +77,14 @@ from .sweep import (
     sweep_table,
 )
 from .workload import (
+    REQUEST_TRACE_SPEC,
     TRACE_SCHEMA,
+    Arrivals,
     ClosedLoop,
     DiurnalTrace,
     OpenLoopPoisson,
     Request,
+    TraceFileError,
     TraceReplay,
     Workload,
     load_trace,
@@ -95,11 +98,13 @@ __all__ = [
     "DEFAULT_LLM_SLO_MULTIPLIER",
     "DEFAULT_SLO_MULTIPLIER",
     "LLM_SCHEDULERS",
+    "REQUEST_TRACE_SPEC",
     "RESILIENCE_POLICIES",
     "ROUTING_POLICIES",
     "SCALE_SCHEMA",
     "TRACE_SCHEMA",
     "AdmissionPolicy",
+    "Arrivals",
     "AutoscaleConfig",
     "AutoscaleController",
     "BatchPolicy",
@@ -124,6 +129,7 @@ __all__ = [
     "ServiceCosts",
     "ServingReport",
     "SweepPoint",
+    "TraceFileError",
     "TraceReplay",
     "Workload",
     "llm_poisson_requests",

@@ -35,7 +35,7 @@ fixed fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 from ..runtime import knobs, seeded_rng
 from .scheduler import DEFAULT_AMORTIZED_FRACTION, LLM_SCHEDULERS, BatchPolicy
@@ -52,6 +52,8 @@ class LLMRequest:
     arrival_s: float
     prompt_tokens: int
     output_tokens: int
+    #: Every request runs the config the fleet serves; it names no model.
+    model: ClassVar[str] = ""
 
     @property
     def kv_footprint(self) -> int:

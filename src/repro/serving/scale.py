@@ -8,7 +8,11 @@ accumulator.  It is built to run 1000+ devices:
 
 * **Interned request records** — requests live in parallel arrays
   (arrival time, model index, one status byte), not objects; a request
-  *is* its slot index.  Follow-up requests (closed loop), injected
+  *is* its slot index.  The workload hands its arrivals over as sorted
+  columns (:meth:`~repro.serving.workload.Workload.arrivals`), and a
+  :class:`~repro.serving.workload.Request` is built only where a path
+  reads one: a timeout or retry, a closed-loop follow-up, a queue burst
+  or the LLM token fields.  Follow-up requests (closed loop), injected
   queue bursts and nothing else append slots.
 * **One merged event stream** — the initial arrivals are already a
   sorted array, so they are consumed through a pointer instead of being
@@ -78,7 +82,6 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime import knobs
@@ -251,17 +254,18 @@ class ScaledFleetSimulator:
         compiled: List[set] = [set() for _ in range(ndev)]
 
         # -- interned request records ----------------------------------
-        initial = sorted(workload.initial(),
-                         key=attrgetter("arrival_s", "rid"))
+        arrivals = workload.arrivals()
         try:
-            arr_t = [r.arrival_s for r in initial]
-            arr_m = ([0] * len(initial) if llm
-                     else [midx[r.model] for r in initial])
+            arr_m = ([0] * len(arrivals.times) if llm
+                     else [midx[m] for m in arrivals.models])
         except KeyError as err:
             raise ValueError(f"workload model {err} not in ServiceCosts")
+        arr_t = list(arrivals.times)
         n0 = len(arr_t)
         status = bytearray(n0)
-        req_of = initial            # the Request behind each slot
+        # The Request behind a slot that is not its arrival row:
+        # interned slots and retried ones (see request()).
+        req_of: Dict[int, Request] = {}
         has_follow = type(workload).on_complete is not Workload.on_complete
 
         # -- fault surface: what goes wrong, and how the fleet responds -
@@ -363,21 +367,26 @@ class ScaledFleetSimulator:
         seq = n0
         ai = 0
 
-        def intern(request: Request, m: int) -> int:
-            """A new slot for a request that was not in ``initial``."""
+        def request(s: int) -> Request:
+            """The Request behind slot ``s``, built on demand."""
+            req = req_of.get(s)
+            return req if req is not None else arrivals.request(s)
+
+        def intern(req: Request, m: int) -> int:
+            """A new slot for a request that was not in ``arrivals``."""
             slot = len(arr_t)
-            arr_t.append(request.arrival_s)
+            arr_t.append(req.arrival_s)
             arr_m.append(m)
             status.append(0)
-            req_of.append(request)
+            req_of[slot] = req
             if born is not arr_t:
-                born.append(request.arrival_s)
+                born.append(req.arrival_s)
             return slot
 
         def follow_up(s: int, now: float) -> None:
             """Closed-loop feedback: intern the next request as a slot."""
             nonlocal seq
-            nxt = workload.on_complete(req_of[s], now)
+            nxt = workload.on_complete(request(s), now)
             if nxt is None:
                 return
             m = midx.get(nxt.model)
@@ -514,6 +523,7 @@ class ScaledFleetSimulator:
         if llm:
             oneshot = policy.kind == "oneshot"
             budget = costs.kv_budget_tokens
+            initial = [arrivals.request(s) for s in range(n0)]
             prompt = [r.prompt_tokens for r in initial]
             out_tok = [r.output_tokens for r in initial]
             foot = [r.kv_footprint for r in initial]
@@ -925,7 +935,7 @@ class ScaledFleetSimulator:
                         (st != QUEUED and st != FLIGHT):
                     continue   # a newer attempt owns it, or it is over
                 dev = loc[s]
-                req = req_of[s]
+                req = request(s)
                 tally["timeouts"] += 1
                 if tracing:
                     log("timeout", now, device=dev, model=req.model,

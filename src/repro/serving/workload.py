@@ -17,13 +17,16 @@ shared ``REPRO_SEED`` discipline (:mod:`repro.runtime.seed`):
   datacenter-scale workload the autoscaler is evaluated against.
 
 Traces round-trip through JSON (:func:`save_trace` /
-:func:`load_trace`, schema ``repro-request-trace-v1``) so a generated
-diurnal day can be replayed byte-identically by ``repro serve
---trace``.
+:func:`load_trace`, schema ``repro-request-trace-v1``, checked against
+:data:`REQUEST_TRACE_SPEC`) so a generated diurnal day can be replayed
+byte-identically by ``repro serve --trace``.
 
-The simulator drives a workload through two hooks: :meth:`initial`
-yields the requests known up front, and :meth:`on_complete` lets
-closed-loop clients react to their own completions.
+The simulator drives a workload through two hooks: :meth:`arrivals`
+gives the arrivals known up front as two sorted columns (times and
+model names), and :meth:`on_complete` lets closed-loop clients react to
+their own completions.  :meth:`initial` gives the same arrivals as
+:class:`Request` objects.  The open-loop sources and trace replays store
+only the columns and build requests on demand.
 """
 
 from __future__ import annotations
@@ -31,12 +34,29 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
 
 from ..runtime import seeded_rng
+from ..schema import check
 
 #: Schema tag for serialized request traces.
 TRACE_SCHEMA = "repro-request-trace-v1"
+
+#: Shape of a ``repro-request-trace-v1`` file (see :mod:`repro.schema`).
+REQUEST_TRACE_SPEC = {
+    "keys": {
+        "schema": {"enum": [TRACE_SCHEMA]},
+        "requests": {"items": {"tuple": ["number", "str"]}},
+    },
+    "optional": {"duration_s": {"type": "number", "min": 0}},
+}
+
+#: Candidate arrivals :class:`DiurnalTrace` draws per block.
+DIURNAL_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -48,6 +68,26 @@ class Request:
     client: int = -1
 
 
+class Arrivals(NamedTuple):
+    """A workload's pre-known arrivals as columns, in time order.
+
+    Row ``i`` arrives at ``times[i]`` for model ``models[i]``.  When the
+    workload's requests carry more than that (closed-loop clients, LLM
+    token counts), ``requests`` holds the request behind each row;
+    otherwise row ``i`` is ``Request(i, models[i], times[i])``.  The
+    columns may be the workload's own storage: do not mutate them.
+    """
+    times: Sequence[float]
+    models: Sequence[str]
+    requests: Optional[Sequence[Request]] = None
+
+    def request(self, i: int) -> Request:
+        """The request behind row ``i``."""
+        if self.requests is not None:
+            return self.requests[i]
+        return Request(i, self.models[i], self.times[i])
+
+
 class Workload:
     """Base protocol: pre-known arrivals + a completion feedback hook."""
 
@@ -57,13 +97,47 @@ class Workload:
     def initial(self) -> List[Request]:
         raise NotImplementedError
 
+    def arrivals(self) -> Arrivals:
+        """:meth:`initial` as columns, in ``(arrival_s, rid)`` order."""
+        requests = sorted(self.initial(), key=attrgetter("arrival_s", "rid"))
+        return Arrivals([r.arrival_s for r in requests],
+                        [r.model for r in requests], requests)
+
     def on_complete(self, request: Request,
                     finish_s: float) -> Optional[Request]:
         """Next request triggered by this completion (closed loop only)."""
         return None
 
 
-class OpenLoopPoisson(Workload):
+def _check_stream(models: Sequence[str], rate_name: str, rate: float,
+                  duration_s: float) -> None:
+    """Reject parameters a generated stream cannot be drawn from."""
+    if not models:
+        raise ValueError("models must name at least one model")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"{rate_name} must be finite and positive, "
+                         f"got {rate}")
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError(f"duration_s must be finite and non-negative, "
+                         f"got {duration_s}")
+
+
+class _ColumnWorkload(Workload):
+    """A workload whose arrivals are stored as two sorted columns."""
+
+    _times: List[float]
+    _models: List[str]
+
+    def initial(self) -> List[Request]:
+        return [Request(i, model, t)
+                for i, (t, model) in enumerate(zip(self._times,
+                                                   self._models))]
+
+    def arrivals(self) -> Arrivals:
+        return Arrivals(self._times, self._models)
+
+
+class OpenLoopPoisson(_ColumnWorkload):
     """Open-loop Poisson arrivals over a fixed model mix.
 
     Models are drawn uniformly from ``models`` per request (a single
@@ -73,25 +147,23 @@ class OpenLoopPoisson(Workload):
 
     def __init__(self, models: Sequence[str], rate_rps: float,
                  duration_s: float, stream: object = 0):
-        if rate_rps <= 0:
-            raise ValueError(f"rate_rps must be positive, got {rate_rps}")
+        _check_stream(models, "rate_rps", rate_rps, duration_s)
         self.models = tuple(models)
         self.rate_rps = float(rate_rps)
         self.duration_s = float(duration_s)
         rng = seeded_rng("poisson", self.models, self.rate_rps,
                          self.duration_s, stream)
-        requests: List[Request] = []
+        times: List[float] = []
+        names: List[str] = []
         t = 0.0
         while True:
             t += float(rng.exponential(1.0 / self.rate_rps))
             if t >= self.duration_s:
                 break
-            model = self.models[int(rng.integers(len(self.models)))]
-            requests.append(Request(len(requests), model, t))
-        self._requests = requests
-
-    def initial(self) -> List[Request]:
-        return list(self._requests)
+            times.append(t)
+            names.append(self.models[int(rng.integers(len(self.models)))])
+        self._times = times
+        self._models = names
 
 
 class ClosedLoop(Workload):
@@ -129,28 +201,25 @@ class ClosedLoop(Workload):
         return replace(request, rid=rid, arrival_s=arrival)
 
 
-class TraceReplay(Workload):
+class TraceReplay(_ColumnWorkload):
     """Replay an explicit ``(arrival_s, model)`` trace, in time order."""
 
     def __init__(self, entries: Iterable[Tuple[float, str]]):
         ordered = sorted(entries, key=lambda e: e[0])
-        self._requests = [Request(i, model, float(t))
-                          for i, (t, model) in enumerate(ordered)]
-        self.duration_s = (self._requests[-1].arrival_s
-                           if self._requests else 0.0)
-
-    def initial(self) -> List[Request]:
-        return list(self._requests)
+        self._times = [float(t) for t, _ in ordered]
+        self._models = [model for _, model in ordered]
+        self.duration_s = self._times[-1] if self._times else 0.0
 
 
 def zoo_mix_trace(models: Sequence[str], rate_rps: float,
                   duration_s: float, stream: object = 0) -> TraceReplay:
     """A canned Poisson trace over a model mix, as a replayable trace."""
     source = OpenLoopPoisson(models, rate_rps, duration_s, stream=stream)
-    return TraceReplay((r.arrival_s, r.model) for r in source.initial())
+    times, names, _ = source.arrivals()
+    return TraceReplay(zip(times, names))
 
 
-class DiurnalTrace(TraceReplay):
+class DiurnalTrace(_ColumnWorkload):
     """Diurnal load: a cosine rate envelope between trough and peak.
 
     Arrivals are generated by seeded thinning: Poisson candidates at
@@ -163,6 +232,11 @@ class DiurnalTrace(TraceReplay):
     modelling flash crowds the autoscaler must absorb.  The trace is a
     pure function of ``(REPRO_SEED, models, peak_rps, duration_s,
     trough_fraction, period_s, burst_every_s, burst_len_s, stream)``.
+
+    Candidates are drawn :data:`DIURNAL_BLOCK` at a time: per block the
+    inter-arrival gaps, then the acceptance draws, then the model picks,
+    each as one array.  Arrival times are one running sum across blocks,
+    and generation stops after the block that passes ``duration_s``.
     """
 
     def __init__(self, models: Sequence[str], peak_rps: float,
@@ -170,8 +244,7 @@ class DiurnalTrace(TraceReplay):
                  period_s: Optional[float] = None,
                  burst_every_s: float = 0.0, burst_len_s: float = 0.0,
                  stream: object = 0):
-        if peak_rps <= 0:
-            raise ValueError(f"peak_rps must be positive, got {peak_rps}")
+        _check_stream(models, "peak_rps", peak_rps, duration_s)
         if not 0.0 <= trough_fraction <= 1.0:
             raise ValueError(f"trough_fraction must be in [0, 1], "
                              f"got {trough_fraction}")
@@ -186,22 +259,26 @@ class DiurnalTrace(TraceReplay):
                          self.period_s, self.burst_every_s,
                          self.burst_len_s, stream)
         two_pi = 2.0 * math.pi
-        entries: List[Tuple[float, str]] = []
+        times = [np.empty(0)]
+        picks = [np.empty(0, dtype=np.int64)]
         t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / self.peak_rps))
-            if t >= duration_s:
-                break
-            in_burst = (self.burst_every_s > 0.0
-                        and t % self.burst_every_s < self.burst_len_s)
-            accept = 1.0 if in_burst else (
-                self.trough_fraction + (1.0 - self.trough_fraction)
-                * 0.5 * (1.0 - math.cos(two_pi * t / self.period_s)))
-            if float(rng.random()) >= accept:
-                continue
-            model = self.models[int(rng.integers(len(self.models)))]
-            entries.append((t, model))
-        super().__init__(entries)
+        while t < duration_s:
+            gaps = rng.exponential(1.0 / self.peak_rps, DIURNAL_BLOCK)
+            u = rng.random(DIURNAL_BLOCK)
+            pick = rng.integers(len(self.models), size=DIURNAL_BLOCK)
+            gaps[0] += t    # cumsum adds in order: the same sums as t +=
+            at = np.cumsum(gaps)
+            t = float(at[-1])
+            accept = (self.trough_fraction + (1.0 - self.trough_fraction)
+                      * 0.5 * (1.0 - np.cos(two_pi * at / self.period_s)))
+            if self.burst_every_s > 0.0:
+                accept[at % self.burst_every_s < self.burst_len_s] = 1.0
+            keep = (u < accept) & (at < duration_s)
+            times.append(at[keep])
+            picks.append(pick[keep])
+        names = np.array(self.models, dtype=object)
+        self._times = np.concatenate(times).tolist()
+        self._models = names[np.concatenate(picks)].tolist()
         # The envelope's horizon, not the last accepted arrival: the
         # quiet tail after the final request is part of the day (and is
         # where the autoscaler earns its cost savings).
@@ -215,29 +292,43 @@ def save_trace(workload: Workload, path: str) -> int:
     through :func:`load_trace` into a :class:`TraceReplay` that yields
     the identical arrival sequence.
     """
-    requests = workload.initial()
+    times, models, _ = workload.arrivals()
     payload = {
         "schema": TRACE_SCHEMA,
         "duration_s": workload.duration_s,
-        "requests": [[r.arrival_s, r.model] for r in requests],
+        "requests": [[t, model] for t, model in zip(times, models)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    return len(requests)
+    return len(times)
+
+
+class TraceFileError(ValueError):
+    """A request-trace file that does not match :data:`REQUEST_TRACE_SPEC`.
+
+    ``problems`` lists each mismatch as ``<json path>: <problem>``.
+    """
+
+    def __init__(self, path: str, problems: List[str]):
+        super().__init__(f"{path}: invalid request trace:\n  "
+                         + "\n  ".join(problems))
+        self.problems = problems
 
 
 def load_trace(path: str) -> TraceReplay:
-    """Load a ``repro-request-trace-v1`` JSON file as a trace replay."""
+    """Load a ``repro-request-trace-v1`` JSON file as a trace replay.
+
+    Raises :class:`TraceFileError` (a ``ValueError``) when the document
+    does not match :data:`REQUEST_TRACE_SPEC`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    schema = payload.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise ValueError(f"{path}: schema {schema!r}, "
-                         f"expected {TRACE_SCHEMA!r}")
-    entries = [(float(t), str(model)) for t, model in payload["requests"]]
-    trace = TraceReplay(entries)
+    problems = check(payload, REQUEST_TRACE_SPEC)
+    if problems:
+        raise TraceFileError(path, problems)
+    trace = TraceReplay((float(t), model) for t, model in payload["requests"])
     duration = payload.get("duration_s")
-    if isinstance(duration, (int, float)) and duration > trace.duration_s:
+    if duration is not None and duration > trace.duration_s:
         trace.duration_s = float(duration)
     return trace

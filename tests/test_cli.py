@@ -101,6 +101,19 @@ def test_serve_prints_slo_metrics_table(capsys, tmp_path):
     assert payload["completed"] > 0
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--rate", "0"], "rate_rps must be finite and positive, got 0.0"),
+    (["--diurnal", "--rate", "nan"],
+     "peak_rps must be finite and positive, got nan"),
+    (["--duration", "inf"],
+     "duration_s must be finite and non-negative, got inf"),
+    (["--model", ","], "models must name at least one model"),
+])
+def test_serve_bad_workload_exits_two_with_one_line(capsys, args, message):
+    assert main(["serve", *args]) == 2
+    assert capsys.readouterr().err == f"repro: {message}\n"
+
+
 def test_serve_closed_loop_smoke(capsys):
     assert main(["serve", "--model", "tinynet", "--closed-loop",
                  "--clients", "4", "--duration", "0.01",

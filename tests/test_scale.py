@@ -1,6 +1,7 @@
 """The fleet core at scale: every feature together, cells, autoscaling, traces."""
 
 import json
+import math
 import zlib
 
 import pytest
@@ -12,7 +13,7 @@ from repro.faults import (
     FlakyCompileSpec,
     TileFaultSpec,
 )
-from repro.runtime import knobs, parallel_map
+from repro.runtime import knobs, parallel_map, seeded_rng
 from repro.serving import (
     AutoscaleConfig,
     AutoscaleController,
@@ -38,6 +39,7 @@ from repro.serving import (
     validate_monitor_report,
 )
 from repro.serving.scheduler import ModelCost
+from repro.serving.workload import DIURNAL_BLOCK, Request
 
 
 def toy_costs(latency_s=0.010, compile_s=0.005, amortized=0.5,
@@ -218,6 +220,74 @@ def test_diurnal_trace_duration_is_the_envelope():
     assert all(r.arrival_s < 4.0 for r in trace.initial())
 
 
+def _reference_day(models, peak_rps, duration_s, trough_fraction=0.25,
+                   burst_every_s=0.0, burst_len_s=0.0, stream=0):
+    """DiurnalTrace's arrivals one candidate at a time, in plain Python.
+
+    Draws the same blocks from the same seeded stream, then walks them
+    with ``t +=`` and ``math.cos``.
+    """
+    models = tuple(models)
+    period_s = float(duration_s)
+    rng = seeded_rng("diurnal", models, float(peak_rps), float(duration_s),
+                     float(trough_fraction), period_s, float(burst_every_s),
+                     float(burst_len_s), stream)
+    out = []
+    t = 0.0
+    while t < duration_s:
+        gaps = rng.exponential(1.0 / peak_rps, DIURNAL_BLOCK).tolist()
+        draws = rng.random(DIURNAL_BLOCK).tolist()
+        picks = rng.integers(len(models), size=DIURNAL_BLOCK).tolist()
+        for gap, u, pick in zip(gaps, draws, picks):
+            t += gap
+            if burst_every_s > 0.0 and t % burst_every_s < burst_len_s:
+                accept = 1.0
+            else:
+                accept = trough_fraction + (1.0 - trough_fraction) * 0.5 * (
+                    1.0 - math.cos(2.0 * math.pi * t / period_s))
+            if u < accept and t < duration_s:
+                out.append((t, models[pick]))
+    return out
+
+
+@pytest.mark.parametrize("kwargs", [
+    # Several blocks (~160k candidates) with bursts: the running sum
+    # carries across block edges.
+    dict(peak_rps=40_000.0, duration_s=4.0, trough_fraction=0.1,
+         burst_every_s=1.0, burst_len_s=0.1),
+    # One block passes the whole day.
+    dict(peak_rps=1000.0, duration_s=3.0),
+], ids=["multi_block_bursts", "one_block"])
+def test_diurnal_blocks_match_the_scalar_reference(kwargs):
+    trace = DiurnalTrace(MODELS, **kwargs)
+    expected = _reference_day(MODELS, **kwargs)
+    times, models, _ = trace.arrivals()
+    assert list(zip(times, models)) == expected
+    assert [(r.arrival_s, r.model) for r in trace.initial()] == expected
+    assert [r.rid for r in trace.initial()] == list(range(len(expected)))
+
+
+def test_a_diurnal_day_runs_without_building_requests(monkeypatch):
+    built = []
+    init = Request.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Request, "__init__", counting)
+    trace = DiurnalTrace(MODELS, 3000.0, 2.0, burst_every_s=0.5,
+                         burst_len_s=0.05)
+    sim = ScaledFleetSimulator(
+        COSTS, devices=16, cells=4,
+        autoscale=AutoscaleConfig(interval_s=0.1, min_cells=1,
+                                  cooldown_s=0.2),
+        monitor_config=MonitorConfig(interval_s=0.25))
+    report = sim.run(trace, rate_rps=3000.0)
+    assert report.offered == len(trace.arrivals().times) > 0
+    assert built == []
+
+
 def test_diurnal_rejects_bad_parameters():
     with pytest.raises(ValueError):
         DiurnalTrace(MODELS, 0.0, 1.0)
@@ -244,6 +314,36 @@ def test_load_trace_rejects_wrong_schema(tmp_path):
     path.write_text(json.dumps({"schema": "not-a-trace", "requests": []}))
     with pytest.raises(ValueError, match="schema"):
         load_trace(str(path))
+
+
+TRACE_HEAD = {"schema": "repro-request-trace-v1", "duration_s": 1.0}
+
+
+@pytest.mark.parametrize("document,problems", [
+    ([1, 2], ["$: expected object, got list"]),
+    (TRACE_HEAD, ["$.requests: missing"]),
+    ({**TRACE_HEAD, "requests": [[0.1, "a"], [0.1]]},
+     ["$.requests[1]: length 1, expected 2"]),
+    ({**TRACE_HEAD, "requests": [["0.1", "a"]]},
+     ["$.requests[0][0]: expected number, got str"]),
+    ({**TRACE_HEAD, "requests": [[True, "a"]]},
+     ["$.requests[0][0]: expected number, got bool"]),
+], ids=["not_an_object", "no_requests", "one_element_entry", "string_time",
+        "bool_time"])
+def test_load_trace_lists_every_problem(tmp_path, capsys, document,
+                                        problems):
+    from repro.cli import main
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError) as caught:
+        load_trace(str(path))
+    assert caught.value.problems == problems
+    for problem in problems:
+        assert problem in str(caught.value)
+    assert main(["serve", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"repro serve: invalid trace {path}:\n  "
+                   + "\n  ".join(problems) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,16 @@ def test_enum_and_lower_bounds():
         "$: length 0 is below the minimum 1"]
 
 
+def test_tuple_fixes_the_length_and_each_item():
+    spec = {"tuple": ["number", "str"]}
+    assert check([0.5, "a"], spec) == []
+    assert check([0.5], spec) == ["$: length 1, expected 2"]
+    assert check([0.5, "a", 1], spec) == ["$: length 3, expected 2"]
+    assert check(["0.5", 1], spec) == ["$[0]: expected number, got str",
+                                       "$[1]: expected str, got int"]
+    assert check({}, spec) == ["$: expected list, got object"]
+
+
 def test_passed_gates_on_top_level_keys():
     problems = ["$.a.b: missing", "$.c[0]: expected object, got null",
                 "$.d: missing"]

@@ -8,6 +8,7 @@ from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
     ClosedLoop,
+    DiurnalTrace,
     FleetSimulator,
     OpenLoopPoisson,
     ServiceCosts,
@@ -55,6 +56,36 @@ def test_poisson_workload_follows_repro_seed(monkeypatch):
 def test_poisson_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         OpenLoopPoisson(["bert"], 0.0, 1.0)
+
+
+#: OpenLoopPoisson names its rate ``rate_rps``, DiurnalTrace ``peak_rps``.
+RATE = r"(rate|peak)_rps"
+BAD_STREAMS = [
+    # (models, rate, duration, the parameter the error names)
+    ((), 100.0, 1.0, "models"),
+    (("bert",), 0.0, 1.0, RATE),
+    (("bert",), -5.0, 1.0, RATE),
+    (("bert",), float("nan"), 1.0, RATE),
+    (("bert",), float("inf"), 1.0, RATE),
+    (("bert",), 100.0, float("inf"), "duration_s"),
+    (("bert",), 100.0, float("nan"), "duration_s"),
+    (("bert",), 100.0, -1.0, "duration_s"),
+]
+
+
+@pytest.mark.parametrize("source", [OpenLoopPoisson, DiurnalTrace])
+@pytest.mark.parametrize("models,rate,duration,names", BAD_STREAMS)
+def test_generated_streams_reject_bad_parameters(source, models, rate,
+                                                 duration, names):
+    with pytest.raises(ValueError, match=names):
+        source(models, rate, duration)
+
+
+@pytest.mark.parametrize("source", [OpenLoopPoisson, DiurnalTrace])
+def test_zero_duration_is_an_empty_stream(source):
+    workload = source(("bert",), 100.0, 0.0)
+    assert workload.initial() == []
+    assert workload.arrivals() == ([], [], None)
 
 
 def test_trace_replay_orders_and_numbers_requests():
