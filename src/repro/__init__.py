@@ -21,15 +21,23 @@ Subpackages:
 * :mod:`repro.baselines` — every Section 2.3 comparison design point;
 * :mod:`repro.analysis` — characterization + breakdowns;
 * :mod:`repro.harness` — per-figure experiment registry.
+
+Every package exports its names lazily (:mod:`repro._lazy`): ``import
+repro`` loads no subpackage, and a name's module loads on first use.
 """
 
-from .compiler import CompiledModel, ReferenceExecutor, compile_model
-from .graph import Graph, GraphBuilder, OpClass, TensorSpec
-from .models import MODEL_ORDER, available_models, build_model
-from .npu import FunctionalRunner, NPUConfig, NPUTandem, iso_a100_config, table3_config
-from .results import RunResult, geomean
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compiler": ("CompiledModel", "ReferenceExecutor", "compile_model"),
+    "graph": ("Graph", "GraphBuilder", "OpClass", "TensorSpec"),
+    "models": ("MODEL_ORDER", "available_models", "build_model"),
+    "npu": ("FunctionalRunner", "NPUConfig", "NPUTandem", "iso_a100_config",
+            "table3_config"),
+    "results": ("RunResult", "geomean"),
+})
 
 __all__ = [
     "CompiledModel",

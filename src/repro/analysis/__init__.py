@@ -1,25 +1,28 @@
 """Characterization and reporting (Section 2 + the figure breakdowns)."""
 
-from .area import AreaBreakdown, tandem_area
-from .dse import DesignPoint, DseResult, config_for, pareto_frontier, sweep
-from .breakdown import (
-    figure3,
-    figure17,
-    figure22,
-    figure24,
-    figure25,
-    runtime_fractions,
-)
-from .opstats import (
-    CumulativeOps,
-    ModelOpStats,
-    cumulative_usage,
-    model_stats,
-    operator_diversity,
-)
-from .overheads import OverheadResult, average_overheads, overhead_analysis
-from .roofline import RooflinePoint, ridge_point, roofline
-from .utilization import UtilizationComparison, utilization_comparison
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "area": ("AreaBreakdown", "tandem_area"),
+    "dse": (
+        "DesignPoint", "DseResult", "config_for", "pareto_frontier", "sweep",
+    ),
+    "breakdown": (
+        "figure3", "figure17", "figure22", "figure24", "figure25",
+        "runtime_fractions",
+    ),
+    "opstats": (
+        "CumulativeOps", "ModelOpStats", "cumulative_usage", "model_stats",
+        "operator_diversity",
+    ),
+    "overheads": ("OverheadResult", "average_overheads", "overhead_analysis"),
+    "roofline": ("RooflinePoint", "ridge_point"),
+    "utilization": ("UtilizationComparison", "utilization_comparison"),
+})
+
+# ``roofline`` names both a submodule and its function.  Importing the
+# submodule binds the module here, so the function is bound eagerly.
+from .roofline import roofline  # noqa: E402
 
 __all__ = [
     "DesignPoint",

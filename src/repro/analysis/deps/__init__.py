@@ -29,26 +29,24 @@ The verifier pipeline (:mod:`repro.analysis.verifier.pipeline`) runs
 on every fresh compile; ``REPRO_DEPS`` selects ``off``/``on``/``strict``.
 """
 
-from .footprint import DepKind, Walk, boxes_overlap, ref_walk, walks_overlap
-from .nest import (
-    NestDep,
-    fission_blockers,
-    forwarding_claims,
-    interchange_blockers,
-    is_pointwise_parallel,
-    nest_dependences,
-)
-from .access import (
-    ForwardClaim,
-    NestAccess,
-    PermuteAccess,
-    TileAccessMeta,
-    TransferAccess,
-    collect_access_meta,
-)
-from .validate import validate_tile
-from .races import check_model
-from .oracle import OracleVerdict, run_oracle
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "footprint": (
+        "DepKind", "Walk", "boxes_overlap", "ref_walk", "walks_overlap",
+    ),
+    "nest": (
+        "NestDep", "fission_blockers", "forwarding_claims",
+        "interchange_blockers", "is_pointwise_parallel", "nest_dependences",
+    ),
+    "access": (
+        "ForwardClaim", "NestAccess", "PermuteAccess", "TileAccessMeta",
+        "TransferAccess", "collect_access_meta",
+    ),
+    "validate": ("validate_tile",),
+    "races": ("check_model",),
+    "oracle": ("OracleVerdict", "run_oracle"),
+})
 
 __all__ = [
     "DepKind",

@@ -25,9 +25,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DepKind(enum.Enum):
@@ -116,6 +117,7 @@ class Walk:
         when the walk has more than ``cap`` points (callers fall back
         to the interval). Used by the dynamic oracle, not by legality.
         """
+        import numpy as np
         if self.points > cap:
             return None
         addrs = np.array([self.base], dtype=np.int64)

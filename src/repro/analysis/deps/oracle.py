@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ...isa import Namespace
 from .footprint import Walk
 from .races import alias_roots
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Region = Optional[Tuple[Tuple[int, int], ...]]
 
@@ -57,6 +58,7 @@ def _region_index(region: Region) -> Tuple:
 
 
 def _mask(shape: Tuple[int, ...], region: Region) -> np.ndarray:
+    import numpy as np
     mask = np.zeros(shape, dtype=bool)
     mask[_region_index(region)] = True
     return mask
@@ -77,6 +79,7 @@ class _DramReplay:
         return self.roots.get(name, name)
 
     def _bitmap(self, name: str) -> np.ndarray:
+        import numpy as np
         storage = self.root(name)
         if storage not in self.defined:
             shape = self.graph.tensor(storage).shape

@@ -20,25 +20,22 @@ Entry points: :func:`verify_program` (one program),
 ``repro verify``).
 """
 
-from .findings import (
-    Finding,
-    ModelVerifyReport,
-    Severity,
-    VerificationError,
-    VerifyReport,
-    snippet_at,
-)
-from .pipeline import (
-    PASS_NAMES,
-    deps_mode,
-    verify_blob,
-    verify_block_dicts,
-    verify_model,
-    verify_program,
-    verify_words,
-)
-from .rules import Rule, all_rules, resolve_ignores, rule_id, rules_table
-from .state import ProgramTrace, interpret
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "findings": (
+        "Finding", "ModelVerifyReport", "Severity", "VerificationError",
+        "VerifyReport", "snippet_at",
+    ),
+    "pipeline": (
+        "PASS_NAMES", "deps_mode", "verify_blob", "verify_block_dicts",
+        "verify_model", "verify_program", "verify_words",
+    ),
+    "rules": (
+        "Rule", "all_rules", "resolve_ignores", "rule_id", "rules_table",
+    ),
+    "state": ("ProgramTrace", "interpret"),
+})
 
 __all__ = [
     "Finding",

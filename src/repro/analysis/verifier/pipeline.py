@@ -129,7 +129,7 @@ def _verify(program: TandemProgram, params: TandemParams,
                      if name != "deps" or ran_deps]
     report.extend(checked)
     if ran_deps:
-        from ..deps import validate_tile
+        from ..deps.validate import validate_tile
         deps_findings = validate_tile(tile, trace)
         report.extend(deps_findings)
         tel = get_telemetry()
@@ -215,7 +215,7 @@ def verify_model(model, params: Optional[TandemParams] = None, *,
         report.reports.append(_verify(block.tile.program, params, owns,
                                       block.tile, mode, memo))
     if mode != "off":
-        from ..deps import check_model
+        from ..deps.races import check_model
         races = VerifyReport(program=f"{model.name}::model",
                              passes=["deps"])
         races.extend(check_model(model))

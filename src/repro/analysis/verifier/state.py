@@ -29,6 +29,7 @@ from ...isa import (
     LoopFunc,
     Namespace,
     Opcode,
+    PermuteFunc,
     SyncFunc,
     TandemProgram,
     is_compute_opcode,
@@ -331,7 +332,6 @@ def _step_dae(trace: ProgramTrace, config: Dict[str, Dict], pc: int,
 
 def _step_permute(trace: ProgramTrace, config: Dict, pc: int,
                   inst: Instruction) -> None:
-    from ...isa import PermuteFunc
     try:
         func = PermuteFunc(inst.func)
     except ValueError:

@@ -1,12 +1,18 @@
 """Comparison design points (Section 2.3 classes)."""
 
-from .cpu import CpuModel, CpuParams
-from .cpu_fallback import CpuFallbackDesign
-from .dedicated import DedicatedUnitsDesign
-from .gemmini import GemminiDesign, RiscvParams, runtime_breakdown
-from .gpu import A100, JETSON_XAVIER_NX, RTX_2080_TI, GpuDesign, GpuParams
-from .pcie import PcieLink, PcieParams
-from .vpu import TpuVpuDesign, VpuFlags
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cpu": ("CpuModel", "CpuParams"),
+    "cpu_fallback": ("CpuFallbackDesign",),
+    "dedicated": ("DedicatedUnitsDesign",),
+    "gemmini": ("GemminiDesign", "RiscvParams", "runtime_breakdown"),
+    "gpu": (
+        "A100", "JETSON_XAVIER_NX", "RTX_2080_TI", "GpuDesign", "GpuParams",
+    ),
+    "pcie": ("PcieLink", "PcieParams"),
+    "vpu": ("TpuVpuDesign", "VpuFlags"),
+})
 
 __all__ = [
     "A100",

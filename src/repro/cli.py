@@ -57,32 +57,39 @@ import json
 import sys
 from typing import Callable, Dict, List, Optional
 
-from .baselines import (
-    A100,
-    JETSON_XAVIER_NX,
-    RTX_2080_TI,
-    CpuFallbackDesign,
-    DedicatedUnitsDesign,
-    GemminiDesign,
-    GpuDesign,
-    TpuVpuDesign,
-)
-from .harness import all_experiment_ids, render_table, run_experiment
-from .models import available_models
-from .npu import NPUTandem, render_timeline, trace_model
-from .runtime import KnobError, cached_evaluate, get_cache, knobs, parallel_map
+from .runtime import KnobError, knobs
+
+# Each command imports the modules it runs inside its ``cmd_*``
+# function, and a design's factory imports it when called, so start-up
+# loads only what the argument parser needs.
+
+
+def _npu():
+    from .npu import NPUTandem
+    return NPUTandem()
+
+
+def _baselines():
+    from . import baselines
+    return baselines
+
+
+def _gpu(device: str, *stack: str):
+    baselines = _baselines()
+    return baselines.GpuDesign(getattr(baselines, device), *stack)
+
 
 _DESIGNS: Dict[str, Callable[[], object]] = {
-    "npu": NPUTandem,
-    "baseline1": CpuFallbackDesign,
-    "baseline2": DedicatedUnitsDesign,
-    "gemmini": lambda: GemminiDesign(1),
-    "gemmini32": lambda: GemminiDesign(32),
-    "vpu": TpuVpuDesign,
-    "jetson": lambda: GpuDesign(JETSON_XAVIER_NX),
-    "rtx2080ti": lambda: GpuDesign(RTX_2080_TI),
-    "a100-tensorrt": lambda: GpuDesign(A100, "tensorrt"),
-    "a100-cuda": lambda: GpuDesign(A100, "cuda"),
+    "npu": _npu,
+    "baseline1": lambda: _baselines().CpuFallbackDesign(),
+    "baseline2": lambda: _baselines().DedicatedUnitsDesign(),
+    "gemmini": lambda: _baselines().GemminiDesign(1),
+    "gemmini32": lambda: _baselines().GemminiDesign(32),
+    "vpu": lambda: _baselines().TpuVpuDesign(),
+    "jetson": lambda: _gpu("JETSON_XAVIER_NX"),
+    "rtx2080ti": lambda: _gpu("RTX_2080_TI"),
+    "a100-tensorrt": lambda: _gpu("A100", "tensorrt"),
+    "a100-cuda": lambda: _gpu("A100", "cuda"),
 }
 
 
@@ -113,6 +120,7 @@ def _result_row(result) -> tuple:
 
 def cmd_models(_args) -> int:
     """List the model-zoo names, one per line."""
+    from .models import available_models
     for name in available_models():
         print(name)
     return 0
@@ -120,6 +128,8 @@ def cmd_models(_args) -> int:
 
 def cmd_evaluate(args) -> int:
     """Evaluate one model on one design point; optional per-op breakdown."""
+    from .harness import render_table
+    from .runtime import cached_evaluate
     design = _DESIGNS[args.design]()
     result = cached_evaluate(design, args.model)
     print(render_table(("design", "latency (ms)", "energy (mJ)", "power (W)"),
@@ -135,6 +145,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     """Evaluate one model across every registered design class."""
+    from .harness import render_table
+    from .runtime import cached_evaluate
     rows = [_result_row(cached_evaluate(_DESIGNS[name](), args.model))
             for name in _DESIGNS]
     print(render_table(("design", "latency (ms)", "energy (mJ)", "power (W)"),
@@ -145,6 +157,7 @@ def cmd_compare(args) -> int:
 def cmd_compile(args) -> int:
     """Compile a model; optionally explain, disassemble, or dump JSON."""
     from .compiler import dump_model
+    from .npu import NPUTandem
     npu = NPUTandem(autotune=True if args.autotune else None)
     if args.explain:
         from .compiler import autotune_model, explain_compile
@@ -181,10 +194,10 @@ def cmd_compile(args) -> int:
 
 def cmd_autotune(args) -> int:
     """Search the pass pipeline for one model; print/export the report."""
-    import json
-
     from .compiler import autotune_model
+    from .harness import render_table
     from .models import build_model
+    from .npu import NPUTandem
 
     npu = NPUTandem()
     graph = build_model(args.model)
@@ -213,11 +226,14 @@ def cmd_autotune(args) -> int:
 
 
 def _render_experiment(exp_id: str) -> str:
+    from .harness import run_experiment
     return run_experiment(exp_id).render()
 
 
 def cmd_experiment(args) -> int:
     """Regenerate paper figures/tables, optionally across processes."""
+    from .harness import all_experiment_ids
+    from .runtime import parallel_map
     unknown = sorted(set(args.ids) - set(all_experiment_ids()))
     if unknown:
         print(f"repro experiment: unknown experiment(s) "
@@ -233,6 +249,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_cache(args) -> int:
     """Inspect, clear, or print the path of the evaluation cache."""
+    from .harness import render_table
+    from .runtime import get_cache
     cache = get_cache()
     if args.action == "clear":
         cache.clear()
@@ -255,6 +273,7 @@ def cmd_cache(args) -> int:
 
 def cmd_trace(args) -> int:
     """Render the tile timeline; optionally export a Chrome trace."""
+    from .npu import render_timeline, trace_model
     events = trace_model(args.model)
     print(render_timeline(events[:args.events], width=args.width))
     if args.json:
@@ -276,6 +295,7 @@ def cmd_profile(args) -> int:
     from .analysis.verifier import verify_model
     from .compiler import compile_model
     from .models import build_model
+    from .npu import NPUTandem, trace_model
     from .telemetry import Telemetry, scoped_telemetry
     from .telemetry.export import (
         chrome_trace,
@@ -320,6 +340,7 @@ def cmd_profile(args) -> int:
 
 def cmd_decode(args) -> int:
     """Autoregressively decode on the detailed machine; print each step."""
+    from .harness import render_table
     from .llm import DecodeSession, available_llm_configs, get_llm_config
     from .runtime import seeded_rng
 
@@ -462,6 +483,7 @@ def cmd_serve(args) -> int:
     if args.llm:
         return _cmd_serve_llm(args)
     from .faults import FaultPlan
+    from .harness import render_table
     from .serving import (
         AdmissionPolicy,
         AutoscaleConfig,
@@ -784,7 +806,8 @@ def _verify_target(target: str, deps=None):
 
     from .analysis.verifier import verify_blob, verify_block_dicts
     from .compiler import compile_model, load_blocks
-    from .models import build_model
+    from .models import available_models, build_model
+    from .npu import NPUTandem
 
     if target in available_models():
         from .analysis.verifier import verify_model
@@ -817,6 +840,7 @@ def _verify_target(target: str, deps=None):
 
 def _cmd_verify(args, lint_mode: bool) -> int:
     from .analysis.verifier import Severity, resolve_ignores
+    from .models import available_models
 
     try:
         ignores = resolve_ignores(args.ignore or [])

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
+# The compiler reads the recipes and constants here on every compile
+# and never runs a vector op, so each op imports numpy itself.
 
 #: Default fixed-point precision: Q23.8.
 FRAC_BITS = 8
@@ -46,12 +47,14 @@ _EXP_C = 0.344
 
 def to_fixed(x, frac_bits: int = FRAC_BITS):
     """Quantize a float (array) to fixed point."""
+    import numpy as np
     return np.round(np.asarray(x, dtype=np.float64) * (1 << frac_bits)).astype(
         np.int64)
 
 
 def from_fixed(x, frac_bits: int = FRAC_BITS):
     """Fixed-point words back to floats (testing convenience)."""
+    import numpy as np
     return np.asarray(x, dtype=np.float64) / (1 << frac_bits)
 
 
@@ -61,28 +64,33 @@ def from_fixed(x, frac_bits: int = FRAC_BITS):
 # ---------------------------------------------------------------------------
 def w32(x):
     """Wrap to signed 32-bit two's-complement range."""
+    import numpy as np
     x = np.asarray(x, dtype=np.int64) & 0xFFFFFFFF
     return np.where(x >= 1 << 31, x - (1 << 32), x).astype(np.int64)
 
 
 def v_add(a, b):
     """Elementwise ADD at 32-bit wraparound."""
+    import numpy as np
     return w32(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64))
 
 
 def v_sub(a, b):
     """Elementwise SUB at 32-bit wraparound."""
+    import numpy as np
     return w32(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
 
 
 def v_mul(a, b):
     # 64-bit internal product, wrapped at write-back.
     """Elementwise MUL at 32-bit wraparound."""
+    import numpy as np
     return w32(np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64))
 
 
 def v_div(a, b):
     """Elementwise truncating DIV (zero divisor saturates to +/-INT_MAX)."""
+    import numpy as np
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     sat = np.where(a >= 0, (1 << 31) - 1, -(1 << 31))
@@ -94,46 +102,55 @@ def v_div(a, b):
 
 def v_rshift(a, n):
     """Arithmetic right shift."""
+    import numpy as np
     return np.asarray(a, dtype=np.int64) >> (np.asarray(n, dtype=np.int64) & 31)
 
 
 def v_lshift(a, n):
     """Left shift at 32-bit wraparound."""
+    import numpy as np
     return w32(np.asarray(a, dtype=np.int64) << (np.asarray(n, dtype=np.int64) & 31))
 
 
 def v_max(a, b):
     """Elementwise maximum."""
+    import numpy as np
     return np.maximum(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
 
 def v_min(a, b):
     """Elementwise minimum."""
+    import numpy as np
     return np.minimum(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
 
 def v_and(a, b):
     """Bitwise AND."""
+    import numpy as np
     return w32(np.asarray(a, dtype=np.int64) & np.asarray(b, dtype=np.int64))
 
 
 def v_or(a, b):
     """Bitwise OR."""
+    import numpy as np
     return w32(np.asarray(a, dtype=np.int64) | np.asarray(b, dtype=np.int64))
 
 
 def v_abs(a):
     """Elementwise absolute value."""
+    import numpy as np
     return w32(np.abs(np.asarray(a, dtype=np.int64)))
 
 
 def v_sign(a):
     """Elementwise sign (-1, 0, +1)."""
+    import numpy as np
     return np.sign(np.asarray(a, dtype=np.int64)).astype(np.int64)
 
 
 def v_neg(a):
     """Elementwise negation."""
+    import numpy as np
     return w32(-np.asarray(a, dtype=np.int64))
 
 
@@ -164,6 +181,7 @@ _NUMPY_FUNCS = {
 
 def run_recipe(steps: List[Step], x):
     """Execute a recipe with numpy — the bit-exact reference."""
+    import numpy as np
     values: Dict[str, np.ndarray] = {"x": np.asarray(x, dtype=np.int64)}
 
     def resolve(ref):

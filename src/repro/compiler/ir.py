@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..isa import (
     AluFunc,
     CalculusFunc,

@@ -13,37 +13,24 @@ against the same workload replays the exact same disaster, serially or
 under ``--jobs``.
 """
 
-from .chaos import (
-    CHAOS_SCHEMA,
-    DEFAULT_SCALES,
-    ChaosPoint,
-    chaos_grid,
-    chaos_report,
-    chaos_report_json,
-    chaos_table,
-    run_chaos,
-    run_chaos_point,
-    validate_chaos_report,
-)
-from .corrupt import (
-    CORRUPTION_KINDS,
-    corrupt_word,
-    corrupt_words,
-    measured_detection_rate,
-    model_sites,
-    word_sites,
-)
-from .injector import FAULT_KINDS, FaultInjector
-from .plan import (
-    BurstSpec,
-    CorruptSpec,
-    CrashSpec,
-    FaultPlan,
-    FlakyCompileSpec,
-    SlowdownSpec,
-    TileFaultSpec,
-    default_plan,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "chaos": (
+        "CHAOS_SCHEMA", "DEFAULT_SCALES", "ChaosPoint", "chaos_grid",
+        "chaos_report", "chaos_report_json", "chaos_table", "run_chaos",
+        "run_chaos_point", "validate_chaos_report",
+    ),
+    "corrupt": (
+        "CORRUPTION_KINDS", "corrupt_word", "corrupt_words",
+        "measured_detection_rate", "model_sites", "word_sites",
+    ),
+    "injector": ("FAULT_KINDS", "FaultInjector"),
+    "plan": (
+        "BurstSpec", "CorruptSpec", "CrashSpec", "FaultPlan",
+        "FlakyCompileSpec", "SlowdownSpec", "TileFaultSpec", "default_plan",
+    ),
+})
 
 __all__ = [
     "CHAOS_SCHEMA",

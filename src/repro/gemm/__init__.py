@@ -1,7 +1,11 @@
 """Systolic-array GEMM unit simulator."""
 
-from .buffers import BufferBudget, budget_from_params
-from .systolic import GemmCost, SystolicArray, SystolicParams, gemm_dims
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "buffers": ("BufferBudget", "budget_from_params"),
+    "systolic": ("GemmCost", "SystolicArray", "SystolicParams", "gemm_dims"),
+})
 
 __all__ = [
     "BufferBudget",

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..graph import Node, TensorSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,14 @@ class SystolicArray:
     @staticmethod
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """INT8 x INT8 -> INT32 accumulate (wider accumulation is exact)."""
+        import numpy as np
         return (a.astype(np.int64) @ b.astype(np.int64))
 
     @staticmethod
     def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1,
                pad: int = 0) -> np.ndarray:
         """Integer NCHW convolution (reference semantics for the OBUF)."""
+        import numpy as np
         n, c, h, width = x.shape
         oc, ic, kh, kw = w.shape
         if ic != c:

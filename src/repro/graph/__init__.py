@@ -4,21 +4,18 @@ Everything above this layer (models, compiler, baselines, analysis) works
 in terms of :class:`Graph`, :class:`Node`, and :class:`TensorSpec`.
 """
 
-from .builder import GraphBuilder, conv_out_hw
-from .model import Graph, GraphError, NodeCost
-from .node import Node, conv_macs
-from .ops import (
-    NON_GEMM_CLASSES,
-    TABLE1_EXAMPLES,
-    OpClass,
-    OpInfo,
-    all_ops,
-    class_of,
-    is_gemm_op,
-    is_registered,
-    op_info,
-)
-from .tensor import DTYPE_BYTES, TensorSpec
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "builder": ("GraphBuilder", "conv_out_hw"),
+    "model": ("Graph", "GraphError", "NodeCost"),
+    "node": ("Node", "conv_macs"),
+    "ops": (
+        "NON_GEMM_CLASSES", "TABLE1_EXAMPLES", "OpClass", "OpInfo", "all_ops",
+        "class_of", "is_gemm_op", "is_registered", "op_info",
+    ),
+    "tensor": ("DTYPE_BYTES", "TensorSpec"),
+})
 
 __all__ = [
     "DTYPE_BYTES",

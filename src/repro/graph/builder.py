@@ -13,15 +13,30 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .model import Graph
 from .node import Node
 from .tensor import TensorSpec
 
 
 def _broadcast(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(np.broadcast_shapes(a, b))
+    """The broadcast of two shapes, by numpy's rules.
+
+    Shapes align at their last dimension; a dimension of 1 stretches to
+    the other's size.  Raises :class:`ValueError` on any other mismatch,
+    as ``np.broadcast_shapes`` does.
+    """
+    rank = max(len(a), len(b))
+    a = (1,) * (rank - len(a)) + tuple(a)
+    b = (1,) * (rank - len(b)) + tuple(b)
+    out = []
+    for x, y in zip(a, b):
+        if x == y or y == 1:
+            out.append(x)
+        elif x == 1:
+            out.append(y)
+        else:
+            raise ValueError(f"shapes {a} and {b} do not broadcast")
+    return tuple(out)
 
 
 def conv_out_hw(h: int, w: int, kernel: Tuple[int, int], stride: int,

@@ -1,13 +1,14 @@
 """Experiment harness: figure/table registry + paper-vs-measured reports."""
 
-from .experiments import (
-    EXPERIMENTS,
-    Experiment,
-    all_experiment_ids,
-    run_experiment,
-)
-from .paper_data import PAPER
-from .report import paper_vs_measured, render_table
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "experiments": (
+        "EXPERIMENTS", "Experiment", "all_experiment_ids", "run_experiment",
+    ),
+    "paper_data": ("PAPER",),
+    "report": ("paper_vs_measured", "render_table"),
+})
 
 __all__ = [
     "EXPERIMENTS",

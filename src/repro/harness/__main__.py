@@ -6,6 +6,9 @@ serial run). Evaluations flow through the shared content-addressed
 cache (``.repro_cache`` by default), so a warm invocation skips the
 compile and sweep work entirely — ``--no-cache``, ``--cache-dir`` and
 ``--clear-cache`` control it.
+
+``--check`` renders the body of ``EXPERIMENTS.md`` and exits 1 with a
+diff when the checked-in numbers differ from what the harness computes.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-out", metavar="FILE",
                         help="run with telemetry on and write a merged "
                              "Chrome trace-event file")
+    parser.add_argument("--check", action="store_true",
+                        help="fail (exit 1, with a diff) when the body of "
+                             "EXPERIMENTS.md differs from a fresh render")
     return parser
 
 
@@ -65,6 +71,10 @@ def main(argv=None) -> int:
         print(f"python -m repro.harness: unknown experiment(s) "
               f"{', '.join(unknown)}; known: "
               f"{', '.join(all_experiment_ids())}", file=sys.stderr)
+        return 2
+    if args.check and args.ids:
+        print("python -m repro.harness: --check renders every experiment; "
+              "give no ids", file=sys.stderr)
         return 2
     try:
         knobs.check_all()
@@ -86,6 +96,8 @@ def _run(args) -> int:
     if args.clear_cache:
         from ..runtime import get_cache
         get_cache().clear()
+    if args.check:
+        return _check()
     ids = args.ids or all_experiment_ids()
     jobs = args.jobs if args.jobs is not None else knobs.get("REPRO_JOBS")
     if args.trace_out:
@@ -103,6 +115,25 @@ def _run(args) -> int:
         for text in parallel_map(_render, ids, jobs=jobs):
             print(text)
             print()
+    return 0
+
+
+def _check() -> int:
+    from .markdown import EXPERIMENTS_MD, experiments_drift
+    try:
+        diff = experiments_drift()
+    except FileNotFoundError:
+        print(f"python -m repro.harness: {EXPERIMENTS_MD} does not exist",
+              file=sys.stderr)
+        return 1
+    if diff:
+        sys.stderr.writelines(diff)
+        print(f"python -m repro.harness: {EXPERIMENTS_MD} has drifted from "
+              f"the harness; regenerate its body with "
+              f"repro.harness.markdown.write_experiments_body"
+              f"({EXPERIMENTS_MD!r})", file=sys.stderr)
+        return 1
+    print(f"{EXPERIMENTS_MD} is up to date")
     return 0
 
 

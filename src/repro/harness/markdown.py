@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+import difflib
+import re
+from typing import List, Optional, Tuple
 
 from .experiments import all_experiment_ids, run_experiment
+
+#: The checked-in report: a hand-written preface, then the rendered body.
+EXPERIMENTS_MD = "EXPERIMENTS.md"
 
 #: Paper order for the report body.
 DEFAULT_ORDER = [
@@ -30,7 +35,34 @@ def experiments_markdown(ids: Optional[List[str]] = None) -> str:
     return "\n".join(sections)
 
 
+def split_report(text: str) -> Tuple[str, str]:
+    """``(preface, body)`` of a report: the body starts at the first
+    ``## <experiment id>:`` heading."""
+    ids = "|".join(re.escape(exp_id) for exp_id in all_experiment_ids())
+    match = re.search(rf"^## (?:{ids}):", text, flags=re.MULTILINE)
+    at = match.start() if match else len(text)
+    return text[:at], text[at:]
+
+
 def write_experiments_body(path: str,
                            ids: Optional[List[str]] = None) -> None:
+    """Render the body into ``path``, keeping the file's preface."""
+    body = experiments_markdown(ids)
+    try:
+        with open(path) as handle:
+            preface = split_report(handle.read())[0]
+    except FileNotFoundError:
+        preface = ""
     with open(path, "w") as handle:
-        handle.write(experiments_markdown(ids))
+        handle.write(preface + body)
+
+
+def experiments_drift(path: str = EXPERIMENTS_MD) -> List[str]:
+    """Unified-diff lines from ``path``'s body to a fresh render; empty
+    when the checked-in numbers are the ones the harness computes."""
+    with open(path) as handle:
+        on_disk = split_report(handle.read())[1]
+    return list(difflib.unified_diff(
+        on_disk.splitlines(keepends=True),
+        experiments_markdown().splitlines(keepends=True),
+        fromfile=path, tofile="rendered"))

@@ -11,35 +11,22 @@ reduces continuous-vs-one-shot batching simulations to the
 ``repro serve --llm``.
 """
 
-from .decode import (
-    LLM_CONFIGS,
-    DecodeSession,
-    DecodeStep,
-    DecodeStepCosts,
-    LLMConfig,
-    StepRecord,
-    available_llm_configs,
-    build_step,
-    decode_step_costs,
-    embed_table,
-    get_llm_config,
-    rope_tables,
-    step_weights,
-)
-from .sweep import (
-    DEFAULT_SLO_ATTAINMENT,
-    LLM_SCHEMA,
-    LLMSweepPoint,
-    goodput_at_slo,
-    llm_grid,
-    llm_point_workload,
-    llm_report,
-    llm_report_json,
-    llm_table,
-    run_llm_point,
-    run_llm_sweep,
-    validate_llm_report,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "decode": (
+        "LLM_CONFIGS", "DecodeSession", "DecodeStep", "DecodeStepCosts",
+        "LLMConfig", "StepRecord", "available_llm_configs", "build_step",
+        "decode_step_costs", "embed_table", "get_llm_config", "rope_tables",
+        "step_weights",
+    ),
+    "sweep": (
+        "DEFAULT_SLO_ATTAINMENT", "LLM_SCHEMA", "LLMSweepPoint",
+        "goodput_at_slo", "llm_grid", "llm_point_workload", "llm_report",
+        "llm_report_json", "llm_table", "run_llm_point", "run_llm_sweep",
+        "validate_llm_report",
+    ),
+})
 
 __all__ = [
     "DEFAULT_SLO_ATTAINMENT",

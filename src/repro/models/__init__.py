@@ -1,21 +1,21 @@
 """The paper's seven benchmark DNNs, defined programmatically."""
 
-from .bert import build_bert
-from .efficientnet import build_efficientnet
-from .gpt2 import build_gpt2
-from .mobilenetv2 import build_mobilenetv2
-from .resnet50 import build_resnet50
-from .tinynet import build_tinynet
-from .vgg16 import build_vgg16
-from .yolov3 import build_yolov3
-from .zoo import (
-    DISPLAY_NAMES,
-    MODEL_ORDER,
-    MODEL_YEARS,
-    available_models,
-    benchmark_models,
-    build_model,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bert": ("build_bert",),
+    "efficientnet": ("build_efficientnet",),
+    "gpt2": ("build_gpt2",),
+    "mobilenetv2": ("build_mobilenetv2",),
+    "resnet50": ("build_resnet50",),
+    "tinynet": ("build_tinynet",),
+    "vgg16": ("build_vgg16",),
+    "yolov3": ("build_yolov3",),
+    "zoo": (
+        "DISPLAY_NAMES", "MODEL_ORDER", "MODEL_YEARS", "available_models",
+        "benchmark_models", "build_model",
+    ),
+})
 
 __all__ = [
     "DISPLAY_NAMES",

@@ -1,10 +1,17 @@
 """NPU-Tandem: GEMM unit + Tandem Processor integration."""
 
-from .config import NPUConfig, iso_a100_config, table3_config
-from .controller import BlockSchedule, ExecutionController, FsmState
-from .npu import NPUTandem
-from .runner import FunctionalRunner, to_permute_binding, to_tile_transfer
-from .trace import TraceEvent, overlap_fraction, render_timeline, trace_block, trace_model
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("NPUConfig", "iso_a100_config", "table3_config"),
+    "controller": ("BlockSchedule", "ExecutionController", "FsmState"),
+    "npu": ("NPUTandem",),
+    "runner": ("FunctionalRunner", "to_permute_binding", "to_tile_transfer"),
+    "trace": (
+        "TraceEvent", "overlap_fraction", "render_timeline", "trace_block",
+        "trace_model",
+    ),
+})
 
 __all__ = [
     "TraceEvent",

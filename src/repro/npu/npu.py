@@ -8,9 +8,8 @@ GEMM unit per the Section 4.2 double-buffering protocol.
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from ..compiler import CompiledModel, compile_model
 from ..graph import Graph
 from ..models import build_model
 from ..results import RunResult
@@ -18,6 +17,11 @@ from ..simulator import EnergyLedger, MachineResult, estimate
 from ..telemetry import get_telemetry
 from .config import NPUConfig, table3_config
 from .controller import ExecutionController
+
+# The compiler is imported where it runs: a cache read or an autotune
+# report hit needs only the design's configuration.
+if TYPE_CHECKING:
+    from ..compiler import CompiledModel
 
 
 class NPUTandem:
@@ -53,6 +57,7 @@ class NPUTandem:
 
     def compile(self, graph: Union[str, Graph]) -> CompiledModel:
         """Compile for this design; autotunes the pipeline when opted in."""
+        from ..compiler.compiler import compile_model
         if isinstance(graph, str):
             graph = build_model(graph)
         pipeline = None
@@ -88,6 +93,7 @@ class NPUTandem:
         graph structure). Pre-compiled :class:`CompiledModel` inputs are
         evaluated directly — the caller may have customized the blocks.
         """
+        from ..compiler.compiler import CompiledModel
         from ..runtime import cache as runtime_cache
         key = None
         if not isinstance(graph, CompiledModel) and \
@@ -173,6 +179,7 @@ class NPUTandem:
             yield cb, tile_result, op_results, schedule
 
     def _evaluate(self, graph: Union[str, Graph, CompiledModel]) -> RunResult:
+        from ..compiler.compiler import CompiledModel
         tel = get_telemetry()
         tel = tel if tel.enabled else None
         model = graph if isinstance(graph, CompiledModel) else self.compile(graph)

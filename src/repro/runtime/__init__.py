@@ -18,20 +18,18 @@ disciplines the ROADMAP asks for:
   :class:`KnobError` naming the variable for any value it cannot parse.
 """
 
-from .cache import (
-    CACHE_EPOCH,
-    CacheStats,
-    EvalCache,
-    cached_evaluate,
-    fingerprint,
-    get_cache,
-    graph_fingerprint,
-    object_fingerprint,
-    set_cache,
-)
-from .knobs import KnobError
-from .parallel import parallel_map
-from .seed import seeded_rng
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": (
+        "CACHE_EPOCH", "CacheStats", "EvalCache", "cached_evaluate",
+        "fingerprint", "get_cache", "graph_fingerprint", "object_fingerprint",
+        "set_cache",
+    ),
+    "knobs": ("KnobError",),
+    "parallel": ("parallel_map",),
+    "seed": ("seeded_rng",),
+})
 
 __all__ = [
     "CACHE_EPOCH",

@@ -20,17 +20,21 @@ per-process-randomized ``hash()``.
 from __future__ import annotations
 
 import hashlib
-
-import numpy as np
+import numbers
+from typing import TYPE_CHECKING
 
 from . import knobs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 
 def _entropy(stream) -> int:
     """A stable non-negative 64-bit word for one stream label."""
-    if isinstance(stream, (bool, int, np.integer)):
+    # numpy registers its integer scalars as numbers.Integral.
+    if isinstance(stream, numbers.Integral):
         return int(stream) & _MASK64
     digest = hashlib.sha256(repr(stream).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -38,6 +42,8 @@ def _entropy(stream) -> int:
 
 def seeded_rng(*streams) -> np.random.Generator:
     """A Generator derived from ``REPRO_SEED`` plus the stream labels."""
+    import numpy as np
+
     seed = knobs.get("REPRO_SEED")
     entropy = [_entropy(s) for s in (seed,) + streams]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -16,81 +16,46 @@ metrics (:mod:`~repro.serving.metrics`) and the
 see ``docs/operations.md`` for the capacity-planning guide.
 """
 
-from .autoscale import (
-    AUTOSCALE_ACTIONS,
-    AutoscaleConfig,
-    AutoscaleController,
-    CostModel,
-)
-from .continuous import (
-    DEFAULT_LLM_SLO_MULTIPLIER,
-    LLM_SCHEDULERS,
-    LLMRequest,
-    LLMServiceCosts,
-    LLMWorkload,
-    llm_poisson_requests,
-    llm_policy,
-)
-from .fleet import FleetSimulator, simulate
-from .metrics import (
-    DEFAULT_SLO_MULTIPLIER,
-    LLMServingReport,
-    ServingReport,
-    percentile,
-)
-from .monitor import (
-    MONITOR_SCHEMA,
-    FleetMonitor,
-    MonitorConfig,
-    MonitorPoint,
-    monitor_table,
-    run_monitor_point,
-    validate_monitor_report,
-)
-from .scale import (
-    ROUTING_POLICIES,
-    SCALE_SCHEMA,
-    ScaledFleetSimulator,
-    ScalePoint,
-    run_scale_point,
-    scale_table,
-    tail_bounded_throughput,
-    validate_fleet_scale_report,
-)
-from .scheduler import (
-    BATCH_POLICIES,
-    RESILIENCE_POLICIES,
-    AdmissionPolicy,
-    BatchPolicy,
-    ModelCost,
-    ResiliencePolicy,
-    ServiceCosts,
-)
-from .sweep import (
-    SweepPoint,
-    by_config,
-    default_grid,
-    knee_sharpness,
-    max_throughput_at_slo,
-    run_point,
-    run_sweep,
-    sweep_table,
-)
-from .workload import (
-    REQUEST_TRACE_SPEC,
-    TRACE_SCHEMA,
-    Arrivals,
-    ClosedLoop,
-    DiurnalTrace,
-    OpenLoopPoisson,
-    Request,
-    TraceFileError,
-    TraceReplay,
-    Workload,
-    load_trace,
-    save_trace,
-    zoo_mix_trace,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "autoscale": (
+        "AUTOSCALE_ACTIONS", "AutoscaleConfig", "AutoscaleController",
+        "CostModel",
+    ),
+    "continuous": (
+        "DEFAULT_LLM_SLO_MULTIPLIER", "LLM_SCHEDULERS", "LLMRequest",
+        "LLMServiceCosts", "LLMWorkload", "llm_poisson_requests", "llm_policy",
+    ),
+    "fleet": ("FleetSimulator", "simulate"),
+    "metrics": (
+        "DEFAULT_SLO_MULTIPLIER", "LLMServingReport", "ServingReport",
+        "percentile",
+    ),
+    "monitor": (
+        "MONITOR_SCHEMA", "FleetMonitor", "MonitorConfig", "MonitorPoint",
+        "monitor_table", "run_monitor_point", "validate_monitor_report",
+    ),
+    "scale": (
+        "SCALE_SCHEMA", "ScaledFleetSimulator", "ScalePoint",
+        "run_scale_point", "scale_table", "tail_bounded_throughput",
+        "validate_fleet_scale_report",
+    ),
+    "scheduler": (
+        "BATCH_POLICIES", "RESILIENCE_POLICIES", "ROUTING_POLICIES",
+        "AdmissionPolicy", "BatchPolicy", "ModelCost", "ResiliencePolicy",
+        "ServiceCosts",
+    ),
+    "sweep": (
+        "SweepPoint", "by_config", "default_grid", "knee_sharpness",
+        "max_throughput_at_slo", "run_point", "run_sweep", "sweep_table",
+    ),
+    "workload": (
+        "REQUEST_TRACE_SPEC", "TRACE_SCHEMA", "Arrivals", "ClosedLoop",
+        "DiurnalTrace", "OpenLoopPoisson", "Request", "TraceFileError",
+        "TraceReplay", "Workload", "load_trace", "save_trace", "zoo_mix_trace",
+    ),
+})
 
 __all__ = [
     "AUTOSCALE_ACTIONS",

@@ -97,6 +97,7 @@ from .metrics import (
 )
 from .scheduler import (
     LLM_SCHEDULERS,
+    ROUTING_POLICIES,
     AdmissionPolicy,
     BatchPolicy,
     ResiliencePolicy,
@@ -105,8 +106,6 @@ from .scheduler import (
 from .workload import Request, Workload
 
 SCALE_SCHEMA = "repro-fleet-scale-report-v1"
-
-ROUTING_POLICIES = ("round_robin", "least_loaded", "model_affinity")
 
 #: Request status bytes (slot-indexed; 0 = not yet arrived).
 _QUEUED, _FLIGHT, _DONE, _REJECTED, _FAILED, _RETRYING = 1, 2, 3, 4, 5, 6

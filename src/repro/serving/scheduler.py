@@ -60,6 +60,11 @@ class AdmissionPolicy:
 #: download verification); ``resilient`` turns on every mechanism below.
 RESILIENCE_POLICIES = ("naive", "resilient")
 
+#: Routing disciplines of the fleet core (:mod:`repro.serving.scale`).
+#: They live here, with the other policy names, so the CLI's argument
+#: parser reads them without loading the event core.
+ROUTING_POLICIES = ("round_robin", "least_loaded", "model_affinity")
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:

@@ -1,21 +1,26 @@
 """Cycle-level + functional simulator of the Tandem Processor."""
 
-from .alu import ALU_OPS, CALCULUS_OPS, COMPARISON_OPS, cast_value, wrap32
-from .analytic import AnalyticNest, ProgramMeta, estimate
-from .dae import DataAccessEngine, DramStore, TileTransfer
-from .energy import EnergyLedger
-from .iterators import IteratorEntry, IteratorError, IteratorTable
-from .machine import (
-    MachineError,
-    MachineResult,
-    PermuteBinding,
-    SyncEvent,
-    TandemMachine,
-    charge_nest,
-)
-from .params import DramParams, EnergyParams, SimParams, TandemParams, VpuOverlay
-from .pipeline import BodyOpMeta, NestTiming, nest_points, nest_timing
-from .scratchpad import Scratchpad, ScratchpadError, ScratchpadFile
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "alu": (
+        "ALU_OPS", "CALCULUS_OPS", "COMPARISON_OPS", "cast_value", "wrap32",
+    ),
+    "analytic": ("AnalyticNest", "ProgramMeta", "estimate"),
+    "dae": ("DataAccessEngine", "DramStore", "TileTransfer"),
+    "energy": ("EnergyLedger",),
+    "iterators": ("IteratorEntry", "IteratorError", "IteratorTable"),
+    "machine": (
+        "MachineError", "MachineResult", "PermuteBinding", "SyncEvent",
+        "TandemMachine", "charge_nest",
+    ),
+    "params": (
+        "DramParams", "EnergyParams", "SimParams", "TandemParams",
+        "VpuOverlay",
+    ),
+    "pipeline": ("BodyOpMeta", "NestTiming", "nest_points", "nest_timing"),
+    "scratchpad": ("Scratchpad", "ScratchpadError", "ScratchpadFile"),
+})
 
 __all__ = [
     "ALU_OPS",

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-import numpy as np
-
 from .machine import MachineResult, charge_nest
 from .params import SimParams
 from .pipeline import BodyOpMeta, nest_timing
@@ -81,10 +79,8 @@ def estimate(meta: ProgramMeta, params: SimParams) -> MachineResult:
     if transfers:
         result.cycles += params.dram.latency_cycles
         result.dae_cycles += params.dram.latency_cycles
-        # One vectorized ceil over the whole transfer list; np.ceil on
-        # float64 matches math.ceil of the same float division exactly.
-        cycles = int(np.ceil(
-            np.asarray(transfers, dtype=np.float64) / bytes_per_cycle).sum())
+        cycles = sum(math.ceil(nbytes / bytes_per_cycle)
+                     for nbytes in transfers)
         result.cycles += cycles
         result.dae_cycles += cycles
         result.energy.dram_pj += sum(

@@ -14,9 +14,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Deque, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from ..isa import (
     AluFunc,
@@ -37,12 +36,15 @@ from ..isa import (
 )
 from ..telemetry import get_telemetry
 from .alu import ALU_OPS, CALCULUS_OPS, COMPARISON_OPS, cast_value, wrap32
-from .dae import DataAccessEngine, DramStore, TileTransfer
 from .energy import EnergyLedger
 from .iterators import IteratorTable, build_iterator_tables
 from .params import SimParams
 from .pipeline import BodyOpMeta, NestTiming, nest_timing
-from .scratchpad import ScratchpadFile
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dae import DramStore, TileTransfer
 
 
 class MachineError(RuntimeError):
@@ -160,6 +162,11 @@ class TandemMachine:
 
     def __init__(self, params: Optional[SimParams] = None,
                  dram: Optional[DramStore] = None, fast: bool = False):
+        # The scratchpads and the DAE hold numpy arrays; the analytic
+        # model shares this module without them.
+        from .dae import DataAccessEngine, DramStore
+        from .scratchpad import ScratchpadFile
+
         self.params = params or SimParams()
         #: Instruction-major numpy execution of hazard-free nests
         #: (see :mod:`repro.simulator.fastexec`); falls back to the
@@ -468,6 +475,8 @@ class TandemMachine:
     # -- permute engine ----------------------------------------------------------
     def _permute(self, inst: Instruction, result: MachineResult,
                  permute_queue: Deque[PermuteBinding]) -> None:
+        import numpy as np
+
         func = PermuteFunc(inst.func)
         if func != PermuteFunc.START:
             result.cycles += 1

@@ -32,25 +32,22 @@ import os
 from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Optional
 
-from .alerts import AlertEngine, AlertEvent
+from .._lazy import lazy_exports
 from .counters import CounterRegistry
-from .slo import (
-    BurnRateRule,
-    SLOObjective,
-    budget_burn,
-    default_objective,
-    default_rules,
-)
-from .spans import SpanRecord, Tracer, span_tree
-from .timeseries import (
-    GaugeSampler,
-    RateSampler,
-    SlidingWindowHistogram,
-    StreamingHistogram,
-    TimeSeries,
-    nearest_rank,
-    percentile,
-)
+from .spans import Tracer
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "alerts": ("AlertEngine", "AlertEvent"),
+    "slo": (
+        "BurnRateRule", "SLOObjective", "budget_burn", "default_objective",
+        "default_rules",
+    ),
+    "spans": ("SpanRecord", "span_tree"),
+    "timeseries": (
+        "GaugeSampler", "RateSampler", "SlidingWindowHistogram",
+        "StreamingHistogram", "TimeSeries", "nearest_rank", "percentile",
+    ),
+})
 
 #: Shared no-op context manager handed out by disabled sessions.
 #: ``nullcontext`` keeps no per-enter state, so one instance is safe to

@@ -34,6 +34,7 @@ def test_unknown_experiment_raises():
     (["fig99"], {}, "unknown experiment(s) fig99"),
     # Never read by table3: caught by the startup check.
     (["table3"], {"REPRO_AUTOSCALE_PRICE": "x"}, "REPRO_AUTOSCALE_PRICE='x'"),
+    (["--check", "table3"], {}, "--check renders every experiment"),
 ])
 def test_harness_main_bad_input_exits_two_with_one_line(
         argv, env, expect, monkeypatch, capsys):
@@ -46,6 +47,44 @@ def test_harness_main_bad_input_exits_two_with_one_line(
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("python -m repro.harness: ")
     assert expect in captured.err
+
+
+_PREFACE = "# EXPERIMENTS\n\n## Reading the numbers\n\nprose\n\n"
+_BODY = "## table3: NPU-Tandem configuration\n\n```\nlanes 32\n```\n"
+
+
+@pytest.fixture
+def rendered_body(monkeypatch, tmp_path):
+    """A report in ``tmp_path`` whose fresh render is :data:`_BODY`."""
+    from repro.harness import markdown
+    monkeypatch.setattr(markdown, "experiments_markdown",
+                        lambda ids=None: _BODY)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path / "EXPERIMENTS.md"
+
+
+def test_harness_check_passes_on_an_up_to_date_report(rendered_body,
+                                                       capsys):
+    from repro.harness.__main__ import main
+    rendered_body.write_text(_PREFACE + _BODY)
+    assert main(["--check"]) == 0
+    assert "up to date" in capsys.readouterr().out
+
+
+def test_harness_check_fails_with_a_diff_on_drift(rendered_body, capsys):
+    from repro.harness.__main__ import main
+    rendered_body.write_text(_PREFACE + _BODY.replace("32", "16"))
+    assert main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert "-lanes 16\n+lanes 32\n" in err
+    assert "has drifted" in err
+
+
+def test_write_experiments_body_keeps_the_preface(rendered_body):
+    from repro.harness.markdown import split_report, write_experiments_body
+    rendered_body.write_text(_PREFACE + "## table3: stale\n")
+    write_experiments_body(str(rendered_body))
+    assert split_report(rendered_body.read_text()) == (_PREFACE, _BODY)
 
 
 def test_cheap_experiments_render():
