@@ -10,9 +10,9 @@ The attribute is read from the defining module on every access and is
 never copied into the package, so a function replaced there later (a
 profiler's wrapper, say) is what every later importer sees.
 
-Registrations that run at import time (``@template``, ``compiler_pass``,
-the verifier's rule table) live in the module that reads them, so a
-registry is always full by the time anything can look into it.
+Registrations that run at import time (``@template``, the verifier's
+rule table) live in the module that reads them, so a registry is always
+full by the time anything can look into it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Search mechanics:
   order drawn from :func:`repro.runtime.seed.seeded_rng`, repeated until
   a pass changes nothing or the budget runs out.
 * every candidate compiles through the normal content-addressed cache
-  (:mod:`repro.runtime.cache`) with the pipeline-extended compile key,
+  (:mod:`repro.runtime.cache`) under its config's compile key,
   and the finished report itself is cached (kind ``"autotune"``), so a
   warm re-search costs one cache read.
 * candidate batches are fully determined before they are dispatched
@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..graph import Graph
 from ..schema import check
-from .integer_ops import FRAC_BITS
 from .ir import CompileError
 from .pipeline import (KNOB_SPACE, PIPELINE_VERSION, PipelineConfig,
                        all_configs, knob_space_size)
@@ -142,24 +141,23 @@ def _decode_report(text: str) -> Dict:
 def _score_candidate(work: Tuple) -> Dict:
     """Compile, verify and cycle-score one config (worker-process safe).
 
-    ``work`` is ``(graph, npu_config, frac_bits, special_functions,
-    config_dict)``; the return value is a small picklable status dict the
-    parent folds into the report and the telemetry counters.
+    ``work`` is ``(graph, npu_config, special_functions, config_dict)``;
+    the return value is a small picklable status dict the parent folds
+    into the report and the telemetry counters.
     """
-    graph, npu_config, frac_bits, special_functions, config_dict = work
+    graph, npu_config, special_functions, config_dict = work
     from ..analysis.verifier import VerificationError
     from ..npu import NPUTandem
     from ..runtime.cache import get_cache
     from .compiler import _compile_key, compile_model
 
     config = PipelineConfig.from_dict(config_dict)
-    key = _compile_key(graph, npu_config.sim, npu_config.gemm, frac_bits,
-                       special_functions,
-                       None if config.is_default else config)
+    key = _compile_key(graph, npu_config.sim, npu_config.gemm,
+                       special_functions, config)
     cache_hit = get_cache().has("compiled", key)
     try:
         model = compile_model(graph, npu_config.sim, npu_config.gemm,
-                              frac_bits, special_functions, verify=True,
+                              special_functions, verify=True,
                               pipeline=config)
     except VerificationError as err:
         return {"status": "verify-rejected", "cycles": None,
@@ -174,21 +172,21 @@ def _score_candidate(work: Tuple) -> Dict:
             "cache_hit": cache_hit}
 
 
-def _report_key(graph: Graph, npu_config, frac_bits: int,
-                special_functions: bool, budget: int) -> str:
+def _report_key(graph: Graph, npu_config, special_functions: bool,
+                budget: int) -> str:
     """Content address of a finished report (kind ``"autotune"``)."""
     from ..runtime import knobs
     from ..runtime.cache import (fingerprint, graph_fingerprint,
                                  object_fingerprint)
     return fingerprint("autotune-report", PIPELINE_VERSION, REPORT_SCHEMA,
                        graph_fingerprint(graph),
-                       object_fingerprint(npu_config), frac_bits,
-                       special_functions, budget, knobs.get("REPRO_SEED"),
+                       object_fingerprint(npu_config), special_functions,
+                       budget, knobs.get("REPRO_SEED"),
                        {k: list(v) for k, v in KNOB_SPACE.items()})
 
 
 def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
-                   jobs: int = 1, frac_bits: int = FRAC_BITS,
+                   jobs: int = 1,
                    special_functions: bool = False) -> AutotuneReport:
     """Search the pipeline knob space for ``graph`` on ``npu_config``.
 
@@ -218,8 +216,7 @@ def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
         if tel_on:
             tel.count("compiler.autotune.searches")
         if cache.enabled:
-            key = _report_key(graph, npu_config, frac_bits,
-                              special_functions, budget)
+            key = _report_key(graph, npu_config, special_functions, budget)
             hit = cache.get("autotune", key, decode=_decode_report)
             if hit is not None:
                 if tel_on:
@@ -239,8 +236,8 @@ def autotune_model(graph: Graph, npu_config=None, budget: Optional[int] = None,
                 0, budget - counters["candidates"])]
             if not batch:
                 return
-            work = [(graph, npu_config, frac_bits, special_functions,
-                     c.as_dict()) for c in batch]
+            work = [(graph, npu_config, special_functions, c.as_dict())
+                    for c in batch]
             with tel.span("autotune.batch", cat="compiler",
                           model=graph.name, size=len(batch)):
                 results = parallel_map(_score_candidate, work, jobs=jobs)

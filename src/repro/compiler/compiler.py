@@ -18,11 +18,10 @@ from ..graph import DTYPE_BYTES, Graph, Node
 from ..isa import Namespace, TandemProgram
 from ..simulator.params import SimParams
 from .fusion import Block, external_outputs, form_blocks, split_block
-from .integer_ops import FRAC_BITS
 from .ir import CompileError, Resident, TileContext
 from .lowering import LoweredTile, lower_tile
-from .pipeline import PIPELINE_VERSION, PassPipeline, PipelineConfig, \
-    PipelineState
+from .pipeline import PIPELINE_VERSION, PipelineConfig, fuse_blocks, \
+    nest_passes
 from .templates import emit_op
 from .tiling import search_tiles
 
@@ -72,11 +71,10 @@ def _gemm_layer_cost(node: Node, graph: Graph,
 
 
 def _compile_block_tile(block: Block, graph: Graph, params: SimParams,
-                        tiles: int, frac_bits: int,
-                        special_functions: bool = False,
-                        pipeline: Optional[PassPipeline] = None,
-                        pass_log: Optional[Dict[str, int]] = None) -> LoweredTile:
-    ctx = TileContext(params.tandem, frac_bits, strict=(tiles == 1),
+                        tiles: int, special_functions: bool,
+                        pipeline: PipelineConfig,
+                        pass_log: Dict[str, int]) -> LoweredTile:
+    ctx = TileContext(params.tandem, strict=(tiles == 1),
                       special_functions=special_functions)
     if block.gemm is not None:
         out_name = block.gemm.outputs[0]
@@ -96,63 +94,46 @@ def _compile_block_tile(block: Block, graph: Graph, params: SimParams,
         if ctx.resident(name) is not None:
             dtype = graph.tensor(name).dtype
             ctx.store(name, element_bytes=DTYPE_BYTES[dtype])
-        elif pipeline is not None and name in ctx.dram_alias:
+        elif name in ctx.dram_alias:
             # A pure DRAM rename (reshape of off-chip data) escaping the
             # block: consumers compiled into later blocks load ``name``
             # itself, so the rename must be materialized with a real
-            # DAE round-trip. The seed's maximal fusion never splits a
-            # rename from its consumer, so this only arises (and only
-            # costs) under a pipeline that caps fusion depth.
+            # DAE round-trip. Maximal fusion never splits a rename from
+            # its consumer, so this only arises (and only costs) under a
+            # pipeline that caps fusion depth.
             spec = graph.tensor(name)
             ctx.source(name, spec.shape,
                        element_bytes=DTYPE_BYTES[spec.dtype])
             ctx.store(name, element_bytes=DTYPE_BYTES[spec.dtype])
         # Other non-resident outputs (e.g. DAE-forwarded Concat) are
         # already off-chip under their own name.
-    if pipeline is not None and (pipeline.config.fission
-                                 or pipeline.config.interchange):
-        state = PipelineState(config=pipeline.config, ctx=ctx,
-                              op_ranges=op_ranges)
-        pipeline.run_nests(state)
-        op_ranges = state.op_ranges
-        if pass_log is not None:
-            for stage, applied in state.log:
-                pass_log[stage] = pass_log.get(stage, 0) + applied
+    op_ranges = nest_passes(ctx, op_ranges, pipeline, pass_log)
     return lower_tile(ctx, f"{block.name}_tile",
                       reads_obuf=block.gemm is not None,
                       op_ranges=op_ranges)
 
 
 def _compile_key(graph: Graph, sim_params: SimParams,
-                 gemm_params: SystolicParams, frac_bits: int,
-                 special_functions: bool,
-                 pipeline: Optional[PipelineConfig] = None) -> str:
+                 gemm_params: SystolicParams, special_functions: bool,
+                 pipeline: PipelineConfig) -> str:
     """Content address of the compiled artifact.
 
     Lowering and tiling read only ``sim_params.tandem`` (scratchpad
     capacities, lanes, iterator-table sizes); DRAM, energy and overlay
     parameters shape evaluation, not the artifact, so they stay out of
     the key and a cache hit is rebound to the requested ``sim_params``.
-
-    A default (or absent) pass pipeline contributes nothing to the key,
-    so artifacts compiled before pipelines existed keep hitting;
-    non-default pipelines extend the fingerprint with their knob dict.
+    The pass pipeline's knob dict is always part of the key.
     """
     from ..runtime.cache import fingerprint, graph_fingerprint
     from .serialize import FORMAT_VERSION
-    if pipeline is not None and not pipeline.is_default:
-        return fingerprint("compiled-model", FORMAT_VERSION,
-                           graph_fingerprint(graph), sim_params.tandem,
-                           gemm_params, frac_bits, special_functions,
-                           PIPELINE_VERSION, pipeline.as_dict())
     return fingerprint("compiled-model", FORMAT_VERSION,
                        graph_fingerprint(graph), sim_params.tandem,
-                       gemm_params, frac_bits, special_functions)
+                       gemm_params, special_functions,
+                       PIPELINE_VERSION, pipeline.as_dict())
 
 
 def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
                   gemm_params: Optional[SystolicParams] = None,
-                  frac_bits: int = FRAC_BITS,
                   special_functions: bool = False,
                   verify: Optional[bool] = None,
                   pipeline: Optional[PipelineConfig] = None) -> CompiledModel:
@@ -172,10 +153,10 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
     ``verify=None`` follows the ``REPRO_VERIFY`` environment variable
     (default on); pass ``verify=False`` to bypass explicitly.
 
-    ``pipeline`` selects a non-default pass pipeline
-    (:class:`~repro.compiler.pipeline.PipelineConfig`), typically one
-    chosen by :func:`repro.compiler.autotune.autotune_model`. Omitted or
-    default, the output is bit-identical to the fixed seed flow.
+    ``pipeline`` selects the pass pipeline
+    (:class:`~repro.compiler.pipeline.PipelineConfig`, default
+    ``PipelineConfig()``), typically one chosen by
+    :func:`repro.compiler.autotune.autotune_model`.
     """
     from ..runtime import knobs
     from ..runtime.cache import get_cache
@@ -184,8 +165,7 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
 
     sim_params = sim_params or SimParams()
     gemm_params = gemm_params or SystolicParams()
-    if pipeline is not None and pipeline.is_default:
-        pipeline = None
+    pipeline = pipeline or PipelineConfig()
     if verify is None:
         verify = knobs.get("REPRO_VERIFY")
     tel = get_telemetry()
@@ -193,7 +173,7 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
         cache = get_cache()
         key = None
         if cache.enabled:
-            key = _compile_key(graph, sim_params, gemm_params, frac_bits,
+            key = _compile_key(graph, sim_params, gemm_params,
                                special_functions, pipeline)
             hit = cache.get(
                 "compiled", key,
@@ -207,8 +187,7 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
                                      gemm_params=gemm_params)
         with tel.span("lower", cat="compiler", model=graph.name):
             model = _compile_model_uncached(graph, sim_params, gemm_params,
-                                            frac_bits, special_functions,
-                                            pipeline)
+                                            special_functions, pipeline, {})
         if verify:
             # Imported lazily: repro.analysis pulls in the DSE/NPU stack.
             from ..analysis.verifier import VerificationError, verify_model
@@ -228,31 +207,33 @@ def compile_model(graph: Graph, sim_params: Optional[SimParams] = None,
 
 def verify_record_for(graph: Graph, sim_params: Optional[SimParams] = None,
                       gemm_params: Optional[SystolicParams] = None,
-                      frac_bits: int = FRAC_BITS,
-                      special_functions: bool = False) -> Dict:
+                      special_functions: bool = False,
+                      pipeline: Optional[PipelineConfig] = None) -> Dict:
     """The cached verification record for a model, computing it if absent.
 
     Returns the compact dict produced by
     :meth:`~repro.analysis.verifier.ModelVerifyReport.record`; its
-    ``"clean"`` field is what serving admission control gates on. A
-    missing record is recomputed (compiling the model if necessary) and
-    published under the model's compile key.
+    ``"clean"`` field is what serving admission control gates on. The
+    record belongs to the program ``pipeline`` compiles (default
+    ``PipelineConfig()``); a missing one is recomputed (compiling the
+    model if necessary) and published under that compile key.
     """
     from ..runtime.cache import get_cache
 
     sim_params = sim_params or SimParams()
     gemm_params = gemm_params or SystolicParams()
+    pipeline = pipeline or PipelineConfig()
     cache = get_cache()
     key = None
     if cache.enabled:
-        key = _compile_key(graph, sim_params, gemm_params, frac_bits,
-                           special_functions)
+        key = _compile_key(graph, sim_params, gemm_params,
+                           special_functions, pipeline)
         record = cache.get("verified", key)
         if record is not None:
             return record
     from ..analysis.verifier import verify_model
-    model = compile_model(graph, sim_params, gemm_params, frac_bits,
-                          special_functions, verify=False)
+    model = compile_model(graph, sim_params, gemm_params, special_functions,
+                          verify=False, pipeline=pipeline)
     record = verify_model(model).record()
     if key is not None:
         cache.put("verified", key, record)
@@ -261,7 +242,6 @@ def verify_record_for(graph: Graph, sim_params: Optional[SimParams] = None,
 
 def explain_compile(graph: Graph, sim_params: Optional[SimParams] = None,
                     gemm_params: Optional[SystolicParams] = None,
-                    frac_bits: int = FRAC_BITS,
                     special_functions: bool = False,
                     pipeline: Optional[PipelineConfig] = None):
     """Compile uncached and narrate the pass pipeline's decisions.
@@ -276,9 +256,8 @@ def explain_compile(graph: Graph, sim_params: Optional[SimParams] = None,
     gemm_params = gemm_params or SystolicParams()
     config = pipeline or PipelineConfig()
     pass_log: Dict[str, int] = {}
-    model = _compile_model_uncached(
-        graph, sim_params, gemm_params, frac_bits, special_functions,
-        None if config.is_default else config, pass_log)
+    model = _compile_model_uncached(graph, sim_params, gemm_params,
+                                    special_functions, config, pass_log)
     lines = [f"pipeline: {config.label()}"]
     lines.extend("  " + line for line in config.describe())
     lines.append("applied:")
@@ -365,16 +344,14 @@ def _renamed(slot, tensor: str):
 
 
 def _compile_model_uncached(graph: Graph, sim_params: SimParams,
-                            gemm_params: SystolicParams, frac_bits: int,
+                            gemm_params: SystolicParams,
                             special_functions: bool,
-                            pipeline: Optional[PipelineConfig] = None,
-                            pass_log: Optional[Dict[str, int]] = None
-                            ) -> CompiledModel:
+                            pipeline: PipelineConfig,
+                            pass_log: Dict[str, int]) -> CompiledModel:
+    """Run the pass pipeline; ``pass_log`` collects its stage tallies."""
     from ..telemetry import get_telemetry
 
     array = SystolicArray(gemm_params)
-    passes = PassPipeline(pipeline) if pipeline is not None else None
-    strategy = pipeline.tile_search if pipeline is not None else "pow2"
     tel = get_telemetry()
 
     compiled: List[CompiledBlock] = []
@@ -382,13 +359,7 @@ def _compile_model_uncached(graph: Graph, sim_params: SimParams,
     # log) of the first block lowered under that key.
     lowered: Dict[tuple, Tuple[List[str], int, LoweredTile,
                                Dict[str, int]]] = {}
-    pending = form_blocks(graph)
-    if passes is not None:
-        state = PipelineState(config=pipeline, blocks=pending)
-        pending = passes.run_blocks(state)
-        if pass_log is not None:
-            for stage, applied in state.log:
-                pass_log[stage] = pass_log.get(stage, 0) + applied
+    pending = fuse_blocks(form_blocks(graph), pipeline, pass_log)
     while pending:
         block = pending.pop(0)
         gemm_cost = (None if block.gemm is None
@@ -413,14 +384,15 @@ def _compile_model_uncached(graph: Graph, sim_params: SimParams,
                 """Compile one tile-count candidate, capturing its pass log."""
                 tile_log: Dict[str, int] = {}
                 tile = _compile_block_tile(block, graph, sim_params, t,
-                                           frac_bits, special_functions,
-                                           pipeline=passes, pass_log=tile_log)
+                                           special_functions, pipeline,
+                                           tile_log)
                 attempt_logs[t] = tile_log
                 return tile
 
             try:
                 tiles, tile = search_tiles(block, graph, sim_params.tandem,
-                                           try_compile, strategy=strategy)
+                                           try_compile,
+                                           strategy=pipeline.tile_search)
             except CompileError as err:
                 if "IMM BUF" in str(err) and len(block.ops) > 1:
                     # Too many distinct constants for one bundle: split it.
@@ -430,9 +402,8 @@ def _compile_model_uncached(graph: Graph, sim_params: SimParams,
             chosen_log = attempt_logs.get(tiles, {})
             lowered[key] = (names, tiles, tile, chosen_log)
             tel.count("compiler.blocks.lowered")
-        if pass_log is not None:
-            for stage, applied in chosen_log.items():
-                pass_log[stage] = pass_log.get(stage, 0) + applied
+        for stage, applied in chosen_log.items():
+            pass_log[stage] = pass_log.get(stage, 0) + applied
         compiled.append(CompiledBlock(
             block=block, tiles=tiles, tile=tile, gemm_cost=gemm_cost,
             stores=stores))

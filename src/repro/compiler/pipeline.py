@@ -1,49 +1,48 @@
-"""Composable, declarative compiler pass pipeline.
+"""The compiler's pass pipeline, described by one declarative config.
 
-The seed compiler applied one fixed flow to every model: greedy maximal
-fusion (``fusion.form_blocks``), power-of-two tile doubling
-(``tiling.search_tiles``) and no loop transformations. This module turns
-those decisions into a declarative :class:`PipelineConfig` — a small,
-hashable record of optimization knobs — executed by a
-:class:`PassPipeline` of ``compiler_pass``-decorated stages (the shape
-of Devito's ``dle_pass`` rewriter pipeline):
+Every compile runs the same flow (Figure 13), parameterized by a
+:class:`PipelineConfig` — a small, hashable record of optimization
+knobs:
 
-* ``fuse_blocks`` — GEMM→non-GEMM fusion depth and block splitting
+* :func:`fuse_blocks` — GEMM→non-GEMM fusion depth and block splitting
   (:mod:`repro.compiler.fusion`),
-* ``loop_fission`` — split multi-instruction nest bodies where the
-  hazard checker proves it legal (:func:`repro.compiler.transforms.fission`),
-* ``loop_interchange`` — reorder nest levels so a unit-stride loop runs
-  innermost and vectorizes across the SIMD lanes, guarded by
-  :func:`repro.compiler.transforms.is_pointwise_parallel`,
 * tile-shape choice — the ``tile_search`` knob selects the
   :func:`repro.compiler.tiling.search_tiles` strategy (``"pow2"``
-  doubling vs ``"exact"`` binary refinement).
+  doubling vs ``"exact"`` binary refinement),
+* :func:`nest_passes` — per tile, ``loop_fission`` splits
+  multi-instruction nest bodies where the hazard checker proves it legal
+  (:func:`repro.compiler.transforms.fission`), then ``loop_interchange``
+  reorders nest levels so a unit-stride loop runs innermost and
+  vectorizes across the SIMD lanes, guarded by
+  :func:`repro.compiler.transforms.is_pointwise_parallel`.
 
-The default config reproduces the fixed flow bit-for-bit; non-default
-configs are searched per model by :mod:`repro.compiler.autotune` and
-scored with the cycle model.
+The default config is the fixed flow: greedy maximal fusion,
+power-of-two tile doubling and no loop transformations. Other configs
+are searched per model by :mod:`repro.compiler.autotune` and scored with
+the cycle model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import wraps
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fusion import Block, split_at_depth
 from .ir import CompileError, Nest, TileContext
+from .tiling import STRATEGIES
 from .transforms import fissionable, fission, interchange
 
 #: Bump when knob semantics change so cached autotune verdicts and
-#: pipeline-keyed compile artifacts from older code versions miss.
+#: compile artifacts (every compile key carries it) from older code
+#: versions miss.
 PIPELINE_VERSION = 1
 
 #: Legal values per knob, in deterministic search order. This is the
 #: domain :mod:`repro.compiler.autotune` explores; the first value of
-#: each knob is the seed compiler's fixed choice.
+#: each knob is the default config's (the fixed flow's) choice.
 KNOB_SPACE: Dict[str, Tuple] = {
     "fusion_depth": (None, 1, 2, 4),
-    "tile_search": ("pow2", "exact"),
+    "tile_search": STRATEGIES,
     "fission": (False, True),
     "interchange": (False, True),
 }
@@ -57,10 +56,10 @@ class PipelineConfig:
 
     * ``fusion_depth`` — maximum non-GEMM operators bundled behind their
       producing GEMM; remaining operators form depth-sized Tandem-only
-      blocks. ``None`` fuses everything up to the next GEMM (seed
-      behavior).
+      blocks. ``None`` fuses everything up to the next GEMM (the
+      default).
     * ``tile_search`` — ``"pow2"`` doubles the tile count until the
-      block fits on-chip (seed behavior); ``"exact"`` additionally
+      block fits on-chip (the default); ``"exact"`` additionally
       binary-refines down to the smallest feasible count, trading a few
       extra compile attempts for fewer per-tile overheads.
     * ``fission`` — split multi-instruction nest bodies into
@@ -81,11 +80,6 @@ class PipelineConfig:
             raise ValueError(f"unknown tile_search {self.tile_search!r}")
         if self.fusion_depth is not None and self.fusion_depth < 1:
             raise ValueError("fusion_depth must be None or >= 1")
-
-    @property
-    def is_default(self) -> bool:
-        """True when every knob matches the seed compiler's fixed flow."""
-        return self == PipelineConfig()
 
     def as_dict(self) -> Dict:
         """JSON-ready knob dict (round-trips via :meth:`from_dict`)."""
@@ -148,127 +142,74 @@ def all_configs() -> List[PipelineConfig]:
     return out
 
 
-def compiler_pass(func):
-    """Decorator marking a :class:`PassPipeline` stage (à la ``dle_pass``).
+def _record(log: Dict[str, int], stage: str, applied: int) -> None:
+    """Add one stage's application count to ``log`` and the telemetry.
 
-    The wrapper records ``(stage name, application count)`` into the
-    state's log and bumps a ``compiler.pipeline.<stage>`` telemetry
-    counter, so ``--explain`` and traces can show exactly what each
-    stage did to the program.
+    ``log`` maps stage name to applications, the tally ``--explain``
+    prints; every application also bumps a ``compiler.pipeline.<stage>``
+    counter, so traces show what each stage did to the program.
     """
-    name = func.__name__.lstrip("_")
-
-    @wraps(func)
-    def wrapper(self, state, *args, **kwargs):
-        from ..telemetry import get_telemetry
-        applied = func(self, state, *args, **kwargs)
-        state.log.append((name, int(applied)))
-        tel = get_telemetry()
-        if tel.enabled and applied:
-            tel.count(f"compiler.pipeline.{name}", int(applied))
-        return applied
-
-    wrapper.is_compiler_pass = True
-    return wrapper
+    from ..telemetry import get_telemetry
+    log[stage] = log.get(stage, 0) + applied
+    tel = get_telemetry()
+    if tel.enabled and applied:
+        tel.count(f"compiler.pipeline.{stage}", applied)
 
 
-@dataclass
-class PipelineState:
-    """Mutable state threaded through one pipeline run.
+def fuse_blocks(blocks: List[Block], config: PipelineConfig,
+                log: Dict[str, int]) -> List[Block]:
+    """Cap GEMM→non-GEMM fusion depth, splitting over-deep bundles."""
+    depth = config.fusion_depth
+    fused = blocks if depth is None else [
+        part for block in blocks for part in split_at_depth(block, depth)]
+    _record(log, "fuse_blocks", len(fused) - len(blocks))
+    return fused
 
-    The block phase reads/writes ``blocks``; the nest phase reads/writes
-    one tile's ``ctx`` and its operator-attribution ``op_ranges`` (event
-    index ranges that must be remapped when passes insert or split
-    events). ``log`` accumulates ``(stage, applied)`` pairs across both
-    phases.
+
+def nest_passes(ctx: TileContext, op_ranges: List[Tuple[str, int, int]],
+                config: PipelineConfig, log: Dict[str, int]
+                ) -> List[Tuple[str, int, int]]:
+    """Apply the configured nest passes to one tile's IR in place.
+
+    Returns ``op_ranges`` (the operator-attribution event ranges)
+    remapped through every event the passes inserted or split.
     """
+    if config.fission:
+        op_ranges, applied = _rewrite_events(
+            ctx, op_ranges, lambda event: _fission(ctx, event))
+        _record(log, "loop_fission", applied)
+    if config.interchange:
+        op_ranges, applied = _rewrite_events(ctx, op_ranges, _interchange)
+        _record(log, "loop_interchange", applied)
+    return op_ranges
 
-    config: PipelineConfig
-    blocks: Optional[List[Block]] = None
-    ctx: Optional[TileContext] = None
-    op_ranges: Optional[List[Tuple[str, int, int]]] = None
-    log: List[Tuple[str, int]] = field(default_factory=list)
+
+def _fission(ctx: TileContext, event) -> Optional[List]:
+    """Split a legal multi-instruction nest into per-instruction nests."""
+    if not (isinstance(event, Nest) and len(event.body) > 1
+            and fissionable(event)):
+        return None
+    parts = fission(event)
+    # Record the per-point forwarding walks this split relies on;
+    # translation validation re-derives their injectivity against the
+    # lowered binary. Lazy import: the analysis package pulls the
+    # compiler in.
+    from ..analysis.deps import forwarding_claims
+    ctx.dep_claims.extend(forwarding_claims(event, parts))
+    return parts
 
 
-class PassPipeline:
-    """Executes the configured passes over blocks and loop nests."""
-
-    def __init__(self, config: PipelineConfig):
-        self.config = config
-
-    # -- block phase -------------------------------------------------------
-    def run_blocks(self, state: PipelineState) -> List[Block]:
-        """Apply block-level passes; returns the rewritten block list."""
-        self._fuse_blocks(state)
-        return state.blocks
-
-    @compiler_pass
-    def _fuse_blocks(self, state: PipelineState) -> int:
-        """Cap GEMM→non-GEMM fusion depth, splitting over-deep bundles."""
-        depth = self.config.fusion_depth
-        if depth is None:
-            return 0
-        splits = 0
-        rewritten: List[Block] = []
-        for block in state.blocks:
-            parts = split_at_depth(block, depth)
-            splits += len(parts) - 1
-            rewritten.extend(parts)
-        state.blocks = rewritten
-        return splits
-
-    # -- nest phase --------------------------------------------------------
-    def run_nests(self, state: PipelineState) -> None:
-        """Apply nest-level passes to one tile's emitted IR in place."""
-        if self.config.fission:
-            self._loop_fission(state)
-        if self.config.interchange:
-            self._loop_interchange(state)
-
-    @compiler_pass
-    def _loop_fission(self, state: PipelineState) -> int:
-        """Split legal multi-instruction nests into per-instruction nests."""
-        applied = 0
-
-        def rewrite(event):
-            nonlocal applied
-            if (isinstance(event, Nest) and len(event.body) > 1
-                    and fissionable(event)):
-                applied += 1
-                parts = fission(event)
-                # Record the per-point forwarding walks this split relies
-                # on; translation validation re-derives their injectivity
-                # against the lowered binary. Lazy import: the analysis
-                # package pulls the compiler in.
-                from ..analysis.deps import forwarding_claims
-                state.ctx.dep_claims.extend(forwarding_claims(event, parts))
-                return parts
-            return [event]
-
-        _rewrite_events(state, rewrite)
-        return applied
-
-    @compiler_pass
-    def _loop_interchange(self, state: PipelineState) -> int:
-        """Move a unit-stride level innermost where legal and profitable."""
-        applied = 0
-
-        def rewrite(event):
-            nonlocal applied
-            if not isinstance(event, Nest):
-                return [event]
-            order = vector_order(event)
-            if order is None:
-                return [event]
-            try:
-                swapped = interchange(event, order)
-            except CompileError:
-                return [event]  # legality check rejected the reorder
-            applied += 1
-            return [swapped]
-
-        _rewrite_events(state, rewrite)
-        return applied
+def _interchange(event) -> Optional[List]:
+    """Move a unit-stride level innermost where legal and profitable."""
+    if not isinstance(event, Nest):
+        return None
+    order = vector_order(event)
+    if order is None:
+        return None
+    try:
+        return [interchange(event, order)]
+    except CompileError:
+        return None  # legality check rejected the reorder
 
 
 def vector_order(nest: Nest) -> Optional[Sequence[int]]:
@@ -306,23 +247,30 @@ def vector_order(nest: Nest) -> Optional[Sequence[int]]:
     return [j for j in range(len(nest.loops)) if j != best] + [best]
 
 
-def _rewrite_events(state: PipelineState, rewrite) -> None:
+def _rewrite_events(ctx: TileContext,
+                    op_ranges: List[Tuple[str, int, int]], rewrite
+                    ) -> Tuple[List[Tuple[str, int, int]], int]:
     """Map ``rewrite`` over the tile's event list, remapping op ranges.
 
-    ``rewrite(event)`` returns the replacement event list (length >= 1
-    for 1:1 passes, > 1 for splitting passes). Operator attribution
-    ranges are half-open event-index ranges, so they are translated
-    through the old-index → new-index prefix map.
+    ``rewrite(event)`` returns the replacement event list, or ``None`` to
+    keep the event. Operator attribution ranges are half-open
+    event-index ranges, so they are translated through the old-index →
+    new-index prefix map. Returns the remapped ranges and the number of
+    events rewritten.
     """
-    ctx = state.ctx
     new_events: List[object] = []
     prefix: List[int] = []  # prefix[i] = new index of old event i
+    applied = 0
     for event in ctx.events:
         prefix.append(len(new_events))
-        new_events.extend(rewrite(event))
+        replacement = rewrite(event)
+        if replacement is None:
+            new_events.append(event)
+        else:
+            applied += 1
+            new_events.extend(replacement)
     prefix.append(len(new_events))
     ctx.events = new_events
     ctx.nests = [e for e in new_events if isinstance(e, Nest)]
-    if state.op_ranges is not None:
-        state.op_ranges = [(label, prefix[start], prefix[end])
-                           for label, start, end in state.op_ranges]
+    return [(label, prefix[start], prefix[end])
+            for label, start, end in op_ranges], applied

@@ -21,7 +21,7 @@ from .controller import ExecutionController
 # The compiler is imported where it runs: a cache read or an autotune
 # report hit needs only the design's configuration.
 if TYPE_CHECKING:
-    from ..compiler import CompiledModel
+    from ..compiler import CompiledModel, PipelineConfig
 
 
 class NPUTandem:
@@ -55,25 +55,33 @@ class NPUTandem:
         return (self.autotune if self.autotune is not None
                 else knobs.get("REPRO_AUTOTUNE"))
 
+    def pipeline_for(self, graph: Graph) -> PipelineConfig:
+        """The pass pipeline this design compiles ``graph`` with.
+
+        The autotuner's winner (a cached report after the first search)
+        when autotuning is active, else the default config.
+        """
+        from ..compiler.pipeline import PipelineConfig
+        if not self._autotune_active():
+            return PipelineConfig()
+        from ..compiler.autotune import autotune_model
+        from ..runtime import knobs
+        report = autotune_model(graph, self.config,
+                                jobs=knobs.get("REPRO_JOBS"),
+                                special_functions=self.special_functions)
+        return report.best_pipeline()
+
     def compile(self, graph: Union[str, Graph]) -> CompiledModel:
-        """Compile for this design; autotunes the pipeline when opted in."""
+        """Compile for this design under :meth:`pipeline_for`."""
         from ..compiler.compiler import compile_model
         if isinstance(graph, str):
             graph = build_model(graph)
-        pipeline = None
-        if self._autotune_active():
-            from ..compiler import autotune_model
-            from ..runtime import knobs
-            report = autotune_model(graph, self.config,
-                                    jobs=knobs.get("REPRO_JOBS"),
-                                    special_functions=self.special_functions)
-            pipeline = report.best_pipeline()
         return compile_model(graph, self.config.sim, self.config.gemm,
                              special_functions=self.special_functions,
-                             pipeline=pipeline)
+                             pipeline=self.pipeline_for(graph))
 
     def verify_record(self, graph: Union[str, Graph]) -> Dict:
-        """Static-verification record for ``graph`` under this design.
+        """Static-verification record of the program :meth:`compile` serves.
 
         Resolves through the content-addressed cache (kind
         ``"verified"``), compiling + verifying on a miss; see
@@ -83,7 +91,8 @@ class NPUTandem:
         if isinstance(graph, str):
             graph = build_model(graph)
         return verify_record_for(graph, self.config.sim, self.config.gemm,
-                                 special_functions=self.special_functions)
+                                 special_functions=self.special_functions,
+                                 pipeline=self.pipeline_for(graph))
 
     def evaluate(self, graph: Union[str, Graph, CompiledModel]) -> RunResult:
         """End-to-end latency/energy; results are content-cached.
