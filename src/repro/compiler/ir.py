@@ -139,10 +139,10 @@ class Resident:
 class TileContext:
     """Per-tile compilation state: allocation, residency, emitted IR."""
 
-    def __init__(self, params: TandemParams, frac_bits: int = FRAC_BITS,
-                 strict: bool = True, special_functions: bool = False):
+    def __init__(self, params: TandemParams, strict: bool = True,
+                 special_functions: bool = False):
         self.params = params
-        self.frac_bits = frac_bits
+        self.frac_bits = FRAC_BITS
         #: VPU emulation: complex math executes as one special-function
         #: instruction instead of an integer-primitive sequence
         #: (cost-model only; the Tandem Processor has no such hardware).
