@@ -29,33 +29,37 @@ SEED = "12345"
 RETENTION_BAR = 0.90
 
 
+def _plan():
+    from repro.faults import CrashSpec, FaultPlan
+    return FaultPlan(name="crash-1pct",
+                     crash=CrashSpec(p_per_device_s=0.01, outage_s=None))
+
+
+def _report(grid, jobs):
+    from repro.faults import chaos_report
+    from repro.runtime import parallel_map
+    from repro.serving import run_cell
+    sims = parallel_map(run_cell, [cell for _, cell in grid], jobs=jobs)
+    return chaos_report(grid, [sim.report for sim in sims], _plan(), "bert")
+
+
 def _sweep():
-    from repro.faults import (
-        CrashSpec,
-        FaultPlan,
-        chaos_grid,
-        chaos_report,
-        run_chaos,
-    )
+    from repro.faults import chaos_grid
     from repro.serving import ServiceCosts
 
-    plan = FaultPlan(name="crash-1pct",
-                     crash=CrashSpec(p_per_device_s=0.01, outage_s=None))
-    points = chaos_grid(plan=plan, scales=(1.0,), model="bert",
-                        devices=6, rate_rps=120.0, duration_s=20.0,
-                        costs=ServiceCosts.resolve(["bert"]))
-    return points, run_chaos(points, jobs=1), chaos_report
+    grid = chaos_grid(plan=_plan(), scales=(1.0,), model="bert",
+                      devices=6, rate_rps=120.0, duration_s=20.0,
+                      costs=ServiceCosts.resolve(["bert"]))
+    return grid, _report(grid, jobs=1)
 
 
 def test_resilient_policy_holds_goodput_under_crashes(benchmark,
                                                       monkeypatch):
     monkeypatch.setenv("REPRO_SEED", SEED)
-    from repro.faults import chaos_report_json, run_chaos, \
-        validate_chaos_report
+    from repro.faults import validate_chaos_report
+    from repro.schema import report_json
 
-    points, reports, chaos_report = benchmark.pedantic(
-        _sweep, rounds=1, iterations=1)
-    payload = chaos_report(points, reports)
+    grid, payload = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     assert validate_chaos_report(payload) == []
 
     faulted = {r["policy"]: r for r in payload["rows"]
@@ -81,8 +85,7 @@ def test_resilient_policy_holds_goodput_under_crashes(benchmark,
     assert faulted["naive"]["retries"] == 0
 
     # Determinism: --jobs must not change a byte of the report.
-    forked = chaos_report(points, run_chaos(points, jobs=2))
-    assert chaos_report_json(forked) == chaos_report_json(payload)
+    assert report_json(_report(grid, jobs=2)) == report_json(payload)
 
     BENCH_ARTIFACT.write_text(json.dumps({
         "model": "bert",

@@ -22,6 +22,7 @@ deterministic ``repro-fleet-scale-report-v1`` payloads).
 
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -47,10 +48,11 @@ def test_event_rate_and_determinism(benchmark, monkeypatch):
     from repro.runtime import parallel_map
     from repro.serving import (
         AutoscaleConfig,
+        DiurnalTrace,
+        FleetCell,
         ScaledFleetSimulator,
-        ScalePoint,
         ServiceCosts,
-        run_scale_point,
+        run_cell,
         validate_fleet_scale_report,
     )
 
@@ -78,12 +80,16 @@ def test_event_rate_and_determinism(benchmark, monkeypatch):
         f"{EVENT_RATE_FLOOR_RPS:,.0f} req/s")
 
     # -- serial vs --jobs, byte for byte --------------------------------
-    points = [ScalePoint(costs=costs, models=models, devices=32, cells=4,
-                         peak_rps=800.0, duration_s=2.0,
-                         autoscale=bool(i % 2), stream=i)
-              for i in range(4)]
-    serial = parallel_map(run_scale_point, points, jobs=1)
-    forked = parallel_map(run_scale_point, points, jobs=2)
+    cells = [FleetCell(
+                 sim=dict(costs=costs, devices=32, cells=4,
+                          routing="round_robin",
+                          autoscale=AutoscaleConfig() if i % 2 else None),
+                 workload=partial(DiurnalTrace, models, 800.0, 2.0,
+                                  trough_fraction=0.25, stream=i),
+                 rate_rps=800.0)
+             for i in range(4)]
+    serial = [sim.payload for sim in parallel_map(run_cell, cells, jobs=1)]
+    forked = [sim.payload for sim in parallel_map(run_cell, cells, jobs=2)]
     jobs_identical = (json.dumps(serial, sort_keys=True)
                       == json.dumps(forked, sort_keys=True))
     assert jobs_identical

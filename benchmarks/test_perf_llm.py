@@ -31,27 +31,29 @@ SEED = "12345"
 ATTAINMENT_BAR = 0.95
 
 
+def _reports(cells, jobs):
+    from repro.runtime import parallel_map
+    from repro.serving import run_cell
+    return [sim.report for sim in parallel_map(run_cell, cells, jobs=jobs)]
+
+
 def _sweep():
-    from repro.llm import llm_grid, llm_report, run_llm_sweep
+    from repro.llm import llm_grid, llm_report
     from repro.serving import LLMServiceCosts
 
     costs = LLMServiceCosts.resolve("gpt2_rms")
-    points = llm_grid(costs=costs, duration_s=5.0)
-    return costs, points, run_llm_sweep(points, jobs=1), llm_report
+    cells = llm_grid(costs=costs, duration_s=5.0)
+    return costs, cells, _reports(cells, jobs=1), llm_report
 
 
 def test_continuous_batching_beats_oneshot_at_slo(benchmark, monkeypatch):
     monkeypatch.setenv("REPRO_SEED", SEED)
-    from repro.llm import (
-        goodput_at_slo,
-        llm_report_json,
-        run_llm_sweep,
-        validate_llm_report,
-    )
+    from repro.llm import goodput_at_slo, validate_llm_report
+    from repro.schema import report_json
 
-    costs, points, reports, llm_report = benchmark.pedantic(
+    costs, cells, reports, llm_report = benchmark.pedantic(
         _sweep, rounds=1, iterations=1)
-    payload = llm_report(points, reports)
+    payload = llm_report(reports)
     assert validate_llm_report(payload) == []
 
     rows = payload["rows"]
@@ -80,8 +82,8 @@ def test_continuous_batching_beats_oneshot_at_slo(benchmark, monkeypatch):
         light["oneshot"]["ttft_p95_ms"]
 
     # Determinism: --jobs must not change a byte of the report.
-    forked = llm_report(points, run_llm_sweep(points, jobs=2))
-    assert llm_report_json(forked) == llm_report_json(payload)
+    forked = llm_report(_reports(cells, jobs=2))
+    assert report_json(forked) == report_json(payload)
 
     BENCH_ARTIFACT.write_text(json.dumps({
         "config": "gpt2_rms",

@@ -22,11 +22,17 @@ BENCH_ARTIFACT = REPO_ROOT / "BENCH_serving.json"
 SLO_ATTAINMENT = 0.95
 
 
+def _reports(cells, jobs):
+    from repro.runtime import parallel_map
+    from repro.serving import run_cell
+    return [sim.report for sim in parallel_map(run_cell, cells, jobs=jobs)]
+
+
 def _sweep():
-    from repro.serving import ServiceCosts, default_grid, run_sweep
+    from repro.serving import ServiceCosts, default_grid
     costs = ServiceCosts.resolve(["bert"])
-    points = default_grid(costs=costs)
-    return points, run_sweep(points, jobs=1)
+    cells = default_grid(costs=costs)
+    return cells, _reports(cells, jobs=1)
 
 
 def test_latency_throughput_knee_and_fleet_scaling(benchmark):
@@ -34,10 +40,9 @@ def test_latency_throughput_knee_and_fleet_scaling(benchmark):
         by_config,
         knee_sharpness,
         max_throughput_at_slo,
-        run_sweep,
         sweep_table,
     )
-    points, reports = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+    cells, reports = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     ladders = by_config(reports)
 
     # p99 must rise superlinearly past saturation: latency growth
@@ -66,7 +71,7 @@ def test_latency_throughput_knee_and_fleet_scaling(benchmark):
 
     # Determinism: a --jobs run must be byte-identical to the serial one.
     serial_table = sweep_table(reports)
-    parallel_table = sweep_table(run_sweep(points, jobs=2))
+    parallel_table = sweep_table(_reports(cells, jobs=2))
     assert parallel_table == serial_table
 
     BENCH_ARTIFACT.write_text(json.dumps({

@@ -10,9 +10,10 @@ to, a human-readable message, and a short disassembly snippet. A
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
+
+from ...schema import report_json
 
 
 class Severity(enum.IntEnum):
@@ -220,7 +221,7 @@ class ModelVerifyReport:
 
     def to_json(self) -> str:
         """The model-level report as a JSON string."""
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return report_json(self.as_dict())
 
     def record(self) -> Dict:
         """Compact cacheable verification record (no per-finding text)."""

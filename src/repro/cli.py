@@ -58,6 +58,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from .runtime import KnobError, knobs
+from .schema import report_json
 
 # Each command imports the modules it runs inside its ``cmd_*``
 # function, and a design's factory imports it when called, so start-up
@@ -106,11 +107,6 @@ def _write(path: str, text: str) -> None:
     with open(path, "w") as handle:
         handle.write(text)
     print(f"wrote {path}")
-
-
-def _json(payload) -> str:
-    """The canonical JSON text of a report: sorted keys, 2-space indent."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _result_row(result) -> tuple:
@@ -216,7 +212,7 @@ def cmd_autotune(args) -> int:
           f"{report.counters['verifier_rejects']} verifier-rejected, "
           f"{report.counters['cache_hits']} cache hits)")
     if args.json:
-        _write(args.json, _json(report.as_dict()))
+        _write(args.json, report_json(report.as_dict()))
     return 0
 
 
@@ -380,22 +376,15 @@ def cmd_decode(args) -> int:
                        "machine_cycles": r.machine_cycles}
                       for r in session.records],
         }
-        _write(args.json, _json(payload))
+        _write(args.json, report_json(payload))
     return 0
 
 
 def _cmd_serve_llm(args) -> int:
     """The ``serve --llm`` path: continuous vs one-shot batching sweep."""
-    from .llm import (
-        llm_grid,
-        llm_point_workload,
-        llm_report,
-        llm_report_json,
-        llm_table,
-        run_llm_sweep,
-        validate_llm_report,
-    )
-    from .serving import LLM_SCHEDULERS, LLMServiceCosts
+    from .llm import llm_grid, llm_report, llm_table, validate_llm_report
+    from .runtime import parallel_map
+    from .serving import LLM_SCHEDULERS, LLMServiceCosts, run_cell
 
     schedulers = tuple(s.strip() for s in args.schedulers.split(",")
                        if s.strip())
@@ -416,11 +405,11 @@ def _cmd_serve_llm(args) -> int:
     costs = LLMServiceCosts.resolve(args.llm_config,
                                     kv_budget_tokens=args.kv_budget)
     max_slots = args.slots or knobs.get("REPRO_LLM_MAX_SLOTS")
-    points = llm_grid(costs=costs, schedulers=schedulers, rates=rates,
-                      duration_s=args.duration, max_slots=max_slots)
+    cells = llm_grid(costs=costs, schedulers=schedulers, rates=rates,
+                     duration_s=args.duration, max_slots=max_slots)
     jobs = args.jobs if args.jobs is not None else 1
-    reports = run_llm_sweep(points, jobs=jobs)
-    payload = llm_report(points, reports)
+    payload = llm_report([sim.report for sim in
+                          parallel_map(run_cell, cells, jobs=jobs)])
     if _invalid("serve", "LLM report", validate_llm_report(payload)):
         return 1  # pragma: no cover - internal invariant
     print(llm_table(payload))
@@ -440,20 +429,19 @@ def _cmd_serve_llm(args) -> int:
         # Re-run the busiest continuous point once with the monitor and
         # tracing attached (both are observational, so the sweep numbers
         # above are untouched).
-        from .serving import (FleetSimulator, MonitorConfig, llm_policy,
-                              validate_monitor_report)
+        from dataclasses import replace
+
+        from .serving import MonitorConfig, validate_monitor_report
         from .telemetry.dashboard import render_dashboard
         from .telemetry.export import (chrome_trace, llm_trace_events,
                                        write_trace)
-        point = max((p for p in points if p.scheduler == "continuous"),
-                    default=points[-1], key=lambda p: p.rate_rps)
-        sim = FleetSimulator(
-            point.costs,
-            batch_policy=llm_policy(point.scheduler, point.max_slots),
-            collect_trace=bool(args.trace_out),
-            monitor_config=(MonitorConfig.from_env(
-                interval_s=args.monitor_interval) if monitored else None))
-        sim.run(llm_point_workload(point), rate_rps=point.rate_rps)
+        cell = max((c for c in cells
+                    if c.sim["batch_policy"].kind == "continuous"),
+                   default=cells[-1], key=lambda c: c.rate_rps)
+        sim = run_cell(replace(cell, sim={
+            **cell.sim, "collect_trace": bool(args.trace_out),
+            "monitor_config": (MonitorConfig.from_env(
+                interval_s=args.monitor_interval) if monitored else None)}))
         if monitored:
             if _invalid("serve", "monitor report",
                         validate_monitor_report(sim.monitor_payload)):
@@ -461,16 +449,16 @@ def _cmd_serve_llm(args) -> int:
             print(render_dashboard(sim.monitor_payload,
                                    color=sys.stdout.isatty()))
             if args.monitor_out:
-                _write(args.monitor_out, _json(sim.monitor_payload))
+                _write(args.monitor_out, report_json(sim.monitor_payload))
         if args.trace_out:
             write_trace(args.trace_out, chrome_trace(
                 [], device_events=llm_trace_events(sim.trace_log),
                 extra_other_data={"config": args.llm_config,
-                                  "scheduler": point.scheduler,
-                                  "rate_rps": point.rate_rps}))
+                                  "scheduler": sim.policy.kind,
+                                  "rate_rps": cell.rate_rps}))
             print(f"wrote {args.trace_out}")
     if args.json:
-        _write(args.json, llm_report_json(payload))
+        _write(args.json, report_json(payload))
     return 0
 
 
@@ -486,10 +474,10 @@ def cmd_serve(args) -> int:
         BatchPolicy,
         ClosedLoop,
         DiurnalTrace,
-        FleetSimulator,
         MonitorConfig,
         OpenLoopPoisson,
         ResiliencePolicy,
+        ScaledFleetSimulator,
         ServiceCosts,
         TraceFileError,
         load_trace,
@@ -508,8 +496,7 @@ def cmd_serve(args) -> int:
     # armed, nothing to respond to) when nothing is being injected.
     resilience_kind = args.resilience or (
         "resilient" if fault_plan is not None else "naive")
-    resilience = (ResiliencePolicy() if resilience_kind == "resilient"
-                  else ResiliencePolicy.naive())
+    resilience = ResiliencePolicy(kind=resilience_kind)
     cells = args.cells
     if cells is None:
         # Autoscaling needs multiple cells to act on; default to ~25
@@ -584,7 +571,7 @@ def cmd_serve(args) -> int:
         written = save_trace(workload, args.save_trace)
         print(f"wrote {args.save_trace} ({written} requests)")
     costs = ServiceCosts.resolve(models)
-    sim = FleetSimulator(
+    sim = ScaledFleetSimulator(
         costs, devices=args.devices, cells=cells,
         batch_policy=BatchPolicy(args.batch_policy, args.max_batch,
                                  args.max_wait_ms),
@@ -630,7 +617,7 @@ def cmd_serve(args) -> int:
     for path, payload in ((args.monitor_out, sim.monitor_payload),
                           (args.scale_out, sim.payload)):
         if path and payload is not None:
-            _write(path, _json(payload))
+            _write(path, report_json(payload))
     if args.trace_out:
         print(f"wrote {args.trace_out}")
     if args.json:
@@ -663,13 +650,12 @@ def cmd_chaos(args) -> int:
         FaultPlan,
         chaos_grid,
         chaos_report,
-        chaos_report_json,
         chaos_table,
         default_plan,
-        run_chaos,
         validate_chaos_report,
     )
-    from .serving import RESILIENCE_POLICIES, ServiceCosts
+    from .runtime import parallel_map
+    from .serving import RESILIENCE_POLICIES, ServiceCosts, run_cell
 
     plan = FaultPlan.from_file(args.plan) if args.plan else default_plan()
     try:
@@ -687,13 +673,14 @@ def cmd_chaos(args) -> int:
         return 2
     models = [m.strip() for m in args.model.split(",") if m.strip()]
     costs = ServiceCosts.resolve(models)
-    points = chaos_grid(plan=plan, scales=scales, policies=policies,
-                        model=models[0], devices=args.devices,
-                        rate_rps=args.rate, duration_s=args.duration,
-                        costs=costs)
+    grid = chaos_grid(plan=plan, scales=scales, policies=policies,
+                      model=models[0], devices=args.devices,
+                      rate_rps=args.rate, duration_s=args.duration,
+                      costs=costs)
     jobs = args.jobs if args.jobs is not None else 1
-    reports = run_chaos(points, jobs=jobs)
-    payload = chaos_report(points, reports)
+    sims = parallel_map(run_cell, [cell for _, cell in grid], jobs=jobs)
+    payload = chaos_report(grid, [sim.report for sim in sims], plan,
+                           models[0])
     if _invalid("chaos", "report", validate_chaos_report(payload)):
         return 1  # pragma: no cover - internal invariant
     print(chaos_table(payload))
@@ -702,7 +689,7 @@ def cmd_chaos(args) -> int:
               f"{entry['min_goodput_retention']:.4f} "
               f"(baseline {entry['baseline_goodput_rps']:.2f} req/s)")
     if args.json:
-        _write(args.json, chaos_report_json(payload))
+        _write(args.json, report_json(payload))
     return 0
 
 

@@ -17,9 +17,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "chaos": (
-        "CHAOS_SCHEMA", "DEFAULT_SCALES", "ChaosPoint", "chaos_grid",
-        "chaos_report", "chaos_report_json", "chaos_table", "run_chaos",
-        "run_chaos_point", "validate_chaos_report",
+        "CHAOS_SCHEMA", "DEFAULT_SCALES", "chaos_grid", "chaos_report",
+        "chaos_table", "validate_chaos_report",
     ),
     "corrupt": (
         "CORRUPTION_KINDS", "corrupt_word", "corrupt_words",
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_SCALES",
     "FAULT_KINDS",
     "BurstSpec",
-    "ChaosPoint",
     "CorruptSpec",
     "CrashSpec",
     "FaultInjector",
@@ -48,15 +46,12 @@ __all__ = [
     "TileFaultSpec",
     "chaos_grid",
     "chaos_report",
-    "chaos_report_json",
     "chaos_table",
     "corrupt_word",
     "corrupt_words",
     "default_plan",
     "measured_detection_rate",
     "model_sites",
-    "run_chaos",
-    "run_chaos_point",
     "validate_chaos_report",
     "word_sites",
 ]

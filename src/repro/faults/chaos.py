@@ -7,11 +7,11 @@ does each policy retain as faults ramp up?* Scale ``0.0`` is the
 fault-free control every retention number is measured against, so the
 sweep is self-calibrating — no external baseline file.
 
-Work items follow the :mod:`repro.serving.sweep` discipline: frozen,
-picklable points carrying their own :class:`ServiceCosts`, fanned out
-through :func:`repro.runtime.parallel.parallel_map`, every point a pure
-function of ``(REPRO_SEED, point)`` — serial and ``--jobs N`` sweeps
-produce byte-identical reports (pinned by ``tests/test_faults.py``).
+Work items are :class:`~repro.serving.scale.FleetCell` values carrying
+their own :class:`ServiceCosts`, fanned out as ``parallel_map(run_cell,
+cells, jobs=...)``; every cell is a pure function of ``(REPRO_SEED,
+cell)``, so serial and ``--jobs N`` sweeps produce byte-identical
+reports.
 
 The JSON report carries a ``schema`` tag and passes
 :func:`validate_chaos_report`, which CI's chaos-smoke job runs against
@@ -20,14 +20,13 @@ a fresh sweep.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime import knobs, parallel_map
+from ..runtime import knobs
 from ..schema import check
-from ..serving.fleet import FleetSimulator
 from ..serving.metrics import ServingReport
+from ..serving.scale import FleetCell
 from ..serving.scheduler import (
     RESILIENCE_POLICIES,
     AdmissionPolicy,
@@ -42,43 +41,8 @@ CHAOS_SCHEMA = "repro-chaos-report-v1"
 
 DEFAULT_SCALES = (0.0, 0.5, 1.0, 2.0)
 
-
-@dataclass(frozen=True)
-class ChaosPoint:
-    """One (policy, fault scale) cell; self-contained and picklable."""
-    costs: ServiceCosts
-    plan: FaultPlan
-    model: str
-    policy_kind: str           # one of RESILIENCE_POLICIES
-    fault_scale: float         # multiplier applied to every plan rate
-    devices: int = 4
-    rate_rps: float = 120.0
-    duration_s: float = 8.0
-    routing: str = "least_loaded"
-    max_batch: int = 8
-    max_wait_ms: float = 2.0
-    max_queue: int = 256
-
-
-def run_chaos_point(point: ChaosPoint) -> ServingReport:
-    """Simulate one cell (module-level so process pools can pickle)."""
-    if point.policy_kind not in RESILIENCE_POLICIES:
-        raise ValueError(f"unknown resilience policy {point.policy_kind!r}; "
-                         f"known: {', '.join(RESILIENCE_POLICIES)}")
-    resilience = (ResiliencePolicy() if point.policy_kind == "resilient"
-                  else ResiliencePolicy.naive())
-    workload = OpenLoopPoisson((point.model,), point.rate_rps,
-                               point.duration_s)
-    sim = FleetSimulator(
-        point.costs,
-        devices=point.devices,
-        batch_policy=BatchPolicy("dynamic", point.max_batch,
-                                 point.max_wait_ms),
-        admission=AdmissionPolicy(point.max_queue),
-        routing=point.routing,
-        fault_plan=point.plan.scaled(point.fault_scale),
-        resilience=resilience)
-    return sim.run(workload, rate_rps=point.rate_rps)
+#: One chaos grid entry: ``((resilience policy, fault scale), cell)``.
+_Labelled = Tuple[Tuple[str, float], FleetCell]
 
 
 def chaos_grid(plan: Optional[FaultPlan] = None,
@@ -88,33 +52,35 @@ def chaos_grid(plan: Optional[FaultPlan] = None,
                devices: int = 4,
                rate_rps: float = 120.0,
                duration_s: float = 8.0,
-               costs: Optional[ServiceCosts] = None) -> List[ChaosPoint]:
+               costs: Optional[ServiceCosts] = None) -> List[_Labelled]:
     """The policy x fault-scale grid, in a stable order.
 
-    A ``0.0`` scale (the fault-free control) is always prepended so
-    retention is well-defined even when the caller's ladder omits it.
+    Each entry is a ``((policy, scale), cell)`` pair. A ``0.0`` scale
+    (the fault-free control) is always prepended so retention is
+    well-defined even when the caller's ladder omits it. Each cell
+    batches dynamically (8 requests, 2 ms wait), routes to the
+    least-loaded device and sheds arrivals past a 256-deep queue.
     """
     plan = plan or default_plan()
     costs = costs or ServiceCosts.resolve([model])
     ladder = list(dict.fromkeys([0.0, *scales]))
-    base = ChaosPoint(costs=costs, plan=plan, model=model,
-                      policy_kind="naive", fault_scale=0.0,
-                      devices=devices, rate_rps=rate_rps,
-                      duration_s=duration_s)
-    return [replace(base, policy_kind=policy, fault_scale=scale)
+    return [((policy, scale), FleetCell(
+                sim=dict(costs=costs, devices=devices,
+                         batch_policy=BatchPolicy("dynamic"),
+                         admission=AdmissionPolicy(256),
+                         fault_plan=plan.scaled(scale),
+                         resilience=ResiliencePolicy(kind=policy)),
+                workload=partial(OpenLoopPoisson, (model,), rate_rps,
+                                 duration_s),
+                rate_rps=rate_rps))
             for policy in policies
             for scale in ladder]
 
 
-def run_chaos(points: Sequence[ChaosPoint],
-              jobs: int = 1) -> List[ServingReport]:
-    """All cells, in input order; ``jobs`` fans out across processes."""
-    return parallel_map(run_chaos_point, list(points), jobs=jobs)
-
-
-def chaos_report(points: Sequence[ChaosPoint],
-                 reports: Sequence[ServingReport]) -> Dict[str, Any]:
-    """Reduce a sweep to the schema-tagged chaos report.
+def chaos_report(grid: Sequence[_Labelled],
+                 reports: Sequence[ServingReport],
+                 plan: FaultPlan, model: str) -> Dict[str, Any]:
+    """Reduce a sweep of ``plan`` on ``model`` to the chaos report.
 
     Each row pairs one cell's serving outcomes with its
     ``goodput_retention``: goodput divided by the same policy's
@@ -122,21 +88,22 @@ def chaos_report(points: Sequence[ChaosPoint],
     worst retention across faulted scales — the headline the resilience
     benchmark asserts on.
     """
-    if len(points) != len(reports):
-        raise ValueError("points and reports must pair up")
-    if not points:
+    if len(grid) != len(reports):
+        raise ValueError("grid and reports must pair up")
+    if not grid:
         raise ValueError("empty chaos sweep")
+    labels = [label for label, _ in grid]
     baseline: Dict[str, float] = {}
-    for point, report in zip(points, reports):
-        if point.fault_scale == 0.0 and point.policy_kind not in baseline:
-            baseline[point.policy_kind] = report.goodput_rps
+    for (policy, scale), report in zip(labels, reports):
+        if scale == 0.0 and policy not in baseline:
+            baseline[policy] = report.goodput_rps
     rows: List[Dict[str, Any]] = []
-    for point, report in zip(points, reports):
-        base = baseline.get(point.policy_kind, 0.0)
+    for (policy, scale), report in zip(labels, reports):
+        base = baseline.get(policy, 0.0)
         retention = report.goodput_rps / base if base > 0 else 0.0
         rows.append({
-            "policy": point.policy_kind,
-            "fault_scale": point.fault_scale,
+            "policy": policy,
+            "fault_scale": scale,
             "offered": report.offered,
             "completed": report.completed,
             "failed": report.failed,
@@ -162,22 +129,18 @@ def chaos_report(points: Sequence[ChaosPoint],
             "baseline_goodput_rps": baseline.get(policy, 0.0),
             "min_goodput_retention": min(faulted, default=1.0),
         }
-    first = points[0]
+    first = reports[0]
     return {
         "schema": CHAOS_SCHEMA,
         "seed": knobs.get("REPRO_SEED"),
-        "plan": first.plan.as_dict(),
-        "model": first.model,
+        "plan": plan.as_dict(),
+        "model": model,
         "devices": first.devices,
         "rate_rps": first.rate_rps,
         "duration_s": first.duration_s,
         "rows": rows,
         "summary": summary,
     }
-
-
-def chaos_report_json(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 #: Shape of a chaos report (:func:`chaos_report`).

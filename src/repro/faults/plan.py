@@ -40,6 +40,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from ..schema import report_json
+
 
 def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
@@ -180,7 +182,7 @@ class FaultPlan:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return report_json(self.as_dict())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":

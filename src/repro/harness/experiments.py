@@ -8,7 +8,7 @@ factors); ``python -m repro.harness`` renders EXPERIMENTS.md content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Tuple
 
 from .. import analysis
@@ -701,16 +701,17 @@ def serving_sweep() -> Experiment:
     saturation, larger fleets move the knee right, and dynamic batching
     beats single-request serving at high load.
     """
-    from ..runtime import knobs
+    from ..runtime import knobs, parallel_map
     from ..serving import (
         by_config,
         default_grid,
         knee_sharpness,
         max_throughput_at_slo,
-        run_sweep,
+        run_cell,
         sweep_table,
     )
-    reports = run_sweep(default_grid(), jobs=knobs.get("REPRO_JOBS"))
+    reports = [sim.report for sim in parallel_map(
+        run_cell, default_grid(), jobs=knobs.get("REPRO_JOBS"))]
     ladders = by_config(reports)
     capacity = {fleet: max_throughput_at_slo(ladders[("dynamic", fleet)])
                 for fleet in (1, 2, 4)}
@@ -751,20 +752,13 @@ def llm_serving() -> Experiment:
     more goodput at equal SLO than padded one-shot batches, keeps TTFT
     flat where one-shot queues, and never pays padding decode steps.
     """
-    from ..llm import (
-        goodput_at_slo,
-        llm_grid,
-        llm_report,
-        llm_table,
-        run_llm_sweep,
-    )
-    from ..runtime import knobs
-    from ..serving import LLMServiceCosts
+    from ..llm import goodput_at_slo, llm_grid, llm_report, llm_table
+    from ..runtime import knobs, parallel_map
+    from ..serving import LLMServiceCosts, run_cell
 
     costs = LLMServiceCosts.resolve("gpt2_rms")
-    points = llm_grid(costs=costs)
-    reports = run_llm_sweep(points, jobs=knobs.get("REPRO_JOBS"))
-    payload = llm_report(points, reports)
+    payload = llm_report([sim.report for sim in parallel_map(
+        run_cell, llm_grid(costs=costs), jobs=knobs.get("REPRO_JOBS"))])
     cont = payload["summary"]["continuous"]
     oneshot = payload["summary"]["oneshot"]
     rows = payload["rows"]
@@ -862,12 +856,9 @@ def monitoring_slo() -> Experiment:
     from ..faults import FaultInjector, FaultPlan
     from ..faults.plan import CrashSpec
     from ..serving import (
-        BatchPolicy,
-        FleetSimulator,
         MonitorPoint,
-        OpenLoopPoisson,
-        ResiliencePolicy,
         ServiceCosts,
+        run_cell,
         run_monitor_point,
     )
 
@@ -876,12 +867,15 @@ def monitoring_slo() -> Experiment:
                      crash=CrashSpec(p_per_device_s=0.01, outage_s=6.0))
     base = dict(costs=costs, models=("bert",), devices=6,
                 rate_rps=120.0, duration_s=20.0)
-    crashed = run_monitor_point(MonitorPoint(fault_plan=plan, **base))
+    crashed = MonitorPoint(fault_plan=plan, **base).cell()
+    monitored = run_cell(crashed)
+    unmonitored = run_cell(replace(crashed, sim={**crashed.sim,
+                                                 "monitor_config": None}))
     control = run_monitor_point(MonitorPoint(**base))
 
     injector = FaultInjector(plan, devices=6, duration_s=20.0)
     first_crash_s = injector.crashes[0][0]
-    monitor = crashed["monitor"]
+    monitor = monitored.monitor_payload
     pages = [e for e in monitor["alerts"]
              if e["rule"] == "page-fast-burn" and e["kind"] == "fire"]
     resolves = [e for e in monitor["alerts"] if e["kind"] == "resolve"]
@@ -902,12 +896,8 @@ def monitoring_slo() -> Experiment:
         "fault_free_run_fires_zero_alerts": (
             True, control["monitor"]["alerts"] == []),
         "monitoring_is_observational (serving report unchanged)": (
-            True, crashed["serving"] == FleetSimulator(
-                costs, devices=6, batch_policy=BatchPolicy(),
-                routing="round_robin", fault_plan=plan,
-                resilience=ResiliencePolicy.naive()).run(
-                    OpenLoopPoisson(("bert",), 120.0, 20.0),
-                    rate_rps=120.0).as_dict()),
+            True,
+            monitored.report.as_dict() == unmonitored.report.as_dict()),
         "burn_rate_rules_evaluated": (2, len(rule_names)),
     }
     lines = [f"first crash at {first_crash_s:.2f}s; page fired at "

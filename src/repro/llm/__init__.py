@@ -21,10 +21,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "step_weights",
     ),
     "sweep": (
-        "DEFAULT_SLO_ATTAINMENT", "LLM_SCHEMA", "LLMSweepPoint",
-        "goodput_at_slo", "llm_grid", "llm_point_workload", "llm_report",
-        "llm_report_json", "llm_table", "run_llm_point", "run_llm_sweep",
-        "validate_llm_report",
+        "DEFAULT_SLO_ATTAINMENT", "LLM_SCHEMA", "goodput_at_slo",
+        "llm_grid", "llm_report", "llm_table", "validate_llm_report",
     ),
 })
 
@@ -36,7 +34,6 @@ __all__ = [
     "DecodeStep",
     "DecodeStepCosts",
     "LLMConfig",
-    "LLMSweepPoint",
     "StepRecord",
     "available_llm_configs",
     "build_step",
@@ -45,13 +42,9 @@ __all__ = [
     "get_llm_config",
     "goodput_at_slo",
     "llm_grid",
-    "llm_point_workload",
     "llm_report",
-    "llm_report_json",
     "llm_table",
     "rope_tables",
-    "run_llm_point",
-    "run_llm_sweep",
     "step_weights",
     "validate_llm_report",
 ]

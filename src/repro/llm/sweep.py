@@ -8,11 +8,11 @@ batching sustains strictly more goodput than one-shot dynamic batching,
 because slots freed by short requests are refilled immediately instead
 of decoding padding until the longest member finishes.
 
-Work items follow the :mod:`repro.serving.sweep` discipline: frozen,
-picklable points carrying their own :class:`LLMServiceCosts`, fanned
-out through :func:`repro.runtime.parallel.parallel_map`, every point a
-pure function of ``(REPRO_SEED, point)`` — serial and ``--jobs N``
-sweeps produce byte-identical reports.
+Work items are :class:`~repro.serving.scale.FleetCell` values carrying
+their own :class:`LLMServiceCosts`, fanned out as ``parallel_map(run_cell,
+cells, jobs=...)``; every cell is a pure function of ``(REPRO_SEED,
+cell)``, so serial and ``--jobs N`` sweeps produce byte-identical
+reports.
 
 The JSON report carries a ``schema`` tag (``repro-llm-report-v1``) and
 passes :func:`validate_llm_report`, which CI's llm-smoke job runs
@@ -21,54 +21,25 @@ against a fresh sweep.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime import knobs, parallel_map
+from ..runtime import knobs
 from ..schema import check
 from ..serving.continuous import (
     LLM_SCHEDULERS,
     LLMServiceCosts,
     LLMWorkload,
-    llm_poisson_requests,
     llm_policy,
 )
 from ..serving.metrics import LLMServingReport
-from ..serving.scale import ScaledFleetSimulator
+from ..serving.scale import FleetCell
 
 LLM_SCHEMA = "repro-llm-report-v1"
 
 #: Rate ladder as fractions of the estimated saturation throughput.
 DEFAULT_LOAD_FRACTIONS = (0.1, 0.25, 0.5, 0.8)
 DEFAULT_SLO_ATTAINMENT = 0.95
-
-
-@dataclass(frozen=True)
-class LLMSweepPoint:
-    """One (scheduler, rate) cell; self-contained and picklable."""
-    costs: LLMServiceCosts
-    scheduler: str             # one of LLM_SCHEDULERS
-    rate_rps: float
-    duration_s: float = 10.0
-    max_slots: int = 8
-    prompt_range: Tuple[int, int] = (8, 64)
-    output_range: Tuple[int, int] = (4, 64)
-    stream: int = 0
-
-
-def llm_point_workload(point: LLMSweepPoint) -> LLMWorkload:
-    """The point's seeded Poisson request stream."""
-    return LLMWorkload(llm_poisson_requests(
-        point.rate_rps, point.duration_s, point.prompt_range,
-        point.output_range, point.stream), point.duration_s)
-
-
-def run_llm_point(point: LLMSweepPoint) -> LLMServingReport:
-    """Simulate one cell (module-level so process pools can pickle)."""
-    sim = ScaledFleetSimulator(point.costs, batch_policy=llm_policy(
-        point.scheduler, point.max_slots))
-    return sim.run(llm_point_workload(point), rate_rps=point.rate_rps)
 
 
 def llm_grid(costs: Optional[LLMServiceCosts] = None,
@@ -78,7 +49,7 @@ def llm_grid(costs: Optional[LLMServiceCosts] = None,
              duration_s: float = 10.0,
              max_slots: int = 8,
              prompt_range: Tuple[int, int] = (8, 64),
-             output_range: Tuple[int, int] = (4, 64)) -> List[LLMSweepPoint]:
+             output_range: Tuple[int, int] = (4, 64)) -> List[FleetCell]:
     """The scheduler x rate grid, in a stable order.
 
     With no explicit ``rates``, the ladder is anchored to the costs'
@@ -87,10 +58,6 @@ def llm_grid(costs: Optional[LLMServiceCosts] = None,
     shifts.
     """
     costs = costs or LLMServiceCosts.resolve(config)
-    unknown = [s for s in schedulers if s not in LLM_SCHEDULERS]
-    if unknown:
-        raise ValueError(f"unknown LLM schedulers {', '.join(unknown)}; "
-                         f"known: {', '.join(LLM_SCHEDULERS)}")
     if rates is None:
         mean_prompt = sum(prompt_range) / 2.0
         mean_output = sum(output_range) / 2.0
@@ -98,19 +65,14 @@ def llm_grid(costs: Optional[LLMServiceCosts] = None,
                                           mean_output)
         rates = tuple(round(saturation * f, 2)
                       for f in DEFAULT_LOAD_FRACTIONS)
-    base = LLMSweepPoint(costs=costs, scheduler="continuous", rate_rps=0.0,
-                         duration_s=duration_s, max_slots=max_slots,
-                         prompt_range=tuple(prompt_range),
-                         output_range=tuple(output_range))
-    return [replace(base, scheduler=scheduler, rate_rps=rate)
+    return [FleetCell(
+                sim=dict(costs=costs,
+                         batch_policy=llm_policy(scheduler, max_slots)),
+                workload=partial(LLMWorkload.poisson, rate, duration_s,
+                                 tuple(prompt_range), tuple(output_range)),
+                rate_rps=rate)
             for scheduler in schedulers
             for rate in rates]
-
-
-def run_llm_sweep(points: Sequence[LLMSweepPoint],
-                  jobs: int = 1) -> List[LLMServingReport]:
-    """All cells, in input order; ``jobs`` fans out across processes."""
-    return parallel_map(run_llm_point, list(points), jobs=jobs)
 
 
 def goodput_at_slo(rows: Sequence[Dict[str, Any]],
@@ -121,21 +83,18 @@ def goodput_at_slo(rows: Sequence[Dict[str, Any]],
     return max(eligible, default=0.0)
 
 
-def llm_report(points: Sequence[LLMSweepPoint],
-               reports: Sequence[LLMServingReport]) -> Dict[str, Any]:
+def llm_report(reports: Sequence[LLMServingReport]) -> Dict[str, Any]:
     """Reduce a sweep to the schema-tagged LLM serving report.
 
     The summary keeps, per scheduler, the best goodput among points
     with >= 95 % SLO attainment — the "req/s at SLO" headline — plus
     the cross-scheduler comparison the benchmark asserts on.
     """
-    if len(points) != len(reports):
-        raise ValueError("points and reports must pair up")
-    if not points:
+    if not reports:
         raise ValueError("empty LLM sweep")
     rows = [report.as_dict() for report in reports]
     summary: Dict[str, Any] = {}
-    for scheduler in dict.fromkeys(p.scheduler for p in points):
+    for scheduler in dict.fromkeys(r.scheduler for r in reports):
         mine = [r for r in rows if r["scheduler"] == scheduler]
         summary[scheduler] = {
             "goodput_at_slo_rps": goodput_at_slo(mine),
@@ -147,23 +106,19 @@ def llm_report(points: Sequence[LLMSweepPoint],
         summary["continuous_beats_oneshot"] = bool(
             summary["continuous"]["goodput_at_slo_rps"]
             > summary["oneshot"]["goodput_at_slo_rps"])
-    first = points[0]
+    first = reports[0]
     return {
         "schema": LLM_SCHEMA,
         "seed": knobs.get("REPRO_SEED"),
-        "config": first.costs.config,
+        "config": first.config,
         "max_slots": first.max_slots,
-        "kv_budget_tokens": first.costs.kv_budget_tokens,
-        "slo_multiplier": first.costs.slo_multiplier,
+        "kv_budget_tokens": first.kv_budget_tokens,
+        "slo_multiplier": first.slo_multiplier,
         "slo_attainment_bar": DEFAULT_SLO_ATTAINMENT,
         "duration_s": first.duration_s,
         "rows": rows,
         "summary": summary,
     }
-
-
-def llm_report_json(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 #: Shape of an LLM serving report (:func:`llm_report`).

@@ -6,7 +6,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "config": ("NPUConfig", "iso_a100_config", "table3_config"),
     "controller": ("BlockSchedule", "ExecutionController", "FsmState"),
     "npu": ("NPUTandem",),
-    "runner": ("FunctionalRunner", "to_permute_binding", "to_tile_transfer"),
+    "runner": ("FunctionalRunner", "to_tile_transfer"),
     "trace": (
         "TraceEvent", "overlap_fraction", "render_timeline", "trace_block",
         "trace_model",
@@ -27,6 +27,5 @@ __all__ = [
     "NPUTandem",
     "iso_a100_config",
     "table3_config",
-    "to_permute_binding",
     "to_tile_transfer",
 ]

@@ -11,18 +11,17 @@ detailed interpreter is exact but slow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..compiler import CompiledBlock, CompiledModel, PermuteSlot, TransferSlot
+from ..compiler import CompiledModel, TransferSlot
 from ..gemm import SystolicArray
 from ..graph import Graph, Node
 from ..isa import Namespace
 from ..simulator import (
     DramStore,
     MachineResult,
-    PermuteBinding,
     TandemMachine,
     TileTransfer,
 )
@@ -51,12 +50,6 @@ def to_tile_transfer(slot: TransferSlot) -> TileTransfer:
         element_bytes=slot.element_bytes,
     )
 
-
-def to_permute_binding(slot: PermuteSlot) -> PermuteBinding:
-    return PermuteBinding(
-        src_ns=slot.src_ns, src_base=slot.src_base,
-        dst_ns=slot.dst_ns, dst_base=slot.dst_base,
-        shape=slot.shape, perm=slot.perm, cross_lane=slot.cross_lane)
 
 
 class FunctionalRunner:
@@ -118,8 +111,8 @@ class FunctionalRunner:
                 self.dram.bind(cb.block.gemm.outputs[0], out)
             if cb.tile is not None:
                 transfers = [to_tile_transfer(s) for s in cb.tile.transfers]
-                permutes = [to_permute_binding(s) for s in cb.tile.permutes]
-                result = self.machine.run(cb.tile.program, transfers, permutes)
+                result = self.machine.run(cb.tile.program, transfers,
+                                          cb.tile.permutes)
                 self.block_results.append((cb.name, result))
         return dict(self.dram.tensors)
 

@@ -11,17 +11,24 @@ that many items, item ``i`` checked against sub-spec ``i``), ``enum``
 and ``gt`` (exclusive lower bound on a number).
 
 Each problem reads ``<json path>: <what is wrong>``, the path being ``$``
-then ``.key``, ``['map key']`` and ``[index]`` steps. This module imports
+then ``.key``, ``['map key']`` and ``[index]`` steps. :func:`report_json`
+is the one text form every report is written in. This module imports
 nothing from :mod:`repro`, so any package can import it at module top.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, List, Sequence
 
 #: JSON type name of each Python type ``json.load`` produces.
 _NAMES = {type(None): "null", bool: "bool", int: "int", float: "number",
           str: "str", list: "list", dict: "object"}
+
+
+def report_json(payload: Any) -> str:
+    """The canonical JSON text of a report: sorted keys, 2-space indent."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def check(value: Any, spec: Any) -> List[str]:

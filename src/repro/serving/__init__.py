@@ -27,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "DEFAULT_LLM_SLO_MULTIPLIER", "LLM_SCHEDULERS", "LLMRequest",
         "LLMServiceCosts", "LLMWorkload", "llm_poisson_requests", "llm_policy",
     ),
-    "fleet": ("FleetSimulator", "simulate"),
+    "fleet": ("FleetSimulator",),
     "metrics": (
         "DEFAULT_SLO_MULTIPLIER", "LLMServingReport", "ServingReport",
         "percentile",
@@ -37,8 +37,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "monitor_table", "run_monitor_point", "validate_monitor_report",
     ),
     "scale": (
-        "SCALE_SCHEMA", "ScaledFleetSimulator", "ScalePoint",
-        "run_scale_point", "scale_table", "tail_bounded_throughput",
+        "SCALE_SCHEMA", "FleetCell", "ScaledFleetSimulator", "run_cell",
+        "scale_table", "tail_bounded_throughput",
         "validate_fleet_scale_report",
     ),
     "scheduler": (
@@ -47,8 +47,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ServiceCosts",
     ),
     "sweep": (
-        "SweepPoint", "by_config", "default_grid", "knee_sharpness",
-        "max_throughput_at_slo", "run_point", "run_sweep", "sweep_table",
+        "by_config", "default_grid", "knee_sharpness",
+        "max_throughput_at_slo", "sweep_table",
     ),
     "workload": (
         "REQUEST_TRACE_SPEC", "TRACE_SCHEMA", "Arrivals", "ClosedLoop",
@@ -76,6 +76,7 @@ __all__ = [
     "ClosedLoop",
     "CostModel",
     "DiurnalTrace",
+    "FleetCell",
     "FleetSimulator",
     "FleetMonitor",
     "LLMRequest",
@@ -89,11 +90,9 @@ __all__ = [
     "OpenLoopPoisson",
     "Request",
     "ResiliencePolicy",
-    "ScalePoint",
     "ScaledFleetSimulator",
     "ServiceCosts",
     "ServingReport",
-    "SweepPoint",
     "TraceFileError",
     "TraceReplay",
     "Workload",
@@ -106,13 +105,10 @@ __all__ = [
     "load_trace",
     "max_throughput_at_slo",
     "percentile",
+    "run_cell",
     "run_monitor_point",
-    "run_point",
-    "run_scale_point",
-    "run_sweep",
     "save_trace",
     "scale_table",
-    "simulate",
     "sweep_table",
     "tail_bounded_throughput",
     "validate_fleet_scale_report",

@@ -90,6 +90,15 @@ class LLMWorkload(Workload):
         self.requests = list(requests)
         self.duration_s = float(duration_s)
 
+    @classmethod
+    def poisson(cls, rate_rps: float, duration_s: float,
+                prompt_range: Tuple[int, int] = (8, 64),
+                output_range: Tuple[int, int] = (4, 64),
+                stream: object = 0) -> "LLMWorkload":
+        """:func:`llm_poisson_requests` over ``duration_s`` as a workload."""
+        return cls(llm_poisson_requests(rate_rps, duration_s, prompt_range,
+                                        output_range, stream), duration_s)
+
     def initial(self) -> List[LLMRequest]:
         return list(self.requests)
 

@@ -17,10 +17,10 @@ attainment number.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..schema import report_json
 # The exact nearest-rank estimator lives in telemetry.timeseries so the
 # end-of-run report and the streaming monitor histograms share ONE rank
 # rule; re-exported here because this module is its historical home.
@@ -97,7 +97,7 @@ class ServingReport:
         bit-identity oracle used by the determinism and golden-fixture
         tests — any float that differs in the last ulp shows up here.
         """
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return report_json(self.as_dict())
 
     def table(self) -> str:
         """Fixed-width metric/value table for the CLI."""

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..runtime import knobs
 from ..schema import check, passed
@@ -57,6 +58,9 @@ from ..telemetry.timeseries import (
     SlidingWindowHistogram,
     TimeSeries,
 )
+
+if TYPE_CHECKING:
+    from .scale import FleetCell
 
 MONITOR_SCHEMA = "repro-monitor-report-v1"
 
@@ -552,6 +556,26 @@ class MonitorPoint:
     slo_target: float = 0.999
     stream: int = 0
 
+    def cell(self) -> FleetCell:
+        """This run as a :class:`~repro.serving.scale.FleetCell`."""
+        from .scale import FleetCell
+        from .scheduler import BatchPolicy, ResiliencePolicy
+        from .workload import OpenLoopPoisson
+        return FleetCell(
+            sim=dict(costs=self.costs, devices=self.devices,
+                     cells=self.cells,
+                     batch_policy=BatchPolicy(kind=self.batch_kind),
+                     routing=self.routing, fault_plan=self.fault_plan,
+                     resilience=ResiliencePolicy(kind=self.resilience_kind),
+                     monitor_config=MonitorConfig(
+                         interval_s=self.interval_s,
+                         window_intervals=self.window_intervals,
+                         objective=SLOObjective(target=self.slo_target),
+                         rules=default_rules())),
+            workload=partial(OpenLoopPoisson, self.models, self.rate_rps,
+                             self.duration_s, stream=self.stream),
+            rate_rps=self.rate_rps)
+
 
 def run_monitor_point(point: MonitorPoint) -> Dict[str, Any]:
     """Run one monitored point (module-level so process pools pickle it).
@@ -559,26 +583,6 @@ def run_monitor_point(point: MonitorPoint) -> Dict[str, Any]:
     Returns ``{"serving": ServingReport.as_dict(), "monitor": payload}``
     — both pure functions of ``(REPRO_SEED, point)``.
     """
-    from .fleet import FleetSimulator
-    from .scheduler import BatchPolicy, ResiliencePolicy
-    from .workload import OpenLoopPoisson
-    config = MonitorConfig(
-        interval_s=point.interval_s,
-        window_intervals=point.window_intervals,
-        objective=SLOObjective(target=point.slo_target),
-        rules=default_rules(),
-    )
-    sim = FleetSimulator(
-        point.costs,
-        devices=point.devices,
-        cells=point.cells,
-        batch_policy=BatchPolicy(kind=point.batch_kind),
-        routing=point.routing,
-        fault_plan=point.fault_plan,
-        resilience=ResiliencePolicy(kind=point.resilience_kind),
-        monitor_config=config,
-    )
-    workload = OpenLoopPoisson(point.models, point.rate_rps,
-                               point.duration_s, stream=point.stream)
-    report = sim.run(workload, rate_rps=point.rate_rps)
-    return {"serving": report.as_dict(), "monitor": sim.monitor_payload}
+    from .scale import run_cell
+    sim = run_cell(point.cell())
+    return {"serving": sim.report.as_dict(), "monitor": sim.monitor_payload}

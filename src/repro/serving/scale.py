@@ -82,7 +82,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..runtime import knobs
 from ..schema import check, passed
@@ -131,8 +131,9 @@ class ScaledFleetSimulator:
     ``cells >= 2``) or ``None`` for a static fleet.  ``fault_plan``,
     ``resilience``, ``monitor_config`` and ``collect_trace`` are
     described in the module docstring.  After :meth:`run`,
-    :attr:`payload` holds the ``repro-fleet-scale-report-v1``
-    dictionary, :attr:`monitor_payload` the monitor's
+    :attr:`report` holds the report it returned, :attr:`payload` the
+    ``repro-fleet-scale-report-v1`` dictionary (``None`` after an LLM
+    run), :attr:`monitor_payload` the monitor's
     ``repro-monitor-report-v1`` payload (``None`` when unmonitored) and
     :attr:`trace_log` the lifecycle log (empty unless traced).
     """
@@ -186,6 +187,7 @@ class ScaledFleetSimulator:
         self.fault_plan = fault_plan
         self.resilience = resilience or ResiliencePolicy.naive()
         self.monitor_config = monitor_config
+        self.report = None
         #: ``repro-fleet-scale-report-v1`` payload of the last run.
         self.payload: Optional[Dict[str, Any]] = None
         self.monitor = None
@@ -1165,7 +1167,7 @@ class ScaledFleetSimulator:
             self.payload = None
             ttfts.sort()
             itls.sort()
-            return LLMServingReport(
+            self.report = LLMServingReport(
                 scheduler=policy.kind, config=costs.config,
                 max_slots=limit, kv_budget_tokens=budget,
                 slo_multiplier=costs.slo_multiplier,
@@ -1174,6 +1176,7 @@ class ScaledFleetSimulator:
                 **{f"{name}_p{q}_ms": percentile(values, q)
                    for name, values in (("ttft", ttfts), ("itl", itls))
                    for q in (50, 95, 99)})
+            return self.report
         if auto_on:
             # Keep closing (empty) boundaries through the tail so the
             # trough after the last completion can still scale in/park
@@ -1229,6 +1232,7 @@ class ScaledFleetSimulator:
             slo_met=slo_met,
             timeline={"t_s": tl_t, "cells_active": tl_cells,
                       "queue_depth": tl_queue, "burn_long": tl_burn})
+        self.report = report
         return report
 
     # ------------------------------------------------------------------
@@ -1417,50 +1421,34 @@ def scale_table(payload: Dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Picklable sweep point (serial-vs-jobs determinism harness)
+# One sweep cell: the picklable work item of every fleet sweep
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ScalePoint:
-    """One scaled-fleet run over a diurnal trace; picklable."""
+class FleetCell:
+    """One fleet run, self-contained and picklable.
 
-    costs: Any                      # ServiceCosts (frozen)
-    models: Tuple[str, ...]
-    devices: int
-    cells: int
-    peak_rps: float
-    duration_s: float
-    trough_fraction: float = 0.25
-    routing: str = "round_robin"
-    batch_kind: str = "dynamic"
-    autoscale: bool = False
-    min_cells: int = 1
-    interval_s: float = 0.25
-    cooldown_s: float = 1.0
-    price_per_device_hour: float = 2.5
-    stream: int = 0
-
-
-def run_scale_point(point: ScalePoint) -> Dict[str, Any]:
-    """Run one scaled point (module-level so process pools pickle it).
-
-    Returns the ``repro-fleet-scale-report-v1`` payload — a pure
-    function of ``(REPRO_SEED, point)``, so serial and ``--jobs N``
-    sweeps are byte-identical.
+    ``sim`` holds the :class:`ScaledFleetSimulator` keyword arguments
+    (frozen values; treat the dict as read-only), ``workload`` a
+    picklable zero-argument recipe such as
+    ``functools.partial(OpenLoopPoisson, models, rate, duration)`` that
+    builds the workload in the worker, and ``rate_rps`` the offered rate
+    the report records.  A variant of a cell is
+    ``dataclasses.replace(cell, sim={**cell.sim, ...})``.
     """
-    from .workload import DiurnalTrace
-    config = None
-    if point.autoscale:
-        config = AutoscaleConfig(
-            interval_s=point.interval_s,
-            min_cells=point.min_cells,
-            cooldown_s=point.cooldown_s,
-            price_per_device_hour=point.price_per_device_hour)
-    sim = ScaledFleetSimulator(
-        point.costs, devices=point.devices, cells=point.cells,
-        batch_policy=BatchPolicy(kind=point.batch_kind),
-        routing=point.routing, autoscale=config)
-    trace = DiurnalTrace(point.models, point.peak_rps, point.duration_s,
-                         trough_fraction=point.trough_fraction,
-                         stream=point.stream)
-    sim.run(trace, rate_rps=point.peak_rps)
-    return sim.payload
+
+    sim: Dict[str, Any]
+    workload: Callable[[], Workload]
+    rate_rps: float = 0.0
+
+
+def run_cell(cell: FleetCell) -> ScaledFleetSimulator:
+    """Run one cell (module-level so process pools can pickle it).
+
+    Returns the simulator after its run; its ``report``, ``payload``,
+    ``monitor_payload`` and ``trace_log`` are pure functions of
+    ``(REPRO_SEED, cell)``, so serial and ``--jobs N`` sweeps are
+    byte-identical.
+    """
+    sim = ScaledFleetSimulator(**cell.sim)
+    sim.run(cell.workload(), rate_rps=cell.rate_rps)
+    return sim

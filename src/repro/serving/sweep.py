@@ -1,26 +1,25 @@
 """The ``serving_sweep`` grid: batch-policy x fleet-size x arrival-rate.
 
-Builds a grid of :class:`SweepPoint` work items (each carrying its own
-frozen :class:`~repro.serving.scheduler.ServiceCosts`, so worker
-processes never re-evaluate models), fans them out through
-:func:`repro.runtime.parallel.parallel_map`, and reduces the reports to
-the latency-throughput picture the TPU paper's 99th-percentile-SLO
-argument predicts: p99 latency rises superlinearly once the offered
-rate crosses a fleet's saturation throughput, and doubling the fleet
-moves the knee right.
+Builds a grid of :class:`~repro.serving.scale.FleetCell` work items
+(each carrying its own frozen
+:class:`~repro.serving.scheduler.ServiceCosts`, so worker processes
+never re-evaluate models), fanned out as ``parallel_map(run_cell,
+cells, jobs=...)``, and reduces the reports to the latency-throughput
+picture the TPU paper's 99th-percentile-SLO argument predicts: p99
+latency rises superlinearly once the offered rate crosses a fleet's
+saturation throughput, and doubling the fleet moves the knee right.
 
-Every point is a pure function of ``(REPRO_SEED, point)``, so serial
+Every cell is a pure function of ``(REPRO_SEED, cell)``, so serial
 and ``--jobs N`` sweeps are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime import parallel_map
-from .fleet import FleetSimulator
-from .metrics import DEFAULT_SLO_MULTIPLIER, ServingReport
+from .metrics import ServingReport
+from .scale import FleetCell
 from .scheduler import AdmissionPolicy, BatchPolicy, ServiceCosts
 from .workload import OpenLoopPoisson
 
@@ -30,65 +29,28 @@ DEFAULT_RATES = (25.0, 50.0, 100.0, 200.0, 400.0)
 DEFAULT_SLO_ATTAINMENT = 0.95
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid cell; self-contained and picklable.
-
-    ``cells`` groups the devices for hierarchical routing (see
-    :mod:`repro.serving.scale`).
-    """
-    costs: ServiceCosts
-    model: str
-    policy_kind: str
-    devices: int
-    rate_rps: float
-    duration_s: float = 4.0
-    max_batch: int = 8
-    max_wait_ms: float = 2.0
-    routing: str = "least_loaded"
-    max_queue: int = 4096
-    slo_multiplier: float = DEFAULT_SLO_MULTIPLIER
-    cells: int = 1
-
-
-def run_point(point: SweepPoint) -> ServingReport:
-    """Simulate one grid cell (module-level so process pools can pickle)."""
-    workload = OpenLoopPoisson((point.model,), point.rate_rps,
-                               point.duration_s)
-    batch_policy = BatchPolicy(point.policy_kind, point.max_batch,
-                               point.max_wait_ms)
-    sim = FleetSimulator(
-        point.costs,
-        devices=point.devices,
-        cells=point.cells,
-        batch_policy=batch_policy,
-        admission=AdmissionPolicy(point.max_queue),
-        routing=point.routing,
-        slo_multiplier=point.slo_multiplier)
-    return sim.run(workload, rate_rps=point.rate_rps)
-
-
 def default_grid(model: str = "bert",
                  policies: Sequence[str] = DEFAULT_POLICIES,
                  fleets: Sequence[int] = DEFAULT_FLEETS,
                  rates: Sequence[float] = DEFAULT_RATES,
                  duration_s: float = 4.0,
-                 costs: Optional[ServiceCosts] = None) -> List[SweepPoint]:
-    """The batch-policy x fleet-size x arrival-rate grid, in a stable order."""
+                 costs: Optional[ServiceCosts] = None) -> List[FleetCell]:
+    """The batch-policy x fleet-size x arrival-rate grid, in a stable order.
+
+    Each cell batches up to 8 requests with a 2 ms wait, routes to the
+    least-loaded device and sheds arrivals past a 4096-deep queue.
+    """
     costs = costs or ServiceCosts.resolve([model])
-    base = SweepPoint(costs=costs, model=model, policy_kind="dynamic",
-                      devices=1, rate_rps=0.0, duration_s=duration_s)
-    return [replace(base, policy_kind=policy, devices=devices,
-                    rate_rps=rate)
+    return [FleetCell(
+                sim=dict(costs=costs, devices=devices,
+                         batch_policy=BatchPolicy(policy),
+                         admission=AdmissionPolicy(4096)),
+                workload=partial(OpenLoopPoisson, (model,), rate,
+                                 duration_s),
+                rate_rps=rate)
             for policy in policies
             for devices in fleets
             for rate in rates]
-
-
-def run_sweep(points: Sequence[SweepPoint],
-              jobs: int = 1) -> List[ServingReport]:
-    """All grid cells, in input order; ``jobs`` fans out across processes."""
-    return parallel_map(run_point, list(points), jobs=jobs)
 
 
 def sweep_table(reports: Sequence[ServingReport]) -> str:

@@ -11,7 +11,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "energy": ("EnergyLedger",),
     "iterators": ("IteratorEntry", "IteratorError", "IteratorTable"),
     "machine": (
-        "MachineError", "MachineResult", "PermuteBinding", "SyncEvent",
+        "MachineError", "MachineResult", "SyncEvent",
         "TandemMachine", "charge_nest",
     ),
     "params": (
@@ -39,7 +39,6 @@ __all__ = [
     "MachineError",
     "MachineResult",
     "NestTiming",
-    "PermuteBinding",
     "ProgramMeta",
     "Scratchpad",
     "ScratchpadError",

@@ -44,24 +44,12 @@ from .pipeline import BodyOpMeta, NestTiming, nest_timing
 if TYPE_CHECKING:
     import numpy as np
 
+    from ..compiler.ir import PermuteSlot
     from .dae import DramStore, TileTransfer
 
 
 class MachineError(RuntimeError):
     """Illegal instruction sequence (compiler bug surfaced at runtime)."""
-
-
-@dataclass(frozen=True)
-class PermuteBinding:
-    """Resolved operands for one PERMUTE.START (layout transformation)."""
-
-    src_ns: Namespace
-    src_base: int
-    dst_ns: Namespace
-    dst_base: int
-    shape: Tuple[int, ...]
-    perm: Tuple[int, ...]
-    cross_lane: bool = True
 
 
 @dataclass
@@ -197,11 +185,11 @@ class TandemMachine:
     # -- public API -----------------------------------------------------------
     def run(self, program: TandemProgram,
             transfers: Iterable[TileTransfer] = (),
-            permutes: Iterable[PermuteBinding] = ()) -> MachineResult:
+            permutes: Iterable[PermuteSlot] = ()) -> MachineResult:
         """Execute a program; bindings are consumed in instruction order."""
         result = MachineResult()
         transfer_queue: Deque[TileTransfer] = deque(transfers)
-        permute_queue: Deque[PermuteBinding] = deque(permutes)
+        permute_queue: Deque[PermuteSlot] = deque(permutes)
         pending_loops: List[Tuple[int, int]] = []
         collecting: Optional[int] = None
         body: List[Instruction] = []
@@ -312,7 +300,7 @@ class TandemMachine:
     def _step(self, inst: Instruction, result: MachineResult,
               pending_loops: List[Tuple[int, int]],
               transfer_queue: Deque[TileTransfer],
-              permute_queue: Deque[PermuteBinding]) -> None:
+              permute_queue: Deque[PermuteSlot]) -> None:
         opcode = inst.opcode
         if opcode == Opcode.SYNC:
             result.cycles += 1
@@ -474,7 +462,7 @@ class TandemMachine:
 
     # -- permute engine ----------------------------------------------------------
     def _permute(self, inst: Instruction, result: MachineResult,
-                 permute_queue: Deque[PermuteBinding]) -> None:
+                 permute_queue: Deque[PermuteSlot]) -> None:
         import numpy as np
 
         func = PermuteFunc(inst.func)

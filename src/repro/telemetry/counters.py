@@ -11,8 +11,9 @@ so two identical runs serialize byte-identically.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Mapping, Union
+
+from ..schema import report_json
 
 Number = Union[int, float]
 
@@ -53,7 +54,7 @@ class CounterRegistry:
         return {name: self._counters[name] for name in sorted(self._counters)}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return report_json(self.as_dict())
 
 
 def format_counters(counters: Mapping[str, Number],

@@ -251,23 +251,25 @@ def faults_quiet_plan():
                   fault_plan=FaultPlan())
 
 
-def _small_chaos_points():
-    from repro.faults import (CorruptSpec, CrashSpec, FaultPlan,
-                              TileFaultSpec, chaos_grid)
+def _chaos(plan, model, **grid_kwargs):
+    """One chaos sweep reduced to its report, as ``repro chaos`` writes it."""
+    from repro.faults import chaos_grid, chaos_report
+    from repro.schema import report_json
+    from repro.serving import run_cell
+    grid = chaos_grid(plan=plan, model=model, **grid_kwargs)
+    reports = [run_cell(cell).report for _, cell in grid]
+    return json.loads(report_json(chaos_report(grid, reports, plan, model)))
+
+
+def faults_chaos_small_grid():
+    from repro.faults import CorruptSpec, CrashSpec, FaultPlan, TileFaultSpec
     plan = FaultPlan(name="small",
                      crash=CrashSpec(p_per_device_s=0.05),
                      tile_fault=TileFaultSpec(p_per_batch=0.2),
                      corrupt=CorruptSpec(p_per_download=0.5))
-    return chaos_grid(plan=plan, scales=(1.0,), model="m", devices=2,
-                      rate_rps=300.0, duration_s=1.0,
-                      costs=toy_costs(latency_s=0.004, compile_s=0.002))
-
-
-def faults_chaos_small_grid():
-    from repro.faults import chaos_report, chaos_report_json, run_chaos
-    points = _small_chaos_points()
-    return json.loads(chaos_report_json(chaos_report(points,
-                                                     run_chaos(points))))
+    return _chaos(plan, "m", scales=(1.0,), devices=2, rate_rps=300.0,
+                  duration_s=1.0,
+                  costs=toy_costs(latency_s=0.004, compile_s=0.002))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +323,10 @@ def plain_unverified_reject():
 
 
 def plain_sweep_point():
-    from repro.serving import SweepPoint, run_point
-    point = SweepPoint(costs=toy_costs(), model="m", policy_kind="dynamic",
-                       devices=4, rate_rps=400.0, duration_s=1.0)
-    return json.loads(run_point(point).to_json())
+    from repro.serving import default_grid, run_cell
+    cell, = default_grid(model="m", policies=("dynamic",), fleets=(4,),
+                         rates=(400.0,), duration_s=1.0, costs=toy_costs())
+    return json.loads(run_cell(cell).report.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -448,42 +450,37 @@ def fleet_chaos_smoke():
 
 def chaos_default_grid():
     """``repro chaos`` with every default (BERT, default plan)."""
-    from repro.faults import (chaos_grid, chaos_report, chaos_report_json,
-                              run_chaos)
-    points = chaos_grid(costs=real_costs())
-    return json.loads(chaos_report_json(chaos_report(points,
-                                                     run_chaos(points))))
+    from repro.faults import default_plan
+    return _chaos(default_plan(), "bert", costs=real_costs())
 
 
 def chaos_bench_crash_1pct():
     """``benchmarks/test_perf_chaos.py``'s sweep (BENCH_chaos.json)."""
-    from repro.faults import (CrashSpec, FaultPlan, chaos_grid, chaos_report,
-                              chaos_report_json, run_chaos)
+    from repro.faults import CrashSpec, FaultPlan
     plan = FaultPlan(name="crash-1pct",
                      crash=CrashSpec(p_per_device_s=0.01, outage_s=None))
-    points = chaos_grid(plan=plan, scales=(1.0,), model="bert", devices=6,
-                        rate_rps=120.0, duration_s=20.0, costs=real_costs())
-    return json.loads(chaos_report_json(chaos_report(points,
-                                                     run_chaos(points))))
+    return _chaos(plan, "bert", scales=(1.0,), devices=6, rate_rps=120.0,
+                  duration_s=20.0, costs=real_costs())
 
 
 # ---------------------------------------------------------------------------
 # LLM batching (continuous and one-shot) on frozen gpt2_rms costs
 # ---------------------------------------------------------------------------
-def _llm_sweep(duration_s):
-    from repro.llm import llm_grid, llm_report, run_llm_sweep
-    points = llm_grid(costs=llm_costs(), duration_s=duration_s)
-    return llm_report(points, run_llm_sweep(points))
+def _llm_sweep(**grid_kwargs):
+    from repro.llm import llm_grid, llm_report
+    from repro.serving import run_cell
+    return llm_report([run_cell(cell).report
+                       for cell in llm_grid(**grid_kwargs)])
 
 
 def llm_grid_2s():
     """Both schedulers on the default ``llm_grid`` ladder for 2 s."""
-    return _llm_sweep(2.0)
+    return _llm_sweep(costs=llm_costs(), duration_s=2.0)
 
 
 def llm_bench_5s():
     """``benchmarks/test_perf_llm.py``'s sweep (BENCH_llm_serving.json)."""
-    return _llm_sweep(5.0)
+    return _llm_sweep(costs=llm_costs(), duration_s=5.0)
 
 
 def _hand_costs(kv_budget=100):
@@ -493,19 +490,21 @@ def _hand_costs(kv_budget=100):
                            amortized_fraction=0.5, slo_multiplier=5.0)
 
 
-def _llm_run(scheduler, costs, requests, *, max_slots=4, max_wait_ms=2.0,
-             rate_rps=0.0, duration_s=0.0, monitor_config=None,
-             collect_trace=True):
-    """One LLM run reduced to report (+ trace, + monitor payload)."""
+def _llm_run(scheduler, costs, requests, *, max_wait_ms=2.0):
+    """One traced 4-slot LLM run reduced to report + trace."""
     from repro.serving import BatchPolicy, FleetSimulator, LLMWorkload
     sim = FleetSimulator(costs, batch_policy=BatchPolicy(
-        scheduler, max_batch=max_slots, max_wait_ms=max_wait_ms),
-        collect_trace=collect_trace, monitor_config=monitor_config)
-    report = sim.run(LLMWorkload(requests, duration_s), rate_rps=rate_rps)
-    out: Dict[str, Any] = {"report": report.as_dict()}
-    if collect_trace:
+        scheduler, max_batch=4, max_wait_ms=max_wait_ms), collect_trace=True)
+    sim.run(LLMWorkload(requests))
+    return _llm_result(sim)
+
+
+def _llm_result(sim) -> Dict[str, Any]:
+    """An LLM run's report (+ trace when traced, + monitor payload)."""
+    out: Dict[str, Any] = {"report": sim.report.as_dict()}
+    if sim.collect_trace:
         out["trace"] = sim.trace_log
-    if monitor_config is not None:
+    if sim.monitor_config is not None:
         out["monitor"] = sim.monitor_payload
     return out
 
@@ -537,24 +536,22 @@ def llm_hand_oneshot_padded():
 
 def llm_hand_sweep():
     """``tests/test_continuous_batcher.py``'s hand-cost sweep."""
-    from repro.llm import llm_grid, llm_report, run_llm_sweep
-    points = llm_grid(costs=_hand_costs(kv_budget=400), rates=(20.0, 40.0),
+    return _llm_sweep(costs=_hand_costs(kv_budget=400), rates=(20.0, 40.0),
                       duration_s=1.0, max_slots=4)
-    return llm_report(points, run_llm_sweep(points))
 
 
-def _busiest(scheduler="continuous", costs=None, **kwargs):
-    """The busiest 2 s point (``serve --llm`` re-runs it for continuous)."""
+def _busiest(scheduler="continuous", costs=None, monitor_config=None,
+             collect_trace=True):
+    """The busiest 2 s cell (``serve --llm`` re-runs it for continuous)."""
+    from dataclasses import replace
     from repro.llm import llm_grid
-    from repro.serving import llm_poisson_requests
-    point = max((p for p in llm_grid(costs=llm_costs(), duration_s=2.0)
-                 if p.scheduler == scheduler), key=lambda p: p.rate_rps)
-    requests = llm_poisson_requests(point.rate_rps, point.duration_s,
-                                    point.prompt_range, point.output_range,
-                                    point.stream)
-    return _llm_run(scheduler, costs or point.costs, requests,
-                    max_slots=point.max_slots, rate_rps=point.rate_rps,
-                    duration_s=point.duration_s, **kwargs)
+    from repro.serving import run_cell
+    cell = max((c for c in llm_grid(costs=llm_costs(), duration_s=2.0)
+                if c.sim["batch_policy"].kind == scheduler),
+               key=lambda c: c.rate_rps)
+    return _llm_result(run_cell(replace(cell, sim={
+        **cell.sim, "costs": costs or cell.sim["costs"],
+        "collect_trace": collect_trace, "monitor_config": monitor_config})))
 
 
 def llm_monitored_continuous():

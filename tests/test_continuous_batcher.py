@@ -9,13 +9,7 @@ costs ``P`` at batch 1.
 
 import pytest
 
-from repro.llm import (
-    llm_grid,
-    llm_report,
-    llm_report_json,
-    run_llm_sweep,
-    validate_llm_report,
-)
+from repro.llm import llm_grid, llm_report, validate_llm_report
 from repro.serving import (
     AutoscaleConfig,
     BatchPolicy,
@@ -26,6 +20,7 @@ from repro.serving import (
     ResiliencePolicy,
     llm_poisson_requests,
     llm_policy,
+    run_cell,
 )
 from repro.faults import FaultPlan
 from repro.runtime import KnobError, knobs
@@ -193,24 +188,12 @@ def test_poisson_workload_deterministic(monkeypatch):
     assert all(4 <= r.output_tokens <= 64 for r in a)
 
 
-def test_sweep_serial_matches_jobs(monkeypatch):
-    """Serial and --jobs 2 sweeps serialize to identical bytes."""
-    monkeypatch.setenv("REPRO_SEED", "777")
-    costs = hand_costs(kv_budget=400)
-    points = llm_grid(costs=costs, rates=(20.0, 40.0), duration_s=1.0,
-                      max_slots=4)
-    serial = llm_report(points, run_llm_sweep(points, jobs=1))
-    fanned = llm_report(points, run_llm_sweep(points, jobs=2))
-    assert llm_report_json(serial) == llm_report_json(fanned)
-    assert validate_llm_report(serial) == []
-
-
 def test_sweep_report_summary_compares_schedulers(monkeypatch):
     monkeypatch.setenv("REPRO_SEED", "777")
     costs = hand_costs(kv_budget=400)
-    points = llm_grid(costs=costs, rates=(5.0,), duration_s=1.0,
-                      max_slots=4)
-    payload = llm_report(points, run_llm_sweep(points))
+    cells = llm_grid(costs=costs, rates=(5.0,), duration_s=1.0,
+                     max_slots=4)
+    payload = llm_report([run_cell(cell).report for cell in cells])
     assert set(payload["summary"]) == {"oneshot", "continuous",
                                        "continuous_beats_oneshot"}
     assert payload["schema"] == "repro-llm-report-v1"
@@ -220,9 +203,9 @@ def test_sweep_report_summary_compares_schedulers(monkeypatch):
 def test_validate_llm_report_catches_problems(monkeypatch):
     monkeypatch.setenv("REPRO_SEED", "777")
     costs = hand_costs(kv_budget=400)
-    points = llm_grid(costs=costs, rates=(5.0,), duration_s=1.0,
-                      max_slots=4)
-    payload = llm_report(points, run_llm_sweep(points))
+    cells = llm_grid(costs=costs, rates=(5.0,), duration_s=1.0,
+                     max_slots=4)
+    payload = llm_report([run_cell(cell).report for cell in cells])
     assert validate_llm_report(payload) == []
     assert validate_llm_report([]) != []
     assert validate_llm_report({**payload, "schema": "nope"}) != []

@@ -30,11 +30,10 @@ from repro.faults import (
     TileFaultSpec,
     chaos_grid,
     chaos_report,
-    chaos_report_json,
     default_plan,
-    run_chaos,
     validate_chaos_report,
 )
+from repro.schema import report_json
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
@@ -43,7 +42,7 @@ from repro.serving import (
     ResiliencePolicy,
     ServiceCosts,
     TraceReplay,
-    simulate,
+    run_cell,
 )
 
 LATENCY_S = 0.010
@@ -404,11 +403,10 @@ def test_all_devices_ejected_sheds_arrivals():
 def test_quiet_plan_matches_no_plan():
     """A plan with all rates zero must not perturb the legacy fleet."""
     workload = TraceReplay([(0.0, "m"), (0.001, "m"), (0.002, "m")])
-    base = simulate(workload, toy_costs(),
-                    batch_policy=BatchPolicy("single"))
-    quiet = simulate(workload, toy_costs(),
-                     batch_policy=BatchPolicy("single"),
-                     fault_plan=FaultPlan())
+    base = FleetSimulator(toy_costs(),
+                          batch_policy=BatchPolicy("single")).run(workload)
+    quiet = FleetSimulator(toy_costs(), batch_policy=BatchPolicy("single"),
+                           fault_plan=FaultPlan()).run(workload)
     assert base == quiet
 
 
@@ -416,39 +414,42 @@ def test_quiet_plan_matches_no_plan():
 # Chaos sweeps
 # ---------------------------------------------------------------------------
 
+SMALL_PLAN = FaultPlan(name="small",
+                       crash=CrashSpec(p_per_device_s=0.05),
+                       tile_fault=TileFaultSpec(p_per_batch=0.2),
+                       corrupt=CorruptSpec(p_per_download=0.5))
+
+
 def small_grid():
-    plan = FaultPlan(name="small",
-                     crash=CrashSpec(p_per_device_s=0.05),
-                     tile_fault=TileFaultSpec(p_per_batch=0.2),
-                     corrupt=CorruptSpec(p_per_download=0.5))
-    return chaos_grid(plan=plan, scales=(1.0,), model="m", devices=2,
+    return chaos_grid(plan=SMALL_PLAN, scales=(1.0,), model="m", devices=2,
                       rate_rps=300.0, duration_s=1.0,
                       costs=toy_costs(latency_s=0.004, compile_s=0.002))
 
 
+def small_report():
+    grid = small_grid()
+    return chaos_report(grid, [run_cell(cell).report for _, cell in grid],
+                        SMALL_PLAN, "m")
+
+
 def test_chaos_grid_prepends_fault_free_control():
-    points = small_grid()
+    grid = small_grid()
     # 2 policies x (0.0 control + 1.0): the control is always present
     # exactly once per policy even though scales=(1.0,) omitted it.
-    assert [(p.policy_kind, p.fault_scale) for p in points] == [
+    assert [label for label, _ in grid] == [
         ("naive", 0.0), ("naive", 1.0),
         ("resilient", 0.0), ("resilient", 1.0)]
-
-
-def test_chaos_serial_and_parallel_reports_identical():
-    points = small_grid()
-    serial = chaos_report(points, run_chaos(points, jobs=1))
-    forked = chaos_report(points, run_chaos(points, jobs=2))
-    assert chaos_report_json(serial) == chaos_report_json(forked)
+    # Each label names the policy and plan scale its cell runs.
+    for (policy, scale), cell in grid:
+        assert cell.sim["resilience"] == ResiliencePolicy(kind=policy)
+        assert cell.sim["fault_plan"] == SMALL_PLAN.scaled(scale)
 
 
 def test_chaos_report_validates_and_summarizes():
-    points = small_grid()
-    payload = chaos_report(points, run_chaos(points))
+    payload = small_report()
     assert validate_chaos_report(payload) == []
     # JSON round-trip must survive validation too (what CI checks).
-    assert validate_chaos_report(
-        json.loads(chaos_report_json(payload))) == []
+    assert validate_chaos_report(json.loads(report_json(payload))) == []
     for policy in ("naive", "resilient"):
         entry = payload["summary"][policy]
         assert entry["baseline_goodput_rps"] > 0
@@ -459,8 +460,7 @@ def test_chaos_report_validates_and_summarizes():
 
 
 def test_chaos_validator_rejects_malformed_reports():
-    points = small_grid()
-    payload = chaos_report(points, run_chaos(points))
+    payload = small_report()
 
     assert validate_chaos_report([]) != []
     assert validate_chaos_report({}) != []
@@ -472,10 +472,10 @@ def test_chaos_validator_rejects_malformed_reports():
     assert "$.rows: length 0 is below the minimum 1" in validate_chaos_report(
         empty_rows)
 
-    bad_row = json.loads(chaos_report_json(payload))
+    bad_row = json.loads(report_json(payload))
     del bad_row["rows"][0]["goodput_rps"]
     assert any("goodput_rps" in p for p in validate_chaos_report(bad_row))
 
-    bad_policy = json.loads(chaos_report_json(payload))
+    bad_policy = json.loads(report_json(payload))
     bad_policy["rows"][0]["policy"] = "heroic"
     assert any("policy" in p for p in validate_chaos_report(bad_policy))

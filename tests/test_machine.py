@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compiler.ir import PermuteSlot
 from repro.isa import (
     AluFunc,
     CalculusFunc,
@@ -30,7 +31,6 @@ from repro.isa import (
 )
 from repro.simulator import (
     MachineError,
-    PermuteBinding,
     TandemMachine,
     TileTransfer,
 )
@@ -203,7 +203,7 @@ def test_permute_engine():
     for dim, size in enumerate((2, 3, 4)):
         program.append(permute(PermuteFunc.SET_LOOP_ITER, 0, dim, size))
     program.append(permute(PermuteFunc.START))
-    binding = PermuteBinding(NS.IBUF1, 0, NS.IBUF1, 24, (2, 3, 4), (2, 0, 1))
+    binding = PermuteSlot(NS.IBUF1, 0, NS.IBUF1, 24, (2, 3, 4), (2, 0, 1))
     result = m.run(program, permutes=[binding])
     out = m.pads[NS.IBUF1].store_block(24, 24).reshape(4, 2, 3)
     assert np.array_equal(out, data.transpose(2, 0, 1))

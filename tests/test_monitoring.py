@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.runtime import knobs, parallel_map
+from repro.runtime import knobs
 from repro.serving import (
     BatchPolicy,
     FleetSimulator,
@@ -331,14 +331,6 @@ def test_deterministic_crash_feeds_streaming_slo_misses():
     assert payload["active_alerts"] == []  # resolved by the drain
     down = payload["series"]["devices.down"]["samples"]
     assert max(down) == 1.0
-
-
-def test_serial_and_jobs_monitor_streams_byte_identical():
-    points = [_small_point(stream=stream) for stream in (0, 1, 2)]
-    serial = parallel_map(run_monitor_point, points, jobs=1)
-    forked = parallel_map(run_monitor_point, points, jobs=2)
-    assert (json.dumps(serial, sort_keys=True)
-            == json.dumps(forked, sort_keys=True))
 
 
 def test_monitor_counter_events_are_a_valid_trace():

@@ -26,12 +26,10 @@ from repro.serving import (
     OpenLoopPoisson,
     ResiliencePolicy,
     ScaledFleetSimulator,
-    ScalePoint,
     ServiceCosts,
     TraceReplay,
     load_trace,
     run_monitor_point,
-    run_scale_point,
     save_trace,
     scale_table,
     tail_bounded_throughput,
@@ -589,17 +587,3 @@ def test_tail_bounded_throughput_falls_back_to_goodput():
     assert tail_bounded_throughput(overload) == overload.goodput_rps
 
 
-# ---------------------------------------------------------------------------
-# Serial vs --jobs byte identity
-# ---------------------------------------------------------------------------
-def test_scale_points_serial_vs_jobs_byte_identical():
-    points = [
-        ScalePoint(costs=COSTS, models=MODELS, devices=8, cells=4,
-                   peak_rps=1500.0, duration_s=1.0, autoscale=bool(i % 2),
-                   stream=i)
-        for i in range(4)
-    ]
-    serial = parallel_map(run_scale_point, points, jobs=1)
-    forked = parallel_map(run_scale_point, points, jobs=2)
-    assert json.dumps(serial, sort_keys=True) == \
-        json.dumps(forked, sort_keys=True)

@@ -131,14 +131,13 @@ def test_validators_never_raise(value):
 def real_reports():
     """One small real payload per report kind."""
     from repro.compiler import autotune_model
-    from repro.faults import (CrashSpec, FaultPlan, chaos_grid, chaos_report,
-                              run_chaos)
-    from repro.llm import llm_grid, llm_report, run_llm_sweep
+    from repro.faults import CrashSpec, FaultPlan, chaos_grid, chaos_report
+    from repro.llm import llm_grid, llm_report
     from repro.models import build_model
     from repro.runtime import EvalCache, get_cache, set_cache
     from repro.serving import (AutoscaleConfig, DiurnalTrace, LLMServiceCosts,
                                ModelCost, MonitorConfig, ResiliencePolicy,
-                               ScaledFleetSimulator, ServiceCosts)
+                               ScaledFleetSimulator, ServiceCosts, run_cell)
     from repro.telemetry import Telemetry
     from repro.telemetry.export import chrome_trace
 
@@ -152,9 +151,9 @@ def real_reports():
         monitor_config=MonitorConfig(interval_s=0.5))
     sim.run(DiurnalTrace(["m"], 400.0, 6.0), rate_rps=400.0)
 
-    points = chaos_grid(plan=crashes, scales=(1.0,), model="m", devices=2,
-                        rate_rps=300.0, duration_s=1.0, costs=costs)
-    llm_points = llm_grid(
+    grid = chaos_grid(plan=crashes, scales=(1.0,), model="m", devices=2,
+                      rate_rps=300.0, duration_s=1.0, costs=costs)
+    llm_cells = llm_grid(
         costs=LLMServiceCosts(config="hand", prefill_token_s=1.0,
                               decode_step_s=1.0, kv_budget_tokens=400,
                               amortized_fraction=0.5, slo_multiplier=5.0),
@@ -170,8 +169,9 @@ def real_reports():
         set_cache(prev)
     return {
         "trace": chrome_trace([tel.snapshot()]),
-        "chaos": chaos_report(points, run_chaos(points)),
-        "llm": llm_report(llm_points, run_llm_sweep(llm_points)),
+        "chaos": chaos_report(
+            grid, [run_cell(cell).report for _, cell in grid], crashes, "m"),
+        "llm": llm_report([run_cell(cell).report for cell in llm_cells]),
         "monitor": sim.monitor_payload,
         "fleet_scale": sim.payload,
         "autotune": autotune,

@@ -15,9 +15,6 @@ from repro.serving import (
     TraceReplay,
     default_grid,
     percentile,
-    run_sweep,
-    simulate,
-    sweep_table,
     zoo_mix_trace,
 )
 from repro.serving.scheduler import ModelCost
@@ -202,8 +199,8 @@ def test_single_device_serial_latencies_by_hand():
     # second waits for the first. First launch also pays the compile.
     costs = toy_costs(latency_s=0.010, compile_s=0.002)
     workload = TraceReplay([(0.0, "m"), (0.001, "m")])
-    report = simulate(workload, costs, devices=1,
-                      batch_policy=BatchPolicy("single"))
+    report = FleetSimulator(costs, devices=1,
+                            batch_policy=BatchPolicy("single")).run(workload)
     assert report.completed == 2
     assert report.compiles == 1
     # req0: 0 -> 0.012 (compile + service); req1: starts 0.012 -> 0.022.
@@ -214,8 +211,8 @@ def test_single_device_serial_latencies_by_hand():
 def test_round_robin_spreads_across_devices():
     costs = toy_costs(latency_s=0.010, compile_s=0.0)
     workload = TraceReplay([(0.0, "m"), (0.0, "m")])
-    report = simulate(workload, costs, devices=2, routing="round_robin",
-                      batch_policy=BatchPolicy("single"))
+    report = FleetSimulator(costs, devices=2, routing="round_robin",
+                            batch_policy=BatchPolicy("single")).run(workload)
     assert report.makespan_s == pytest.approx(0.010)
     assert report.per_device_utilization == pytest.approx([1.0, 1.0])
 
@@ -226,12 +223,14 @@ def test_model_affinity_minimizes_compiles():
     # models on both devices.
     trace = [(0.001 * i, "a" if (i // 2) % 2 == 0 else "b")
              for i in range(40)]
-    affinity = simulate(TraceReplay(trace), costs, devices=2,
-                        routing="model_affinity",
-                        batch_policy=BatchPolicy("greedy", max_batch=4))
-    round_robin = simulate(TraceReplay(trace), costs, devices=2,
-                           routing="round_robin",
-                           batch_policy=BatchPolicy("greedy", max_batch=4))
+    affinity = FleetSimulator(
+        costs, devices=2, routing="model_affinity",
+        batch_policy=BatchPolicy("greedy", max_batch=4)).run(
+            TraceReplay(trace))
+    round_robin = FleetSimulator(
+        costs, devices=2, routing="round_robin",
+        batch_policy=BatchPolicy("greedy", max_batch=4)).run(
+            TraceReplay(trace))
     # Affinity compiles each model once fleet-wide; round-robin sends
     # both models to both devices and compiles (up to) once per device.
     assert affinity.compiles == 2
@@ -243,9 +242,9 @@ def test_least_loaded_routes_to_first_clear_device():
     # Burst of 3, then a straggler: the straggler must land on the
     # device whose backlog clears first, not the next in rotation.
     trace = [(0.0, "m")] * 3 + [(0.0201, "m")]
-    least = simulate(TraceReplay(trace), costs, devices=2,
-                     routing="least_loaded",
-                     batch_policy=BatchPolicy("single"))
+    least = FleetSimulator(costs, devices=2, routing="least_loaded",
+                           batch_policy=BatchPolicy("single")).run(
+                               TraceReplay(trace))
     assert least.completed == 4
     assert least.makespan_s == pytest.approx(0.0301)
 
@@ -253,9 +252,10 @@ def test_least_loaded_routes_to_first_clear_device():
 def test_admission_control_sheds_load():
     costs = toy_costs(latency_s=0.010, compile_s=0.0)
     trace = [(0.0, "m")] * 10
-    report = simulate(TraceReplay(trace), costs, devices=1,
-                      batch_policy=BatchPolicy("single"),
-                      admission=AdmissionPolicy(max_queue=3))
+    report = FleetSimulator(costs, devices=1,
+                            batch_policy=BatchPolicy("single"),
+                            admission=AdmissionPolicy(max_queue=3)).run(
+                                TraceReplay(trace))
     assert report.rejected == 6          # 1 in service + 3 queued admitted
     assert report.completed == 4
     assert report.slo_attainment < 1.0   # rejections count as violations
@@ -264,11 +264,13 @@ def test_admission_control_sheds_load():
 def test_dynamic_batching_raises_throughput_under_overload():
     costs = toy_costs(latency_s=0.010, amortized=0.5, compile_s=0.0)
     arrivals = [(i * 0.0005, "m") for i in range(200)]  # 2000 req/s >> cap
-    single = simulate(TraceReplay(arrivals), costs, devices=1,
-                      batch_policy=BatchPolicy("single"))
-    dynamic = simulate(TraceReplay(arrivals), costs, devices=1,
-                       batch_policy=BatchPolicy("dynamic", max_batch=8,
-                                                max_wait_ms=2.0))
+    single = FleetSimulator(costs, devices=1,
+                            batch_policy=BatchPolicy("single")).run(
+                                TraceReplay(arrivals))
+    dynamic = FleetSimulator(costs, devices=1,
+                             batch_policy=BatchPolicy("dynamic", max_batch=8,
+                                                      max_wait_ms=2.0)).run(
+                                 TraceReplay(arrivals))
     assert dynamic.mean_batch_size > 2.0
     assert dynamic.makespan_s < single.makespan_s
     assert dynamic.throughput_rps > 1.2 * single.throughput_rps
@@ -277,8 +279,8 @@ def test_dynamic_batching_raises_throughput_under_overload():
 def test_closed_loop_self_limits():
     costs = toy_costs(latency_s=0.010, compile_s=0.0)
     workload = ClosedLoop(["m"], clients=2, duration_s=0.5, think_s=0.0)
-    report = simulate(workload, costs, devices=1,
-                      batch_policy=BatchPolicy("single"))
+    report = FleetSimulator(costs, devices=1,
+                            batch_policy=BatchPolicy("single")).run(workload)
     # Two clients, one outstanding each, 10 ms serial service: one
     # completion per 10 ms (~50 over 0.5 s) regardless of eagerness.
     assert report.completed == pytest.approx(50, abs=3)
@@ -287,7 +289,7 @@ def test_closed_loop_self_limits():
 
 def test_report_json_round_trips_and_table_renders():
     costs = toy_costs()
-    report = simulate(TraceReplay([(0.0, "m")]), costs, devices=1)
+    report = FleetSimulator(costs, devices=1).run(TraceReplay([(0.0, "m")]))
     payload = json.loads(report.to_json())
     assert payload["completed"] == 1
     assert payload["devices"] == 1
@@ -317,22 +319,13 @@ def test_invalid_fleet_configs_rejected():
 # ---------------------------------------------------------------------------
 # Sweep
 # ---------------------------------------------------------------------------
-def test_sweep_serial_and_parallel_are_byte_identical():
-    costs = toy_costs(latency_s=0.002, compile_s=0.0)
-    points = default_grid(model="m", fleets=(1, 2), rates=(100.0, 400.0),
-                          duration_s=0.5, costs=costs)
-    serial = sweep_table(run_sweep(points, jobs=1))
-    parallel = sweep_table(run_sweep(points, jobs=2))
-    assert serial == parallel
-    assert "p99 (ms)" in serial
-
-
 def test_grid_covers_the_full_cross_product():
     costs = toy_costs()
-    points = default_grid(model="m", policies=("single", "dynamic"),
-                          fleets=(1, 4), rates=(10.0, 20.0), costs=costs)
-    combos = {(p.policy_kind, p.devices, p.rate_rps) for p in points}
-    assert len(points) == len(combos) == 8
+    cells = default_grid(model="m", policies=("single", "dynamic"),
+                         fleets=(1, 4), rates=(10.0, 20.0), costs=costs)
+    combos = {(c.sim["batch_policy"].kind, c.sim["devices"], c.rate_rps)
+              for c in cells}
+    assert len(cells) == len(combos) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +354,8 @@ def test_require_verified_false_restores_service():
 
 
 def test_verified_models_pass_admission_untouched():
-    report = simulate(ClosedLoop(["m"], clients=1, duration_s=0.2,
-                                 think_s=0.01), toy_costs())
+    report = FleetSimulator(toy_costs()).run(
+        ClosedLoop(["m"], clients=1, duration_s=0.2, think_s=0.01))
     assert report.verify_rejected == 0
     assert report.completed > 0
 
