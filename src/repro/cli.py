@@ -514,7 +514,8 @@ def cmd_serve(args) -> int:
             print(f"repro serve: cannot read {args.trace}: {error}",
                   file=sys.stderr)
             return 2
-        models = sorted(set(workload.arrivals().models))
+        _, picks, names, _ = workload.arrivals()
+        models = sorted({names[p] for p in set(picks)})
     config_rows = [
         ("models", "+".join(models)),
         ("devices", f"{args.devices} ({cells} cell(s) x "
@@ -657,6 +658,11 @@ def cmd_chaos(args) -> int:
     from .runtime import parallel_map
     from .serving import RESILIENCE_POLICIES, ServiceCosts, run_cell
 
+    model = args.model.strip()
+    if not model or "," in model:
+        print(f"repro chaos: --model takes one zoo model, got "
+              f"{args.model!r}", file=sys.stderr)
+        return 2
     plan = FaultPlan.from_file(args.plan) if args.plan else default_plan()
     try:
         scales = tuple(float(s) for s in args.scales.split(",") if s.strip())
@@ -671,16 +677,13 @@ def cmd_chaos(args) -> int:
         print(f"repro chaos: unknown policies {', '.join(unknown)}; "
               f"known: {', '.join(RESILIENCE_POLICIES)}", file=sys.stderr)
         return 2
-    models = [m.strip() for m in args.model.split(",") if m.strip()]
-    costs = ServiceCosts.resolve(models)
     grid = chaos_grid(plan=plan, scales=scales, policies=policies,
-                      model=models[0], devices=args.devices,
+                      model=model, devices=args.devices,
                       rate_rps=args.rate, duration_s=args.duration,
-                      costs=costs)
+                      costs=ServiceCosts.resolve([model]))
     jobs = args.jobs if args.jobs is not None else 1
     sims = parallel_map(run_cell, [cell for _, cell in grid], jobs=jobs)
-    payload = chaos_report(grid, [sim.report for sim in sims], plan,
-                           models[0])
+    payload = chaos_report(grid, [sim.report for sim in sims], plan, model)
     if _invalid("chaos", "report", validate_chaos_report(payload)):
         return 1  # pragma: no cover - internal invariant
     print(chaos_table(payload))

@@ -6,10 +6,13 @@ NPU-Tandem devices, each with a FIFO queue, a busy-until clock, a
 per-device "compile cache" of resident models and a busy-time
 accumulator.  It is built to run 1000+ devices:
 
-* **Interned request records** — requests live in parallel arrays
-  (arrival time, model index, one status byte), not objects; a request
-  *is* its slot index.  The workload hands its arrivals over as sorted
-  columns (:meth:`~repro.serving.workload.Workload.arrivals`), and a
+* **Interned request records** — requests live in typed columns, not
+  objects: an ``array('d')`` arrival time (8 bytes), a one-byte model
+  index and one status byte, plus an ``array('d')`` first-arrival time
+  under resilience; each completion adds 8 bytes to an ``array('d')``
+  of latencies, sorted in place at the end.  A request *is* its slot
+  index.  The workload hands its arrivals over as typed columns
+  (:meth:`~repro.serving.workload.Workload.arrivals`), and a
   :class:`~repro.serving.workload.Request` is built only where a path
   reads one: a timeout or retry, a closed-loop follow-up, a queue burst
   or the LLM token fields.  Follow-up requests (closed loop), injected
@@ -81,8 +84,11 @@ from __future__ import annotations
 
 import heapq
 import zlib
+from array import array
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..runtime import knobs
 from ..schema import check, passed
@@ -103,7 +109,7 @@ from .scheduler import (
     ResiliencePolicy,
     ServiceCosts,
 )
-from .workload import Request, Workload
+from .workload import Arrivals, Request, Workload
 
 SCALE_SCHEMA = "repro-fleet-scale-report-v1"
 
@@ -120,6 +126,27 @@ _PARKED, _ACTIVE, _DRAINING = 0, 1, 2
 _EPS = 1e-9
 #: ``busy_until`` of a crashed device: it never looks free to dispatch.
 _DOWN = float("inf")
+
+
+def _model_column(arrivals: Arrivals, midx: Dict[str, int]) -> array:
+    """The cost index of every arrival row, as one typed array.
+
+    The names table is mapped once and the picks translated through it
+    in one numpy gather; a name missing from ``midx`` raises only if a
+    row picks it.
+    """
+    names, picks = arrivals.names, arrivals.picks
+    if any(name not in midx for name in names):
+        for p in picks:
+            if names[p] not in midx:
+                raise ValueError(f"workload model {names[p]!r} "
+                                 f"not in ServiceCosts")
+    column = array("B" if len(midx) <= 256 else "l")
+    table = np.array([midx.get(name, 0) for name in names],
+                     dtype=column.typecode)
+    column.frombytes(
+        table[np.frombuffer(picks, dtype=picks.typecode)].tobytes())
+    return column
 
 
 class ScaledFleetSimulator:
@@ -202,8 +229,9 @@ class ScaledFleetSimulator:
 
         The hot loop is deliberately monolithic: device state lives in
         flat parallel lists, every per-event step is a handful of list
-        index operations, and the only per-request allocations are one
-        latency float and (amortised 1/batch) the completion event.
+        index operations, and what a request keeps is 8 bytes of
+        latency in an ``array('d')``; the completion event is
+        amortised 1/batch.
         Each optional layer (faults, resilience, monitor, trace) and
         the LLM batch policies cost the fleet path one local test per
         hook site (an LLM run returns an :class:`LLMServingReport`).
@@ -256,13 +284,10 @@ class ScaledFleetSimulator:
 
         # -- interned request records ----------------------------------
         arrivals = workload.arrivals()
-        try:
-            arr_m = ([0] * len(arrivals.times) if llm
-                     else [midx[m] for m in arrivals.models])
-        except KeyError as err:
-            raise ValueError(f"workload model {err} not in ServiceCosts")
-        arr_t = list(arrivals.times)
+        arr_t = array("d", arrivals.times)
         n0 = len(arr_t)
+        arr_m = (array("B", bytes(n0)) if llm
+                 else _model_column(arrivals, midx))
         status = bytearray(n0)
         # The Request behind a slot that is not its arrival row:
         # interned slots and retried ones (see request()).
@@ -282,7 +307,7 @@ class ScaledFleetSimulator:
         guarded = resilient or inj is not None
         # A retry re-arrives with a new arrival time (its batching
         # deadline) but keeps its first arrival for latency.
-        born = list(arr_t) if resilient else arr_t
+        born = array("d", arr_t) if resilient else arr_t
         tmo = [res.timeout_slo_multiple * v + wait_s for v in slo]
         healthy = [True] * ndev
         admitted = [True] * ndev
@@ -306,7 +331,9 @@ class ScaledFleetSimulator:
         queue_sum = queue_n = queue_max = 0
         batches_sum = batches_n = compiles = 0
         slo_met = 0
-        latencies: List[float] = []
+        # Heap pushes no other aggregate counts (serving.events.*).
+        timers = timeouts_armed = recovers = 0
+        latencies = array("d")
         last_finish = 0.0
         queued_total = 0
 
@@ -878,6 +905,7 @@ class ScaledFleetSimulator:
                     push(heap, (now + tmo[m], seq, _TIMEOUT, s,
                                 attempts.get(s, 0)))
                     seq += 1
+                    timeouts_armed += 1
             elif kind == TIMER:
                 timer_at[s] = None
                 if llm:
@@ -1021,6 +1049,7 @@ class ScaledFleetSimulator:
                 if end_s is not None:
                     push(heap, (end_s, seq, _RECOVER, s, None))
                     seq += 1
+                    recovers += 1
                 continue
             elif kind == _RECOVER:
                 if healthy[s]:
@@ -1066,6 +1095,7 @@ class ScaledFleetSimulator:
                             timer_at[dev] = deadline
                             push(heap, (deadline, seq, TIMER, dev, None))
                             seq += 1
+                            timers += 1
                         break
                 batch = q[:n]
                 del q[:n]
@@ -1142,7 +1172,7 @@ class ScaledFleetSimulator:
         failed += status.count(_QUEUED) + status.count(_FLIGHT)
         makespan = max(last_finish, workload.duration_s)
         horizon = makespan if makespan > 0 else 1.0
-        latencies.sort()
+        np.frombuffer(latencies).sort()   # in place, no boxed copy
         completed = len(latencies)
         # The outcome fields ServingReport and LLMServingReport share.
         shared = dict(
@@ -1226,7 +1256,15 @@ class ScaledFleetSimulator:
                 "rate_rps": rate_rps,
                 "duration_s": workload.duration_s,
             })
-        self._emit_telemetry(report, batches_n, batches_sum)
+        # Every pushed event is popped: ``offered`` counts the arrival
+        # events, and retries, launches and ejects push the retry,
+        # completion and readmit events.
+        self._emit_telemetry(report, batches_n, batches_sum, {
+            "arrival": offered, "retry": tally["retries"], "timer": timers,
+            "free": batches_n,
+            "crash": len(inj.crashes) if inj is not None else 0,
+            "recover": recovers, "timeout": timeouts_armed,
+            "readmit": tally["devices_ejected"]})
         self.payload = self._build_payload(
             report, ctrl, events=seq, device_seconds=device_seconds,
             slo_met=slo_met,
@@ -1238,8 +1276,12 @@ class ScaledFleetSimulator:
     # ------------------------------------------------------------------
     @staticmethod
     def _emit_telemetry(report: ServingReport, batches_n: int,
-                        batches_sum: int) -> None:
-        """The run's ``serving.*`` and ``faults.*`` counters."""
+                        batches_sum: int, events: Dict[str, int]) -> None:
+        """The run's ``serving.*`` and ``faults.*`` counters.
+
+        ``events`` counts the run's events by kind; the counts sum to
+        the payload's ``sim.events``.
+        """
         tel = get_telemetry()
         if not tel.enabled:
             return
@@ -1258,6 +1300,8 @@ class ScaledFleetSimulator:
         tel.count("serving.completions.bad", report.bad_completions)
         tel.count("serving.circuit.ejects", report.devices_ejected)
         tel.count("serving.circuit.readmits", report.devices_readmitted)
+        for event_kind, count in events.items():
+            tel.count(f"serving.events.{event_kind}", count)
         for fault_kind, count in report.faults.items():
             name = ("faults.detected.corrupt_program"
                     if fault_kind == "corrupt_detected"

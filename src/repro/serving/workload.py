@@ -22,17 +22,22 @@ Traces round-trip through JSON (:func:`save_trace` /
 byte-identically by ``repro serve --trace``.
 
 The simulator drives a workload through two hooks: :meth:`arrivals`
-gives the arrivals known up front as two sorted columns (times and
-model names), and :meth:`on_complete` lets closed-loop clients react to
-their own completions.  :meth:`initial` gives the same arrivals as
+gives the arrivals known up front as typed columns in time order, and
+:meth:`on_complete` lets closed-loop clients react to their own
+completions.  :meth:`initial` gives the same arrivals as
 :class:`Request` objects.  The open-loop sources and trace replays store
-only the columns and build requests on demand.
+only the columns and build requests on demand: arrival times as an
+``array('d')`` (8 bytes a request), model picks as a one-byte
+``array('B')`` into a tuple of model names (wider only past 256 names),
+9 bytes a request in all against about 40 for a list of boxed floats
+and a list of name pointers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import (Iterable, List, NamedTuple, Optional, Sequence,
@@ -71,21 +76,41 @@ class Request:
 class Arrivals(NamedTuple):
     """A workload's pre-known arrivals as columns, in time order.
 
-    Row ``i`` arrives at ``times[i]`` for model ``models[i]``.  When the
-    workload's requests carry more than that (closed-loop clients, LLM
-    token counts), ``requests`` holds the request behind each row;
-    otherwise row ``i`` is ``Request(i, models[i], times[i])``.  The
-    columns may be the workload's own storage: do not mutate them.
+    Row ``i`` arrives at ``times[i]`` for model ``names[picks[i]]``;
+    ``times`` is an ``array('d')`` and ``picks`` a small-int ``array``
+    (one byte a row up to 256 names).  ``names`` may hold names no row
+    picks.  When the workload's requests carry more than that
+    (closed-loop clients, LLM token counts), ``requests`` holds the
+    request behind each row; otherwise row ``i`` is ``Request(i,
+    names[picks[i]], times[i])``.  The columns may be the workload's
+    own storage: do not mutate them.
     """
     times: Sequence[float]
-    models: Sequence[str]
+    picks: Sequence[int]
+    names: Tuple[str, ...]
     requests: Optional[Sequence[Request]] = None
 
     def request(self, i: int) -> Request:
         """The request behind row ``i``."""
         if self.requests is not None:
             return self.requests[i]
-        return Request(i, self.models[i], self.times[i])
+        return Request(i, self.names[self.picks[i]], self.times[i])
+
+
+def _pick_column(names: Sequence[str]) -> array:
+    """An empty pick column wide enough to index ``names``: one byte a
+    row up to 256 names (a trace file may name more), four beyond."""
+    return array("B" if len(names) <= 256 else "I")
+
+
+def _columns(times: Iterable[float], models: Sequence[str]
+             ) -> Tuple[array, array, Tuple[str, ...]]:
+    """``(times, picks, names)`` columns for rows of floats and names."""
+    names = tuple(dict.fromkeys(models))
+    index = {name: i for i, name in enumerate(names)}
+    picks = _pick_column(names)
+    picks.extend(map(index.__getitem__, models))
+    return array("d", times), picks, names
 
 
 class Workload:
@@ -100,8 +125,8 @@ class Workload:
     def arrivals(self) -> Arrivals:
         """:meth:`initial` as columns, in ``(arrival_s, rid)`` order."""
         requests = sorted(self.initial(), key=attrgetter("arrival_s", "rid"))
-        return Arrivals([r.arrival_s for r in requests],
-                        [r.model for r in requests], requests)
+        return Arrivals(*_columns([r.arrival_s for r in requests],
+                                  [r.model for r in requests]), requests)
 
     def on_complete(self, request: Request,
                     finish_s: float) -> Optional[Request]:
@@ -123,18 +148,20 @@ def _check_stream(models: Sequence[str], rate_name: str, rate: float,
 
 
 class _ColumnWorkload(Workload):
-    """A workload whose arrivals are stored as two sorted columns."""
+    """A workload whose arrivals are stored as typed columns in time
+    order: ``array('d')`` times and small-int picks into ``_names``."""
 
-    _times: List[float]
-    _models: List[str]
+    _times: array
+    _picks: array
+    _names: Tuple[str, ...]
 
     def initial(self) -> List[Request]:
-        return [Request(i, model, t)
-                for i, (t, model) in enumerate(zip(self._times,
-                                                   self._models))]
+        names = self._names
+        return [Request(i, names[p], t)
+                for i, (t, p) in enumerate(zip(self._times, self._picks))]
 
     def arrivals(self) -> Arrivals:
-        return Arrivals(self._times, self._models)
+        return Arrivals(self._times, self._picks, self._names)
 
 
 class OpenLoopPoisson(_ColumnWorkload):
@@ -153,17 +180,18 @@ class OpenLoopPoisson(_ColumnWorkload):
         self.duration_s = float(duration_s)
         rng = seeded_rng("poisson", self.models, self.rate_rps,
                          self.duration_s, stream)
-        times: List[float] = []
-        names: List[str] = []
+        times = array("d")
+        picks = _pick_column(self.models)
         t = 0.0
         while True:
             t += float(rng.exponential(1.0 / self.rate_rps))
             if t >= self.duration_s:
                 break
             times.append(t)
-            names.append(self.models[int(rng.integers(len(self.models)))])
+            picks.append(int(rng.integers(len(self.models))))
         self._times = times
-        self._models = names
+        self._picks = picks
+        self._names = self.models
 
 
 class ClosedLoop(Workload):
@@ -206,8 +234,8 @@ class TraceReplay(_ColumnWorkload):
 
     def __init__(self, entries: Iterable[Tuple[float, str]]):
         ordered = sorted(entries, key=lambda e: e[0])
-        self._times = [float(t) for t, _ in ordered]
-        self._models = [model for _, model in ordered]
+        self._times, self._picks, self._names = _columns(
+            [float(t) for t, _ in ordered], [model for _, model in ordered])
         self.duration_s = self._times[-1] if self._times else 0.0
 
 
@@ -215,8 +243,8 @@ def zoo_mix_trace(models: Sequence[str], rate_rps: float,
                   duration_s: float, stream: object = 0) -> TraceReplay:
     """A canned Poisson trace over a model mix, as a replayable trace."""
     source = OpenLoopPoisson(models, rate_rps, duration_s, stream=stream)
-    times, names, _ = source.arrivals()
-    return TraceReplay(zip(times, names))
+    times, picks, names, _ = source.arrivals()
+    return TraceReplay(zip(times, [names[p] for p in picks]))
 
 
 class DiurnalTrace(_ColumnWorkload):
@@ -237,6 +265,8 @@ class DiurnalTrace(_ColumnWorkload):
     inter-arrival gaps, then the acceptance draws, then the model picks,
     each as one array.  Arrival times are one running sum across blocks,
     and generation stops after the block that passes ``duration_s``.
+    Each block's kept rows are appended to the typed columns as raw
+    bytes, so no per-request Python object is ever built.
     """
 
     def __init__(self, models: Sequence[str], peak_rps: float,
@@ -259,8 +289,8 @@ class DiurnalTrace(_ColumnWorkload):
                          self.period_s, self.burst_every_s,
                          self.burst_len_s, stream)
         two_pi = 2.0 * math.pi
-        times = [np.empty(0)]
-        picks = [np.empty(0, dtype=np.int64)]
+        times = array("d")
+        picks = _pick_column(self.models)
         t = 0.0
         while t < duration_s:
             gaps = rng.exponential(1.0 / self.peak_rps, DIURNAL_BLOCK)
@@ -274,11 +304,11 @@ class DiurnalTrace(_ColumnWorkload):
             if self.burst_every_s > 0.0:
                 accept[at % self.burst_every_s < self.burst_len_s] = 1.0
             keep = (u < accept) & (at < duration_s)
-            times.append(at[keep])
-            picks.append(pick[keep])
-        names = np.array(self.models, dtype=object)
-        self._times = np.concatenate(times).tolist()
-        self._models = names[np.concatenate(picks)].tolist()
+            times.frombytes(at[keep].tobytes())
+            picks.frombytes(pick[keep].astype(picks.typecode).tobytes())
+        self._times = times
+        self._picks = picks
+        self._names = self.models
         # The envelope's horizon, not the last accepted arrival: the
         # quiet tail after the final request is part of the day (and is
         # where the autoscaler earns its cost savings).
@@ -292,11 +322,11 @@ def save_trace(workload: Workload, path: str) -> int:
     through :func:`load_trace` into a :class:`TraceReplay` that yields
     the identical arrival sequence.
     """
-    times, models, _ = workload.arrivals()
+    times, picks, names, _ = workload.arrivals()
     payload = {
         "schema": TRACE_SCHEMA,
         "duration_s": workload.duration_s,
-        "requests": [[t, model] for t, model in zip(times, models)],
+        "requests": [[t, names[p]] for t, p in zip(times, picks)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

@@ -101,6 +101,12 @@ def _fleet(workload, costs, *, rate_rps=0.0, trace_in_full=True,
     with scoped_telemetry(Telemetry(enabled=True, label="golden")) as tel:
         report = sim.run(workload, rate_rps=rate_rps)
         counters = tel.snapshot()["counters"]
+    # The per-kind event counters are not pinned: they must add up to
+    # the run's event count instead.
+    events = [counters.pop(k) for k in sorted(counters)
+              if k.startswith("serving.events.")]
+    if sim.payload is not None:
+        assert sum(events) == sim.payload["sim"]["events"]
     out: Dict[str, Any] = {
         "report": json.loads(report.to_json()),
         "counters": {k: v for k, v in sorted(counters.items())

@@ -114,6 +114,28 @@ def test_serve_bad_workload_exits_two_with_one_line(capsys, args, message):
     assert capsys.readouterr().err == f"repro: {message}\n"
 
 
+def test_chaos_serves_and_resolves_one_model(capsys, monkeypatch):
+    from repro.serving import ServiceCosts
+    resolved = []
+    resolve = ServiceCosts.resolve.__func__
+
+    def recording(cls, models, *args, **kwargs):
+        resolved.append(list(models))
+        return resolve(cls, models, *args, **kwargs)
+
+    monkeypatch.setattr(ServiceCosts, "resolve", classmethod(recording))
+    assert main(["chaos", "--model", "tinynet,bert", "--devices", "2",
+                 "--duration", "1", "--scales", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "repro chaos: --model takes one zoo model, got 'tinynet,bert'\n")
+    assert resolved == []
+    assert main(["chaos", "--model", "tinynet", "--devices", "2",
+                 "--rate", "200", "--duration", "1", "--scales", "1",
+                 "--policies", "naive"]) == 0
+    assert resolved == [["tinynet"]]
+    assert "naive" in capsys.readouterr().out
+
+
 def test_serve_closed_loop_smoke(capsys):
     assert main(["serve", "--model", "tinynet", "--closed-loop",
                  "--clients", "4", "--duration", "0.01",

@@ -32,6 +32,7 @@ from repro.serving import (
     LLMServiceCosts,
     MonitorConfig,
     MonitorPoint,
+    OpenLoopPoisson,
     ResiliencePolicy,
     ScaledFleetSimulator,
     ServiceCosts,
@@ -40,6 +41,7 @@ from repro.serving import (
     run_monitor_point,
     sweep_table,
 )
+from repro.telemetry import scoped_telemetry
 from tests.fleet_golden import toy_costs
 
 TWO = ("a", "b")
@@ -115,7 +117,23 @@ def test_sweeps_serial_and_jobs_are_byte_identical(name, monkeypatch):
     if seed is not None:
         monkeypatch.setenv("REPRO_SEED", seed)
     serial = sweep(jobs=1)
-    assert serial == sweep(jobs=2)
+    with scoped_telemetry() as tel:
+        assert serial == sweep(jobs=2)
+    # A process pool really ran the jobs=2 sweep.
+    assert "parallel.serial_fallback" not in tel.snapshot()["counters"]
+
+
+#: A workload recipe pickle cannot look up by name.
+LAMBDA_RECIPE = lambda: OpenLoopPoisson(("m",), 100.0, 0.5)  # noqa: E731
+
+
+def test_an_unpicklable_cell_raises_under_jobs():
+    cells = [FleetCell(sim=dict(costs=toy_costs(), devices=devices),
+                       workload=LAMBDA_RECIPE, rate_rps=100.0)
+             for devices in (1, 2)]
+    assert len(parallel_map(run_cell, cells, jobs=1)) == 2
+    with pytest.raises(pickle.PicklingError):
+        parallel_map(run_cell, cells, jobs=2)
 
 
 def test_run_cell_matches_a_directly_built_simulator():

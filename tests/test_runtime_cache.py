@@ -6,7 +6,10 @@ invalidation when the graph or the NPU configuration changes, and
 ``parallel_map`` matching serial execution element-for-element.
 """
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
@@ -23,6 +26,7 @@ from repro.runtime import (
     parallel_map,
     set_cache,
 )
+from repro.telemetry import scoped_telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -252,8 +256,49 @@ def test_parallel_map_preserves_order_and_length():
     assert parallel_map(_identity, [], jobs=8) == []
 
 
+def test_parallel_map_propagates_work_errors():
+    with pytest.raises(KeyError, match="three"):
+        parallel_map(_fail_on_three, range(6), jobs=2)
+    with pytest.raises(FileNotFoundError):
+        parallel_map(_missing_file, range(3), jobs=2)
+
+
+def test_parallel_map_falls_back_only_when_the_pool_cannot_start(
+        monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise PermissionError("no semaphores here")
+
+    with scoped_telemetry() as tel:
+        # Workers that die before any result: the pool never ran.
+        with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
+            assert parallel_map(_exit_in_worker, range(4), jobs=2) == \
+                [0, 1, 2, 3]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        with pytest.warns(RuntimeWarning, match="running 5 items serially"):
+            assert parallel_map(_square, range(5), jobs=2) == \
+                [0, 1, 4, 9, 16]
+    assert tel.snapshot()["counters"]["parallel.serial_fallback"] == 2
+
+
 def _square(value):
     return value * value
+
+
+def _fail_on_three(value):
+    if value == 3:
+        raise KeyError("three")
+    return value
+
+
+def _missing_file(value):
+    raise FileNotFoundError(f"item {value}")
+
+
+def _exit_in_worker(value):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return value
 
 
 def _identity(value):

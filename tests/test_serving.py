@@ -82,7 +82,9 @@ def test_generated_streams_reject_bad_parameters(source, models, rate,
 def test_zero_duration_is_an_empty_stream(source):
     workload = source(("bert",), 100.0, 0.0)
     assert workload.initial() == []
-    assert workload.arrivals() == ([], [], None)
+    arrivals = workload.arrivals()
+    assert len(arrivals.times) == len(arrivals.picks) == 0
+    assert arrivals.requests is None
 
 
 def test_trace_replay_orders_and_numbers_requests():
