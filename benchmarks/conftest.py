@@ -5,11 +5,36 @@ Each benchmark regenerates one paper table/figure through
 who wins, rough factors, crossovers. Absolute numbers are expected to
 deviate (the substrate is a Python simulator, not the authors' testbed);
 EXPERIMENTS.md records paper-vs-measured for every metric.
+
+The ``test_perf_*`` benchmarks also write a ``BENCH_*.json`` artifact.
+A plain run writes it under the session's tmp dir, so checking the
+benchmarks leaves the tree clean; ``pytest benchmarks/ --record``
+writes it to the repository root to re-record the tracked numbers.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.runtime import EvalCache, set_cache
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def pytest_addoption(parser):
+    """Register ``--record`` (see the module docstring)."""
+    parser.addoption(
+        "--record", action="store_true", default=False,
+        help="write the BENCH_*.json artifacts to the repository root "
+             "(default: under the session's tmp dir)")
+
+
+@pytest.fixture(scope="session")
+def bench_dir(request, tmp_path_factory):
+    """Where ``BENCH_*.json`` artifacts are written (see module doc)."""
+    if request.config.getoption("--record"):
+        return REPO_ROOT
+    return tmp_path_factory.mktemp("bench_artifacts")
 
 
 @pytest.fixture(scope="session", autouse=True)

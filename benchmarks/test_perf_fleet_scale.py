@@ -16,17 +16,16 @@ Three pinned claims on one seeded 1000-device diurnal day:
   than the same fleet kept statically at peak size, with p99 still
   inside the tightest SLO.
 
-Wall-clock rates land only in ``BENCH_fleet_scale.json`` (never in the
-deterministic ``repro-fleet-scale-report-v1`` payloads).
+Wall-clock rates land only in ``BENCH_fleet_scale.json`` (at the repo
+root under ``pytest --record``; never in the deterministic
+``repro-fleet-scale-report-v1`` payloads).
 """
 
 import json
 import time
 from functools import partial
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_ARTIFACT = REPO_ROOT / "BENCH_fleet_scale.json"
+BENCH_ARTIFACT = "BENCH_fleet_scale.json"
 
 #: Pinned scenario seed (a fixed trace, not a property over all seeds).
 SEED = "12345"
@@ -43,7 +42,7 @@ def _day(duration_s, peak_rps=PEAK_RPS):
                         trough_fraction=0.2)
 
 
-def test_event_rate_and_determinism(benchmark, monkeypatch):
+def test_event_rate_and_determinism(benchmark, monkeypatch, bench_dir):
     monkeypatch.setenv("REPRO_SEED", SEED)
     from repro.runtime import parallel_map
     from repro.serving import (
@@ -114,7 +113,7 @@ def test_event_rate_and_determinism(benchmark, monkeypatch):
     assert auto.p99_ms <= min(auto.slo_ms.values())
     assert auto_pay["autoscale_events"], "the day provoked no scaling"
 
-    BENCH_ARTIFACT.write_text(json.dumps({
+    (bench_dir / BENCH_ARTIFACT).write_text(json.dumps({
         "devices": DEVICES,
         "cells": CELLS,
         "model": "bert+resnet50",

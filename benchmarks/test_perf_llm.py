@@ -15,15 +15,13 @@ shape the serving layer must deliver:
   byte-identical reports.
 
 The measured goodputs and latency percentiles land in
-``BENCH_llm_serving.json`` at the repo root so the serving trajectory
-is visible across PRs.
+``BENCH_llm_serving.json`` (at the repo root under ``pytest --record``)
+so the serving trajectory is visible across PRs.
 """
 
 import json
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_ARTIFACT = REPO_ROOT / "BENCH_llm_serving.json"
+BENCH_ARTIFACT = "BENCH_llm_serving.json"
 
 #: A fixed scenario, not a property over all seeds: pin the seed so the
 #: sampled arrival process is reproducible.
@@ -46,7 +44,8 @@ def _sweep():
     return costs, cells, _reports(cells, jobs=1), llm_report
 
 
-def test_continuous_batching_beats_oneshot_at_slo(benchmark, monkeypatch):
+def test_continuous_batching_beats_oneshot_at_slo(benchmark, monkeypatch,
+                                                  bench_dir):
     monkeypatch.setenv("REPRO_SEED", SEED)
     from repro.llm import goodput_at_slo, validate_llm_report
     from repro.schema import report_json
@@ -85,7 +84,7 @@ def test_continuous_batching_beats_oneshot_at_slo(benchmark, monkeypatch):
     forked = llm_report(_reports(cells, jobs=2))
     assert report_json(forked) == report_json(payload)
 
-    BENCH_ARTIFACT.write_text(json.dumps({
+    (bench_dir / BENCH_ARTIFACT).write_text(json.dumps({
         "config": "gpt2_rms",
         "seed": int(SEED),
         "duration_s": 5.0,

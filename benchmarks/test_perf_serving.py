@@ -10,15 +10,14 @@ paper's 99th-percentile-SLO argument predicts:
 * dynamic batching outserves single-request serving at peak load;
 * identical seeds give byte-identical sweep output, serial vs --jobs N.
 
-The measured numbers land in ``BENCH_serving.json`` at the repo root so
-the serving-capacity trajectory is visible across PRs.
+The measured numbers land in ``BENCH_serving.json`` (at the repo root
+under ``pytest --record``) so the serving-capacity trajectory is
+visible across PRs.
 """
 
 import json
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_ARTIFACT = REPO_ROOT / "BENCH_serving.json"
+BENCH_ARTIFACT = "BENCH_serving.json"
 SLO_ATTAINMENT = 0.95
 
 
@@ -35,7 +34,7 @@ def _sweep():
     return cells, _reports(cells, jobs=1)
 
 
-def test_latency_throughput_knee_and_fleet_scaling(benchmark):
+def test_latency_throughput_knee_and_fleet_scaling(benchmark, bench_dir):
     from repro.serving import (
         by_config,
         knee_sharpness,
@@ -74,7 +73,7 @@ def test_latency_throughput_knee_and_fleet_scaling(benchmark):
     parallel_table = sweep_table(_reports(cells, jobs=2))
     assert parallel_table == serial_table
 
-    BENCH_ARTIFACT.write_text(json.dumps({
+    (bench_dir / BENCH_ARTIFACT).write_text(json.dumps({
         "model": "bert",
         "grid": {
             "policies": sorted({r.batch_policy for r in reports}),

@@ -39,6 +39,7 @@ which ``benchmarks/test_perf_monitoring.py`` asserts via the picklable
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
@@ -128,10 +129,16 @@ class FleetMonitor:
     breaker-ejected, arrival/completion/rejection/timeout/retry/batch
     rates, the batcher's launch-trigger mix, windowed p50/p95/p99
     end-to-end latency (``None`` on empty windows, never 0), per-rule
-    burn rates, and — filled in at :meth:`finish` from the recorded
-    busy windows — per-device and fleet-mean utilization with
+    burn rates, and per-device and fleet-mean utilization with
     crash-truncated busy time, matching the simulator's refund
     accounting.
+
+    State grows with in-flight requests and with devices × intervals,
+    never with total requests: ``_open`` maps each armed, unsettled
+    request to its deadline (popped when it settles), and each device
+    keeps only its last busy window — the one a crash may still cut
+    short — folding the one before into a per-interval busy column
+    when the next batch launches.
 
     ``kind="llm"`` (the core under an LLM batch policy) series: active
     decode slots, KV tokens reserved and requests waiting (arrived, not
@@ -156,8 +163,7 @@ class FleetMonitor:
         self._window_series: Dict[str, Tuple[TimeSeries, ...]] = {}
         self._next_boundary_s = config.interval_s
         self._deadlines: List[Tuple[float, int]] = []   # (deadline_s, rid)
-        self._deadline_of: Dict[int, float] = {}
-        self._settled: Set[int] = set()
+        self._open: Dict[int, float] = {}   # armed, unsettled rid -> deadline
         self._good_pending = 0
         self._bad_pending = 0
         self._finished = False
@@ -188,14 +194,20 @@ class FleetMonitor:
         for reason in LAUNCH_REASONS:
             self._rate(f"rate.launch.{reason}", "batch/s")
         self._window("latency")
-        # Utilization series are computed at finish() from the busy
-        # windows; registered now so report order stays deterministic.
+        # Utilization series are filled at finish() from the folded
+        # busy columns; registered now so report order stays
+        # deterministic.
         self.series["util.mean"] = TimeSeries("util.mean", "gauge",
                                               "fraction")
         for index in range(devices):
             name = f"util.d{index}"
             self.series[name] = TimeSeries(name, "gauge", "fraction")
-        self._busy: List[List[List[float]]] = [[] for _ in range(devices)]
+        # Per device: busy seconds per interval from the closed windows,
+        # and the last window ([0, 0], which folds to nothing, before
+        # the first launch).
+        self._busy: List[array] = [array("d") for _ in range(devices)]
+        self._last_start = [0.0] * devices
+        self._last_end = [0.0] * devices
         self._down: Set[int] = set()
         self._ejected: Set[int] = set()
 
@@ -224,13 +236,12 @@ class FleetMonitor:
     def push_deadline(self, rid: int, deadline_s: float) -> None:
         """Arm the streaming SLO deadline for one request."""
         heapq.heappush(self._deadlines, (deadline_s, rid))
-        self._deadline_of[rid] = deadline_s
+        self._open[rid] = deadline_s
 
     def settle(self, rid: int, good: bool) -> bool:
-        """Classify a request good/bad exactly once; False if already done."""
-        if rid in self._settled:
+        """Classify an open request good/bad once; False if it is not open."""
+        if self._open.pop(rid, None) is None:
             return False
-        self._settled.add(rid)
         if good:
             self._good_pending += 1
         else:
@@ -239,7 +250,7 @@ class FleetMonitor:
 
     def within_deadline(self, rid: int, now_s: float) -> bool:
         """Whether ``now_s`` beats the request's armed SLO deadline."""
-        deadline = self._deadline_of.get(rid)
+        deadline = self._open.get(rid)
         return deadline is not None and now_s <= deadline + _EPS
 
     # -- the interval grid -------------------------------------------------
@@ -308,7 +319,7 @@ class FleetMonitor:
             self.note_state(0, 0, 0)
         last = horizon_s
         for deadline_s, rid in self._deadlines:
-            if rid not in self._settled:
+            if rid in self._open:
                 last = max(last, deadline_s)
         interval = self.config.interval_s
         target = -(-int(last * 1e9) // int(interval * 1e9))  # ceil intervals
@@ -379,7 +390,9 @@ class FleetMonitor:
     def note_launch(self, device: int, start_s: float, finish_s: float,
                     batch: int) -> None:
         self._rates["rate.batches"].bump()
-        self._busy[device].append([start_s, finish_s])
+        self._fold(device)
+        self._last_start[device] = start_s
+        self._last_end[device] = finish_s
 
     def note_launch_reason(self, reason: str) -> None:
         """Which trigger fired the batch (full, deadline, greedy, single)."""
@@ -400,12 +413,16 @@ class FleetMonitor:
         self._rates["rate.retries"].bump()
 
     def note_crash(self, device: int, now_s: float) -> None:
-        """Device down; truncate its in-flight busy window (the refund)."""
+        """Device down; truncate its last busy window (the refund).
+
+        Only the last window can still be running, and it is not folded
+        into the busy column until the device's next launch (or
+        :meth:`finish`), so the cut lands before it is counted.
+        """
         self._down.add(device)
         self._gauges["devices.down"].set(len(self._down))
-        windows = self._busy[device]
-        if windows and windows[-1][1] > now_s:
-            windows[-1][1] = max(windows[-1][0], now_s)
+        if self._last_end[device] > now_s:
+            self._last_end[device] = max(self._last_start[device], now_s)
 
     def note_recover(self, device: int) -> None:
         self._down.discard(device)
@@ -435,24 +452,42 @@ class FleetMonitor:
     def note_itl(self, itl_s: float) -> None:
         self._windows["itl"].observe(itl_s * 1e3)
 
+    def _fold(self, device: int) -> None:
+        """Add the device's last busy window into its busy column.
+
+        Each interval the window overlaps gains the overlap, in launch
+        order; the column grows as far as the window reaches and
+        :meth:`_fill_utilization` clips it to the closed intervals.
+        """
+        start_s = self._last_start[device]
+        end_s = self._last_end[device]
+        interval = self.config.interval_s
+        busy = self._busy[device]
+        i = max(0, int(start_s / interval))
+        left = i * interval
+        while left < end_s:
+            overlap = min(end_s, left + interval) - max(start_s, left)
+            if overlap > 0.0:
+                if i >= len(busy):
+                    busy.frombytes(bytes(8 * (i + 1 - len(busy))))
+                busy[i] += overlap
+            i += 1
+            left = i * interval
+
     def _fill_utilization(self) -> None:
-        """Per-device and fleet-mean utilization from the busy windows."""
+        """Per-device and fleet-mean utilization from the busy columns.
+
+        Folds each device's last window, then pads (idle) or clips
+        (busy past the last closed interval) the column to
+        ``engine.intervals`` samples.
+        """
         interval = self.config.interval_s
         n = self.engine.intervals
         per_device: List[List[float]] = []
         for device in range(self.devices):
-            busy = [0.0] * n
-            for start_s, end_s in self._busy[device]:
-                lo = max(0, int(start_s / interval))
-                for i in range(lo, n):
-                    left = i * interval
-                    if left >= end_s:
-                        break
-                    overlap = min(end_s, left + interval) - max(start_s,
-                                                                left)
-                    if overlap > 0.0:
-                        busy[i] += overlap
-            series = [b / interval for b in busy]
+            self._fold(device)
+            series = [b / interval for b in self._busy[device][:n]]
+            series.extend([0.0] * (n - len(series)))
             self.series[f"util.d{device}"].samples = series
             per_device.append(series)
         self.series["util.mean"].samples = [

@@ -9,9 +9,10 @@ accumulator.  It is built to run 1000+ devices:
 * **Interned request records** — requests live in typed columns, not
   objects: an ``array('d')`` arrival time (8 bytes), a one-byte model
   index and one status byte, plus an ``array('d')`` first-arrival time
-  under resilience; each completion adds 8 bytes to an ``array('d')``
-  of latencies, sorted in place at the end.  A request *is* its slot
-  index.  The workload hands its arrivals over as typed columns
+  and an ``array('i')`` queue device under resilience; each completion
+  adds 8 bytes to an ``array('d')`` of latencies, sorted in place at
+  the end.  A request *is* its slot index.  The workload hands its
+  arrivals over as typed columns
   (:meth:`~repro.serving.workload.Workload.arrivals`), and a
   :class:`~repro.serving.workload.Request` is built only where a path
   reads one: a timeout or retry, a closed-loop follow-up, a queue burst
@@ -320,7 +321,8 @@ class ScaledFleetSimulator:
         inflight: List[Optional[list]] = [None] * ndev
         stale: Dict[int, list] = {}  # batches a crash cut short
         attempts: Dict[int, int] = {}  # slot -> retries so far
-        loc: Dict[int, int] = {}       # slot -> device it queued on
+        # slot -> device it last queued on (read by its timeout).
+        loc = array("i", bytes(4 * n0)) if resilient else None
         compile_tries: Dict[Tuple[int, str], int] = {}
         faults: Dict[str, int] = {}
         tally = dict.fromkeys(("retries", "timeouts", "compile_retries",
@@ -407,8 +409,9 @@ class ScaledFleetSimulator:
             arr_m.append(m)
             status.append(0)
             req_of[slot] = req
-            if born is not arr_t:
+            if resilient:
                 born.append(req.arrival_s)
+                loc.append(0)
             return slot
 
         def follow_up(s: int, now: float) -> None:

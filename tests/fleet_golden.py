@@ -92,6 +92,11 @@ def freeze_llm_costs() -> None:
         LLMServiceCosts.resolve("gpt2_rms", kv_budget_tokens=1024))))
 
 
+def _assert_settled_once(monitor: Dict[str, Any], offered: int) -> None:
+    """Every offered request settles good or bad exactly once."""
+    assert monitor["slo"]["total"] == offered, (monitor["slo"], offered)
+
+
 def _fleet(workload, costs, *, rate_rps=0.0, trace_in_full=True,
            **kwargs) -> Dict[str, Any]:
     """One traced fleet run reduced to report + trace (+ monitor)."""
@@ -118,6 +123,7 @@ def _fleet(workload, costs, *, rate_rps=0.0, trace_in_full=True,
         out["trace_sha256"] = _sha(sim.trace_log)
         out["trace_len"] = len(sim.trace_log)
     if sim.monitor_payload is not None:
+        _assert_settled_once(sim.monitor_payload, report.offered)
         out["monitor_alerts"] = sim.monitor_payload["alerts"]
         out["monitor_sha256"] = _sha(sim.monitor_payload)
     return out
@@ -404,7 +410,8 @@ def serve_trace_out():
                          fault_plan=default_plan().scaled(5.0),
                          resilience=ResiliencePolicy(),
                          monitor_config=MonitorConfig(interval_s=0.25))
-    sim.run(OpenLoopPoisson(TWO, 100.0, 1.0), rate_rps=100.0)
+    report = sim.run(OpenLoopPoisson(TWO, 100.0, 1.0), rate_rps=100.0)
+    _assert_settled_once(sim.monitor_payload, report.offered)
     events = list(serving_trace_events(sim.trace_log))
     events.extend(monitor_counter_events(sim.monitor_payload))
     return {"device_events": events}
@@ -416,6 +423,7 @@ def serve_trace_out():
 def _monitor_point(**kwargs):
     from repro.serving import MonitorPoint, run_monitor_point
     out = run_monitor_point(MonitorPoint(**kwargs))
+    _assert_settled_once(out["monitor"], out["serving"]["offered"])
     return {"serving": out["serving"],
             "monitor_alerts": out["monitor"]["alerts"],
             "monitor_sha256": _sha(out["monitor"])}
@@ -511,6 +519,7 @@ def _llm_result(sim) -> Dict[str, Any]:
     if sim.collect_trace:
         out["trace"] = sim.trace_log
     if sim.monitor_config is not None:
+        _assert_settled_once(sim.monitor_payload, sim.report.offered)
         out["monitor"] = sim.monitor_payload
     return out
 

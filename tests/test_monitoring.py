@@ -333,6 +333,117 @@ def test_deterministic_crash_feeds_streaming_slo_misses():
     assert max(down) == 1.0
 
 
+def _all_windows_utilization(windows, interval_s, n):
+    """The utilization loop over every recorded busy window (reference).
+
+    ``windows[d]`` lists device ``d``'s ``[start, end]`` windows in
+    launch order, crash cuts applied.  Returns the ``util.*`` samples.
+    """
+    per_device = []
+    for device_windows in windows:
+        busy = [0.0] * n
+        for start_s, end_s in device_windows:
+            lo = max(0, int(start_s / interval_s))
+            for i in range(lo, n):
+                left = i * interval_s
+                if left >= end_s:
+                    break
+                overlap = min(end_s, left + interval_s) - max(start_s, left)
+                if overlap > 0.0:
+                    busy[i] += overlap
+        per_device.append([b / interval_s for b in busy])
+    series = {f"util.d{d}": s for d, s in enumerate(per_device)}
+    series["util.mean"] = [sum(col) / len(windows)
+                           for col in zip(*per_device)] if n else []
+    return series
+
+
+def _drive_utilization(devices, events, horizon_s, interval_s=0.1):
+    """Feed ``events`` to the monitor hooks; return (monitor, reference).
+
+    Events are ``("launch", t, device, finish)``, ``("crash", t,
+    device)`` and ``("recover", t, device)`` in time order.
+    """
+    from repro.serving.monitor import FleetMonitor
+    mon = FleetMonitor(MonitorConfig(interval_s=interval_s), devices)
+    windows = [[] for _ in range(devices)]
+    for kind, t_s, device, *rest in events:
+        mon.advance(t_s)
+        if kind == "launch":
+            mon.note_launch(device, t_s, rest[0], 1)
+            windows[device].append([t_s, rest[0]])
+        elif kind == "crash":
+            mon.note_crash(device, t_s)
+            last = windows[device][-1] if windows[device] else None
+            if last is not None and last[1] > t_s:
+                last[1] = max(last[0], t_s)
+        else:
+            mon.note_recover(device)
+    mon.finish(horizon_s)
+    got = {name: ts.samples for name, ts in mon.series.items()
+           if name.startswith("util.")}
+    return got, _all_windows_utilization(windows, interval_s,
+                                         mon.engine.intervals)
+
+
+def _random_schedule(seed, devices=3, horizon_s=2.0):
+    rng = random.Random(seed)
+    events = []
+    for device in range(devices):
+        t_s = rng.uniform(0.0, 0.2)
+        while t_s < horizon_s:
+            finish = t_s + rng.choice((0.003, 0.04, 0.17, 0.35))
+            events.append(("launch", t_s, device, finish))
+            if rng.random() < 0.2:
+                crash = t_s + rng.uniform(0.0, 2.0) * (finish - t_s)
+                events.append(("crash", crash, device))
+                t_s = crash + rng.uniform(0.05, 0.3)
+                events.append(("recover", t_s, device))
+            else:
+                t_s = finish + rng.choice((0.0, 0.0, 0.01, 0.2))
+    events.sort(key=lambda e: e[1])
+    return events
+
+
+UTILIZATION_CASES = {
+    # Windows that span several intervals, back to back and overlapping
+    # interval edges.
+    "multi_interval": (3, [("launch", 0.05, 0, 0.37),
+                           ("launch", 0.12, 1, 0.9),
+                           ("launch", 0.37, 0, 0.52)], 1.0),
+    # A crash cuts the running window mid-interval; the next launch
+    # after recovery starts a fresh window.
+    "crash_mid_window": (2, [("launch", 0.2, 0, 0.6),
+                             ("crash", 0.43, 0),
+                             ("recover", 0.7, 0),
+                             ("launch", 0.7, 0, 0.8)], 1.0),
+    # A crash on an idle device (its window is over) and on one that
+    # never launched changes nothing.
+    "crash_idle": (2, [("launch", 0.0, 1, 0.1),
+                       ("crash", 0.3, 1), ("crash", 0.35, 0),
+                       ("recover", 0.5, 1), ("recover", 0.55, 0)], 1.0),
+    # Busy past the last closed interval is clipped, including a
+    # launch that starts after it.
+    "clipped": (2, [("launch", 0.95, 0, 1.6),
+                    ("launch", 1.3, 1, 1.4)], 1.0),
+    # Devices 1-3 never launch: all-zero columns.
+    "idle_devices": (4, [("launch", 0.25, 0, 0.3)], 0.5),
+    "random_a": (3, _random_schedule(1), 2.0),
+    "random_b": (3, _random_schedule(2), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UTILIZATION_CASES))
+def test_folded_busy_windows_match_the_all_windows_loop(case):
+    devices, events, horizon_s = UTILIZATION_CASES[case]
+    got, want = _drive_utilization(devices, events, horizon_s)
+    assert sorted(got) == sorted(want)
+    for name, samples in want.items():
+        assert len(samples) == len(got[name]) > 0
+        assert got[name] == samples, name
+    assert any(any(s) for s in got.values())
+
+
 def test_monitor_counter_events_are_a_valid_trace():
     from repro.telemetry.export import (
         MONITOR_PID,

@@ -342,6 +342,45 @@ def test_a_diurnal_day_costs_bytes_not_objects_per_request():
     assert (peak - held) / n <= 32
 
 
+@pytest.mark.parametrize("duration_s", [2.0, 4.0])
+def test_a_monitored_resilient_run_keeps_no_state_per_request(duration_s):
+    # Python-heap peak per request of a monitored, resilient, faulted
+    # run.  The monitor keeps open deadlines and per-interval busy
+    # time and the core a typed device column: about 70-90 bytes at
+    # either duration.  Per-request dict, set and list entries cost
+    # about 300-370.
+    costs = toy_costs(latency_s=0.004, compile_s=0.0, models=MODELS)
+    plan = FaultPlan(
+        name="mem", crash=CrashSpec(p_per_device_s=0.05, outage_s=0.5,
+                                    at=((0, 0.5),)),
+        tile_fault=TileFaultSpec(p_per_batch=0.02),
+        corrupt=CorruptSpec(p_per_download=0.05),
+        flaky_compile=FlakyCompileSpec(p=0.05))
+
+    def simulator():
+        return FleetSimulator(costs, devices=4, routing="round_robin",
+                              fault_plan=plan, resilience=ResiliencePolicy(),
+                              monitor_config=MonitorConfig())
+
+    # Warm the run's first-call allocations.
+    simulator().run(OpenLoopPoisson(MODELS, 100.0, 0.5))
+    workload = OpenLoopPoisson(MODELS, 1000.0, duration_s)
+    workload.arrivals()
+    sim = simulator()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = sim.run(workload, rate_rps=1000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.faults["device_crash"] >= 1 and report.retries > 0
+    assert report.offered > 900 * duration_s
+    assert (peak - base) / report.offered <= 120
+    # Every offered request settles exactly once.
+    assert sim.monitor_payload["slo"]["total"] == report.offered
+
+
 def test_diurnal_rejects_bad_parameters():
     with pytest.raises(ValueError):
         DiurnalTrace(MODELS, 0.0, 1.0)
