@@ -60,7 +60,7 @@ def test_event_rate_and_determinism(benchmark, monkeypatch, bench_dir):
 
     # -- 1000-device diurnal day through the fleet core ----------------
     trace = _day(DURATION_S)
-    requests = len(trace.initial())
+    requests = len(trace.arrivals().times)
     sim = ScaledFleetSimulator(costs, devices=DEVICES, cells=CELLS,
                                routing="least_loaded")
     report = benchmark.pedantic(lambda: sim.run(trace, rate_rps=PEAK_RPS),

@@ -6,18 +6,18 @@ NPU-Tandem devices, each with a FIFO queue, a busy-until clock, a
 per-device "compile cache" of resident models and a busy-time
 accumulator.  It is built to run 1000+ devices:
 
-* **Interned request records** — requests live in typed columns, not
-  objects: an ``array('d')`` arrival time (8 bytes), a one-byte model
-  index and one status byte, plus an ``array('d')`` first-arrival time
-  and an ``array('i')`` queue device under resilience; each completion
-  adds 8 bytes to an ``array('d')`` of latencies, sorted in place at
-  the end.  A request *is* its slot index.  The workload hands its
-  arrivals over as typed columns
-  (:meth:`~repro.serving.workload.Workload.arrivals`), and a
-  :class:`~repro.serving.workload.Request` is built only where a path
-  reads one: a timeout or retry, a closed-loop follow-up, a queue burst
-  or the LLM token fields.  Follow-up requests (closed loop), injected
-  queue bursts and nothing else append slots.
+* **Interned request records** — a request *is* its slot index into
+  typed columns, the run's only request record: an ``array('d')``
+  arrival time (8 bytes; a retry rewrites it), a one-byte model index
+  and one status byte, plus an ``array('d')`` first-arrival time, an
+  ``array('i')`` queue device and a ``tries`` attempt byte under
+  resilience; each completion adds 8 bytes to an ``array('d')`` of
+  latencies, sorted in place at the end.  Closed-loop follow-ups and
+  queue bursts alone append slots; their rid and client go into
+  ``rids``/``clients`` side columns.  A
+  :class:`~repro.serving.workload.Request` exists only at the workload
+  boundary: ``Arrivals.request`` for an arrival row, and the argument
+  and return value of ``Workload.on_complete`` (never stored).
 * **One merged event stream** — the initial arrivals are already a
   sorted array, so they are consumed through a pointer instead of being
   materialised as heap entries; only *dynamic* events (batch
@@ -86,7 +86,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -230,9 +230,10 @@ class ScaledFleetSimulator:
 
         The hot loop is deliberately monolithic: device state lives in
         flat parallel lists, every per-event step is a handful of list
-        index operations, and what a request keeps is 8 bytes of
-        latency in an ``array('d')``; the completion event is
-        amortised 1/batch.
+        index operations, and a request is its slot in typed columns
+        (a retry rewrites its arrival time and bumps its ``tries``
+        byte); what a completed one keeps is 8 bytes of latency in an
+        ``array('d')``; the completion event is amortised 1/batch.
         Each optional layer (faults, resilience, monitor, trace) and
         the LLM batch policies cost the fleet path one local test per
         hook site (an LLM run returns an :class:`LLMServingReport`).
@@ -290,9 +291,10 @@ class ScaledFleetSimulator:
         arr_m = (array("B", bytes(n0)) if llm
                  else _model_column(arrivals, midx))
         status = bytearray(n0)
-        # The Request behind a slot that is not its arrival row:
-        # interned slots and retried ones (see request()).
-        req_of: Dict[int, Request] = {}
+        # Rid and client of appended slots (follow-ups, queue bursts),
+        # at s - n0; an arrival row's come from ``arrivals.request``.
+        rids = array("q")
+        clients = array("i")
         has_follow = type(workload).on_complete is not Workload.on_complete
 
         # -- fault surface: what goes wrong, and how the fleet responds -
@@ -320,9 +322,10 @@ class ScaledFleetSimulator:
         bad_models: List[set] = [set() for _ in range(ndev)]  # corrupt
         inflight: List[Optional[list]] = [None] * ndev
         stale: Dict[int, list] = {}  # batches a crash cut short
-        attempts: Dict[int, int] = {}  # slot -> retries so far
-        # slot -> device it last queued on (read by its timeout).
+        # slot -> device it last queued on, and retries so far (both
+        # read by its timeout).
         loc = array("i", bytes(4 * n0)) if resilient else None
+        tries = bytearray(n0) if resilient else None
         compile_tries: Dict[Tuple[int, str], int] = {}
         faults: Dict[str, int] = {}
         tally = dict.fromkeys(("retries", "timeouts", "compile_retries",
@@ -397,35 +400,41 @@ class ScaledFleetSimulator:
         seq = n0
         ai = 0
 
-        def request(s: int) -> Request:
-            """The Request behind slot ``s``, built on demand."""
-            req = req_of.get(s)
-            return req if req is not None else arrivals.request(s)
+        def rid_client(s: int) -> Tuple[int, int]:
+            """The workload's rid and client of slot ``s``."""
+            if s < n0:
+                req = arrivals.request(s)
+                return req.rid, req.client
+            return rids[s - n0], clients[s - n0]
 
-        def intern(req: Request, m: int) -> int:
-            """A new slot for a request that was not in ``arrivals``."""
-            slot = len(arr_t)
-            arr_t.append(req.arrival_s)
+        def intern(t_s: float, m: int, rid: int, client: int) -> None:
+            """A new slot, arriving at ``t_s``, not in ``arrivals``."""
+            nonlocal seq
+            push(heap, (t_s, seq, _ARRIVAL, len(arr_t), None))
+            seq += 1
+            arr_t.append(t_s)
             arr_m.append(m)
             status.append(0)
-            req_of[slot] = req
+            rids.append(rid)
+            clients.append(client)
             if resilient:
-                born.append(req.arrival_s)
+                born.append(t_s)
                 loc.append(0)
-            return slot
+                tries.append(0)
 
         def follow_up(s: int, now: float) -> None:
-            """Closed-loop feedback: intern the next request as a slot."""
-            nonlocal seq
-            nxt = workload.on_complete(request(s), now)
+            """Closed-loop feedback: the next request enters as a slot
+            (slot ``s`` is handed over built from its columns)."""
+            rid, client = rid_client(s)
+            nxt = workload.on_complete(
+                Request(rid, models[arr_m[s]], arr_t[s], client), now)
             if nxt is None:
                 return
             m = midx.get(nxt.model)
             if m is None:
                 raise ValueError(f"workload model {nxt.model!r} "
                                  f"not in ServiceCosts")
-            push(heap, (nxt.arrival_s, seq, _ARRIVAL, intern(nxt, m), None))
-            seq += 1
+            intern(nxt.arrival_s, m, nxt.rid, nxt.client)
 
         def reject(s: int, now: float, why: str) -> None:
             """Shed slot ``s`` at admission (``why`` names the gate)."""
@@ -743,10 +752,7 @@ class ScaledFleetSimulator:
                 if tracing:
                     log("queue-burst", t_s, size=plan.burst.size)
                 for i in range(plan.burst.size):
-                    m = i % len(models)
-                    slot = intern(Request(rid, models[m], t_s), m)
-                    push(heap, (t_s, seq, _ARRIVAL, slot, None))
-                    seq += 1
+                    intern(t_s, i % len(models), rid, -1)
                     rid -= 1
         mon_advance = mon.advance if mon is not None else None
         # The hot loop's constants as locals (a local load is cheaper).
@@ -758,19 +764,13 @@ class ScaledFleetSimulator:
         # The merged event loop: sorted-arrival pointer vs dynamic heap.
         # ------------------------------------------------------------------
         while True:
-            if heap:
-                if ai < n0 and arr_t[ai] <= heap[0][0]:
-                    now = arr_t[ai]
-                    kind = ARRIVAL
-                    s = ai
-                    ai += 1
-                else:
-                    now, _, kind, s, batch = pop(heap)
-            elif ai < n0:
+            if ai < n0 and (not heap or arr_t[ai] <= heap[0][0]):
                 now = arr_t[ai]
                 kind = ARRIVAL
                 s = ai
                 ai += 1
+            elif heap:
+                now, _, kind, s, batch = pop(heap)
             else:
                 break
             if mon is not None:
@@ -905,8 +905,7 @@ class ScaledFleetSimulator:
                     mon.note_queue(1)
                 if resilient:
                     loc[s] = dev
-                    push(heap, (now + tmo[m], seq, _TIMEOUT, s,
-                                attempts.get(s, 0)))
+                    push(heap, (now + tmo[m], seq, _TIMEOUT, s, tries[s]))
                     seq += 1
                     timeouts_armed += 1
             elif kind == TIMER:
@@ -963,15 +962,13 @@ class ScaledFleetSimulator:
                 # ---- per-attempt timeout of slot s -------------------
                 attempt = batch
                 st = status[s]
-                if attempts.get(s, 0) != attempt or \
-                        (st != QUEUED and st != FLIGHT):
+                if tries[s] != attempt or (st != QUEUED and st != FLIGHT):
                     continue   # a newer attempt owns it, or it is over
                 dev = loc[s]
-                req = request(s)
                 tally["timeouts"] += 1
                 if tracing:
-                    log("timeout", now, device=dev, model=req.model,
-                        rid=req.rid)
+                    model, rid = models[arr_m[s]], rid_client(s)[0]
+                    log("timeout", now, device=dev, model=model, rid=rid)
                 if mon is not None:
                     mon.note_timeout()
                 if breaker:
@@ -1004,7 +1001,7 @@ class ScaledFleetSimulator:
                     queued_total -= 1
                     if mon is not None:
                         mon.note_queue(-1)
-                attempts[s] = attempt + 1
+                tries[s] = attempt + 1
                 if attempt >= res.max_retries or tally["retries"] >= int(
                         res.retry_budget_fraction * offered):
                     status[s] = _FAILED
@@ -1012,8 +1009,7 @@ class ScaledFleetSimulator:
                     if auto_on:
                         bad_pending += 1
                     if tracing:
-                        log("retry-exhausted", now, model=req.model,
-                            rid=req.rid)
+                        log("retry-exhausted", now, model=model, rid=rid)
                     continue
                 tally["retries"] += 1
                 if mon is not None:
@@ -1022,9 +1018,8 @@ class ScaledFleetSimulator:
                 at = now + backoff_s
                 status[s] = _RETRYING
                 arr_t[s] = at
-                req_of[s] = replace(req, arrival_s=at)
                 if tracing:
-                    log("retry", now, model=req.model, rid=req.rid,
+                    log("retry", now, model=model, rid=rid,
                         attempt=attempt + 1, backoff_s=backoff_s)
                 push(heap, (at, seq, RETRY, s, None))
                 seq += 1

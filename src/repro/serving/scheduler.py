@@ -109,8 +109,8 @@ class ResiliencePolicy:
         if self.kind not in RESILIENCE_POLICIES:
             raise ValueError(f"unknown resilience policy {self.kind!r}; "
                              f"known: {', '.join(RESILIENCE_POLICIES)}")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.max_retries <= 254:    # a one-byte attempt count
+            raise ValueError("max_retries must be in [0, 254]")
         if self.timeout_slo_multiple <= 0:
             raise ValueError("timeout_slo_multiple must be positive")
 

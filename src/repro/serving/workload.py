@@ -83,7 +83,10 @@ class Arrivals(NamedTuple):
     (closed-loop clients, LLM token counts), ``requests`` holds the
     request behind each row; otherwise row ``i`` is ``Request(i,
     names[picks[i]], times[i])``.  The columns may be the workload's
-    own storage: do not mutate them.
+    own storage: do not mutate them.  The fleet core keeps its slots in
+    typed columns (follow-up and burst rids and clients in ``rids`` and
+    ``clients``, attempts in ``tries``) and builds a row's
+    :meth:`request` only at the workload boundary.
     """
     times: Sequence[float]
     picks: Sequence[int]

@@ -222,6 +222,21 @@ def crash_scenario(resilience):
                      resilience=resilience)
 
 
+@pytest.mark.parametrize("max_retries", [-1, 255])
+def test_max_retries_must_fit_the_attempt_byte(max_retries):
+    with pytest.raises(ValueError, match="max_retries"):
+        ResiliencePolicy(max_retries=max_retries)
+
+
+def test_the_largest_max_retries_runs_to_exhaustion():
+    # Request 1 times out on the dead device 255 times (breaker off):
+    # the last attempt number still fits its byte.
+    report, _ = crash_scenario(ResiliencePolicy(
+        max_retries=254, retry_budget_fraction=200.0, eject_threshold=0))
+    assert report.retries == 254 and report.timeouts == 255
+    assert report.failed == 1 and report.completed == 1
+
+
 def test_naive_fleet_loses_requests_to_permanent_crash():
     report, trace = crash_scenario(ResiliencePolicy.naive())
     assert report.faults.get("device_crash") == 1

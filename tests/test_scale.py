@@ -8,6 +8,7 @@ import zlib
 import pytest
 
 from repro.faults import (
+    BurstSpec,
     CorruptSpec,
     CrashSpec,
     FaultPlan,
@@ -20,6 +21,7 @@ from repro.serving import (
     AutoscaleConfig,
     AutoscaleController,
     BatchPolicy,
+    ClosedLoop,
     CostModel,
     DiurnalTrace,
     FleetSimulator,
@@ -307,14 +309,52 @@ def test_a_diurnal_day_runs_without_building_requests(monkeypatch):
     monkeypatch.setattr(Request, "__init__", counting)
     trace = DiurnalTrace(MODELS, 3000.0, 2.0, burst_every_s=0.5,
                          burst_len_s=0.05)
-    sim = ScaledFleetSimulator(
-        COSTS, devices=16, cells=4,
-        autoscale=AutoscaleConfig(interval_s=0.1, min_cells=1,
-                                  cooldown_s=0.2),
-        monitor_config=MonitorConfig(interval_s=0.25))
-    report = sim.run(trace, rate_rps=3000.0)
-    assert report.offered == len(trace.arrivals().times) > 0
+    rows = len(trace.arrivals().times)
+
+    def day(**faults):
+        sim = ScaledFleetSimulator(
+            COSTS, devices=16, cells=4,
+            autoscale=AutoscaleConfig(interval_s=0.1, min_cells=1,
+                                      cooldown_s=0.2),
+            monitor_config=MonitorConfig(interval_s=0.25), **faults)
+        return sim.run(trace, rate_rps=3000.0)
+
+    assert day().offered == rows > 0
+    # Queue bursts append slots, and crashes make requests time out and
+    # retry: neither builds a Request on an untraced run.
+    report = day(fault_plan=FaultPlan(
+        name="bursts-and-crashes",
+        crash=CrashSpec(p_per_device_s=0.2, outage_s=0.5),
+        burst=BurstSpec(at=(0.5, 1.0), size=200)),
+        resilience=ResiliencePolicy())
+    assert report.offered == rows + 400
+    assert report.faults["queue_burst"] == 2 and report.retries > 0
     assert built == []
+
+
+def test_on_complete_gets_each_slot_as_the_workload_issued_it():
+    # Follow-up and burst slots keep their rid and client in columns;
+    # the Request handed back to the workload is rebuilt from them.
+    handed = []
+
+    class Recording(ClosedLoop):
+        def on_complete(self, request, finish_s):
+            handed.append((request, finish_s))
+            return super().on_complete(request, finish_s)
+
+    plan = FaultPlan(name="one-burst", burst=BurstSpec(at=(0.1,), size=4))
+    report = ScaledFleetSimulator(COSTS, devices=2, fault_plan=plan).run(
+        Recording(MODELS, 4, 0.5, think_s=0.01))
+    assert len(handed) == report.completed > 8
+    requests = [r for r, _ in handed]
+    assert len({r.rid for r in requests}) == len(requests)
+    assert sorted(r.rid for r in requests if r.rid < 0) == [-4, -3, -2, -1]
+    # A burst's follow-ups stay client -1; a client keeps its model.
+    assert all(r.client == -1 for r in requests if r.rid < 0)
+    assert all(r.model == MODELS[r.client % 2]
+               for r in requests if r.client >= 0)
+    assert {r.client for r in requests} == {-1, 0, 1, 2, 3}
+    assert all(r.arrival_s <= finish_s for r, finish_s in handed)
 
 
 def test_a_diurnal_day_costs_bytes_not_objects_per_request():
@@ -340,6 +380,28 @@ def test_a_diurnal_day_costs_bytes_not_objects_per_request():
     assert n == report.completed > 3000
     assert (held - base) / n <= 16
     assert (peak - held) / n <= 32
+
+
+@pytest.mark.parametrize("duration_s", [1.0, 2.0])
+def test_a_closed_loop_keeps_columns_not_requests(duration_s):
+    # Python-heap peak per request of a closed loop, where every
+    # completion issues a follow-up slot: its arrival, model, status,
+    # rid, client and latency columns come to about 40-50 bytes at
+    # either duration.  Keeping a Request per follow-up costs about 230.
+    costs = toy_costs(latency_s=0.004, compile_s=0.0, models=MODELS)
+    # Warm the run's first-call allocations.
+    ScaledFleetSimulator(costs, devices=4).run(ClosedLoop(MODELS, 64, 0.5))
+    workload = ClosedLoop(MODELS, 64, duration_s)
+    sim = ScaledFleetSimulator(costs, devices=4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = sim.run(workload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.offered == report.completed > 1000 * duration_s
+    assert (peak - base) / report.offered <= 80
 
 
 @pytest.mark.parametrize("duration_s", [2.0, 4.0])
