@@ -18,7 +18,10 @@ fleet simulator:
   between serial and ``--jobs 2`` execution.
 * **overhead** — a warm monitored ``repro serve`` subprocess stays
   within 5 % (plus a small absolute slack for process noise) of the
-  unmonitored command, because monitoring is observational.
+  unmonitored command, because monitoring is observational.  Inside the
+  simulator the monitor costs more: ``monitored_sim_overhead`` records
+  (without a gate) the monitored over the unmonitored run time of the
+  64-device chaos point, in one process.
 
 The measured numbers land in ``BENCH_monitoring.json`` (at the repo
 root under ``pytest --record``) so the detection-latency trajectory is
@@ -54,6 +57,41 @@ def _points():
     zoo = MonitorPoint(costs=zoo_costs, models=("bert", "resnet50"),
                        devices=6, rate_rps=60.0, duration_s=20.0)
     return plan, crash, zoo
+
+
+def _chaos_point(costs):
+    """The 64-device resilient fleet under crashes, tile faults, corrupt
+    downloads and flaky compiles (the ``fleet_chaos`` benchmark point)."""
+    from repro.faults import (CorruptSpec, CrashSpec, FaultPlan,
+                              FlakyCompileSpec, TileFaultSpec)
+    from repro.serving import MonitorPoint
+    plan = FaultPlan(name="bench-chaos",
+                     crash=CrashSpec(p_per_device_s=0.01, outage_s=6.0),
+                     tile_fault=TileFaultSpec(p_per_batch=0.02),
+                     corrupt=CorruptSpec(p_per_download=0.05),
+                     flaky_compile=FlakyCompileSpec(p=0.05))
+    return MonitorPoint(costs=costs, models=("bert", "resnet50"),
+                        devices=64, rate_rps=2000.0, duration_s=20.0,
+                        resilience_kind="resilient", fault_plan=plan)
+
+
+def _sim_seconds(point, runs=5):
+    """In-process run time of ``point`` unmonitored and monitored (min
+    over alternating runs; the workload is built outside the timer)."""
+    from dataclasses import replace
+    from repro.serving import ScaledFleetSimulator
+    cell = point.cell()
+    plain = replace(cell, sim={**cell.sim, "monitor_config": None})
+    best = {}
+    for _ in range(runs):
+        for name, run in (("plain", plain), ("monitored", cell)):
+            workload = run.workload()
+            sim = ScaledFleetSimulator(**run.sim)
+            start = time.perf_counter()
+            sim.run(workload, rate_rps=run.rate_rps)
+            elapsed = time.perf_counter() - start
+            best[name] = min(best.get(name, elapsed), elapsed)
+    return best
 
 
 def _serve_seconds(monitored, runs=2):
@@ -145,6 +183,7 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
     plain_s = _serve_seconds(monitored=False)
     monitored_s = _serve_seconds(monitored=True)
     overhead = monitored_s / plain_s - 1.0
+    sim_s = _sim_seconds(_chaos_point(zoo_point.costs))
     # Same discipline (and slack) as the telemetry gate: the bar is
     # relative, the absolute term absorbs subprocess start-up noise.
     assert monitored_s <= (1.0 + OVERHEAD_BAR) * plain_s + 0.3, (
@@ -172,6 +211,10 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
             "monitored": round(monitored_s, 3),
         },
         "monitored_overhead": round(overhead, 3),
+        "sim_seconds": {name: round(value, 3)
+                        for name, value in sim_s.items()},
+        "monitored_sim_overhead": round(
+            sim_s["monitored"] / sim_s["plain"] - 1.0, 3),
     }, indent=2) + "\n")
 
 

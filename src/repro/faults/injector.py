@@ -10,15 +10,16 @@ two policies replaying the same plan see the same underlying faults
 even when their event loops diverge.
 
 The injector is pure data + hashing: it never consults a wall clock and
-never mutates, so one plan yields byte-identical fault sequences in any
-process (the property ``tests/test_faults.py`` pins serial vs
-``--jobs``).
+mutates nothing but a memo of hash prefixes, so one plan yields
+byte-identical fault sequences in any process (the property
+``tests/test_faults.py`` pins serial vs ``--jobs``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+import struct
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime import knobs, seeded_rng
 from .plan import FaultPlan
@@ -26,6 +27,10 @@ from .plan import FaultPlan
 #: Fault kinds as counted/traced by the fleet (``faults.injected.*``).
 FAULT_KINDS = ("device_crash", "device_slowdown", "flaky_compile",
                "tile_fault", "corrupt_program", "queue_burst")
+
+#: A draw is the digest's first 8 bytes, big-endian, over 2**64.
+_head = struct.Struct(">Q").unpack_from
+_SCALE = float(1 << 64)
 
 
 def _poisson_times(rng, rate_per_s: float, duration_s: float) -> List[float]:
@@ -52,6 +57,8 @@ class FaultInjector:
         self.duration_s = float(duration_s)
         self._base = (knobs.get("REPRO_SEED"), plan.stream, plan.name,
                       devices, self.duration_s)
+        #: sha256 state of each draw's constant prefix (see _uniform).
+        self._prefixes: Dict[Tuple[str, int, str], Any] = {}
 
         #: (t_s, device) crash onsets, time-ordered.
         self.crashes: List[Tuple[float, int]] = self._device_schedule(
@@ -79,12 +86,23 @@ class FaultInjector:
         return sorted(events)
 
     # -- per-event draws ---------------------------------------------------
-    def _uniform(self, *labels) -> float:
-        """A stable U[0,1) draw keyed by ``labels`` (order-independent of
-        the event loop: same labels always give the same draw)."""
-        digest = hashlib.sha256(
-            repr((self._base, labels)).encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)
+    def _uniform(self, kind: str, device: int, model: str,
+                 value: int) -> float:
+        """A stable U[0,1) draw keyed by its labels (order-independent of
+        the event loop: same labels always give the same draw): the first
+        8 bytes of ``sha256(repr((base, (kind, device, model, value))))``
+        over 2**64.  The hash of the text before ``value`` is kept per
+        ``(kind, device, model)``; a draw copies it and hashes the rest.
+        """
+        key = (kind, device, model)
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = self._prefixes[key] = hashlib.sha256(
+                ("(%r, (%r, %r, %r, " % (self._base, kind, device, model)
+                 ).encode("utf-8"))
+        digest = prefix.copy()
+        digest.update(("%r))" % (value,)).encode("utf-8"))
+        return _head(digest.digest())[0] / _SCALE
 
     def flaky_compile(self, device: int, model: str, attempt: int) -> bool:
         """Does compile ``attempt`` of ``model`` on ``device`` flake?"""
@@ -121,15 +139,3 @@ class FaultInjector:
             if d == device and start <= t_s < end:
                 factor = max(factor, self.plan.slowdown.factor)
         return factor
-
-    def expected_faults(self) -> Dict[str, float]:
-        """Expected fault counts — the chaos report's sanity column."""
-        plan = self.plan
-        return {
-            "device_crash": len(self.crashes),
-            "device_slowdown": len(self.slowdowns),
-            "queue_burst": len(self.bursts),
-            "flaky_compile": plan.flaky_compile.p,
-            "tile_fault": plan.tile_fault.p_per_batch,
-            "corrupt_program": plan.corrupt.p_per_download,
-        }

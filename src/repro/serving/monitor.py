@@ -2,20 +2,29 @@
 
 The fleet simulator used to be a batch scorer — one
 :class:`~repro.serving.metrics.ServingReport` at the end of the run.
-This module turns it into a *monitored service*: the event loop feeds
-lifecycle hooks into a :class:`FleetMonitor` (``kind="llm"`` when the
-core runs an LLM batch policy), which samples every series on a
-fixed simulated-time grid, evaluates Google-SRE multi-window
-burn-rate rules over the SLO error budget, and emits a versioned
-``repro-monitor-report-v1`` payload that the CLI renders as a terminal
-dashboard (``repro serve --monitor`` / ``repro monitor <report>``) or
-exports as Chrome-trace counter tracks.
+This module turns it into a *monitored service*: a
+:class:`FleetMonitor` (``kind="llm"`` when the core runs an LLM batch
+policy) samples every series on a fixed simulated-time grid, evaluates
+Google-SRE multi-window burn-rate rules over the SLO error budget, and
+emits a versioned ``repro-monitor-report-v1`` payload that the CLI
+renders as a terminal dashboard (``repro serve --monitor`` /
+``repro monitor <report>``) or exports as Chrome-trace counter tracks.
+The event loop calls the monitor at interval boundaries, where it reads
+the counters, gauges and latency columns the core keeps anyway, and per
+request only for the SLO deadline and busy-window bookkeeping (plus the
+LLM engine's token and slot hooks).
 
-Monitoring is strictly observational: the hooks never touch the event
-heap, the RNG, or any decision the scheduler makes, so an instrumented
-run produces a byte-identical :class:`ServingReport` — asserted by
-``tests/test_monitoring.py`` and gated at ≤5% overhead by
-``benchmarks/test_perf_eval_pipeline.py``.
+Monitoring is strictly observational: the monitor never touches the
+event heap, the RNG, or any decision the scheduler makes, so an
+instrumented run produces a byte-identical :class:`ServingReport` —
+asserted by ``tests/test_monitoring.py``.  It is not free inside the
+simulator: on the 64-device chaos point (``fleet_chaos``) a monitored
+run takes about 1.45x the unmonitored run time (2 vCPUs; 1.65x when the
+core called the monitor on every event).
+``benchmarks/test_perf_monitoring.py`` records that ratio as
+``monitored_sim_overhead``; the ≤5% gate in
+``benchmarks/test_perf_eval_pipeline.py`` is on a whole ``repro serve``
+command, where start-up dominates.
 
 The streaming error signal
 --------------------------
@@ -42,7 +51,8 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..runtime import knobs
 from ..schema import check, passed
@@ -120,10 +130,11 @@ class MonitorConfig:
 class FleetMonitor:
     """Interval grid + series registry + settle-once SLO accounting.
 
-    The fleet event core feeds events through the hooks; the monitor
-    closes interval boundaries, rolls the latency windows, evaluates
-    the alert engine, and records per-rule burn-rate series.  Series
-    registration order is the report order (deterministic).
+    At each boundary the fleet event core hands over its running totals,
+    gauge levels and latency columns (:meth:`advance`); the monitor
+    closes the interval, rolls the latency windows, evaluates the alert
+    engine, and records per-rule burn-rate series.  Series registration
+    order is the report order (deterministic).
 
     ``kind="fleet"`` series: fleet queue depth, devices down / circuit-
     breaker-ejected, arrival/completion/rejection/timeout/retry/batch
@@ -161,11 +172,13 @@ class FleetMonitor:
         self._windows: Dict[str, SlidingWindowHistogram] = {}
         self._window_pcts: Dict[str, Tuple[int, ...]] = {}
         self._window_series: Dict[str, Tuple[TimeSeries, ...]] = {}
-        self._next_boundary_s = config.interval_s
         self._deadlines: List[Tuple[float, int]] = []   # (deadline_s, rid)
         self._open: Dict[int, float] = {}   # armed, unsettled rid -> deadline
         self._good_pending = 0
         self._bad_pending = 0
+        # What the last read saw: each pulled rate's running total and
+        # the length of each pulled column.
+        self._read: Dict[str, float] = {}
         self._finished = False
         for rule in config.rules:
             for window in ("long", "short"):
@@ -208,8 +221,6 @@ class FleetMonitor:
         self._busy: List[array] = [array("d") for _ in range(devices)]
         self._last_start = [0.0] * devices
         self._last_end = [0.0] * devices
-        self._down: Set[int] = set()
-        self._ejected: Set[int] = set()
 
     # -- series registration (call from __init__ only) ---------------------
     def _gauge(self, name: str, unit: str) -> None:
@@ -232,45 +243,39 @@ class FleetMonitor:
             keys.append(self.series[key])
         self._window_series[name] = tuple(keys)
 
-    # -- SLO accounting ----------------------------------------------------
-    def push_deadline(self, rid: int, deadline_s: float) -> None:
-        """Arm the streaming SLO deadline for one request."""
-        heapq.heappush(self._deadlines, (deadline_s, rid))
-        self._open[rid] = deadline_s
-
-    def settle(self, rid: int, good: bool) -> bool:
-        """Classify an open request good/bad once; False if it is not open."""
-        if self._open.pop(rid, None) is None:
-            return False
-        if good:
-            self._good_pending += 1
-        else:
-            self._bad_pending += 1
-        return True
-
-    def within_deadline(self, rid: int, now_s: float) -> bool:
-        """Whether ``now_s`` beats the request's armed SLO deadline."""
-        deadline = self._open.get(rid)
-        return deadline is not None and now_s <= deadline + _EPS
-
     # -- the interval grid -------------------------------------------------
-    def advance(self, now_s: float) -> None:
-        """Close every interval boundary at or before ``now_s``.
+    def advance(self, now_s: float,
+                columns: Optional[Mapping[str, Sequence[float]]] = None,
+                state: Optional[Mapping[str, float]] = None) -> float:
+        """Read the core's state, close every boundary at or before
+        ``now_s`` and return the next one's time.
 
-        The event loop calls this with the current event time *before*
-        applying the event, so each boundary samples the state as it
-        stood when simulated time passed it.  Idempotent: boundaries
-        close at most once regardless of call pattern, which keeps the
-        sample stream identical under any event batching.  The common
-        case — an event inside the current interval — is a single
-        comparison against the precomputed next boundary, which keeps
-        the per-event cost of monitoring near zero.
+        The event loop calls this when an event reaches the next
+        boundary, *before* applying it, so each boundary samples the
+        state as simulated time passed it.  ``columns`` maps latency
+        windows to the core's sample columns (ms, in event order), read
+        from where the last call stopped; ``state`` maps rate series to
+        the core's running totals (the rate is the increase) and gauges
+        to their levels.  Extra calls close and read nothing twice.
         """
-        if now_s + _EPS < self._next_boundary_s:
-            return
+        self._pull(columns, state)
         interval = self.config.interval_s
         while (self._boundary + 1) * interval <= now_s + _EPS:
             self._close_interval((self._boundary + 1) * interval)
+        return (self._boundary + 1) * interval
+
+    def _pull(self, columns: Optional[Mapping[str, Sequence[float]]],
+              state: Optional[Mapping[str, float]]) -> None:
+        """Fold the core's columns, totals and levels into the interval."""
+        for name, column in (columns or {}).items():
+            self._windows[name].observe_all(column[self._read.get(name, 0):])
+            self._read[name] = len(column)
+        for name, value in (state or {}).items():
+            if name in self._gauges:
+                self._gauges[name].set(value)
+            else:
+                self._rates[name].bump(value - self._read.get(name, 0))
+                self._read[name] = value
 
     def _close_interval(self, t_s: float) -> None:
         # Expired deadlines of unsettled requests become bad events at
@@ -278,7 +283,8 @@ class FleetMonitor:
         # the run is still in flight.
         while self._deadlines and self._deadlines[0][0] <= t_s + _EPS:
             _, rid = heapq.heappop(self._deadlines)
-            if self.settle(rid, good=False):
+            if self._open.pop(rid, None) is not None:
+                self._bad_pending += 1
                 self._rates["rate.slo_misses"].bump()
         interval = self.config.interval_s
         for name, gauge in self._gauges.items():
@@ -298,12 +304,15 @@ class FleetMonitor:
         self._good_pending = 0
         self._bad_pending = 0
         self._boundary += 1
-        self._next_boundary_s = (self._boundary + 1) * interval
 
-    def finish(self, horizon_s: float) -> None:
+    def finish(self, horizon_s: float,
+               columns: Optional[Mapping[str, Sequence[float]]] = None,
+               state: Optional[Mapping[str, float]] = None) -> None:
         """Flush deadlines, close the final partial interval, drain alerts.
 
-        Advances the grid to cover ``horizon_s`` and every outstanding
+        Reads the core's final ``columns`` and ``state`` as
+        :meth:`advance` does, then advances the grid to cover
+        ``horizon_s`` and every outstanding
         deadline (so requests stuck forever on a dead device still
         register their miss), then — when ``config.drain`` — keeps
         closing empty intervals until every firing rule resolves, capped
@@ -315,6 +324,7 @@ class FleetMonitor:
         if self._finished:
             return
         self._finished = True
+        self._pull(columns, state)
         if self.kind == "llm":
             self.note_state(0, 0, 0)
         last = horizon_s
@@ -373,68 +383,66 @@ class FleetMonitor:
         }
 
 
-    # -- lifecycle hooks (called by the fleet event loop) -----------------
+    # -- per-request hooks (called by the fleet event loop) ----------------
+    # Counts, gauges and latency columns are read at boundaries
+    # (advance); the hooks below keep only what the core does not: the
+    # SLO deadlines and each device's last busy window.
     def note_arrival(self, rid: int, deadline_s: float) -> None:
-        """First-attempt arrival: count it and arm its SLO deadline."""
-        self._rates["rate.arrivals"].bump()
-        self.push_deadline(rid, deadline_s)
+        """First-attempt arrival: arm its SLO deadline."""
+        heapq.heappush(self._deadlines, (deadline_s, rid))
+        self._open[rid] = deadline_s
 
-    def note_reject(self, rid: int, now_s: float) -> None:
+    def note_reject(self, rid: int) -> None:
         """Any shed (verify, breaker, queue full): bad at reject time."""
-        self._rates["rate.rejections"].bump()
-        self.settle(rid, good=False)
+        if self._open.pop(rid, None) is not None:
+            self._bad_pending += 1
 
-    def note_queue(self, delta: int) -> None:
-        self._gauges["queue.depth"].add(delta)
-
-    def note_launch(self, device: int, start_s: float, finish_s: float,
-                    batch: int) -> None:
-        self._rates["rate.batches"].bump()
-        self._fold(device)
-        self._last_start[device] = start_s
-        self._last_end[device] = finish_s
-
-    def note_launch_reason(self, reason: str) -> None:
-        """Which trigger fired the batch (full, deadline, greedy, single)."""
-        self._rates[f"rate.launch.{reason}"].bump()
-
-    def note_complete(self, rid: int, now_s: float, latency_ms: float,
+    def note_complete(self, rid: int, now_s: float,
                       bad: bool = False) -> None:
-        self._rates["rate.completions"].bump()
-        self._windows["latency"].observe(latency_ms)
-        good = (not bad) and self.within_deadline(rid, now_s)
-        if self.settle(rid, good=good) and not good:
+        """Settle a completion: good if clean and within its deadline."""
+        deadline = self._open.pop(rid, None)
+        if deadline is None:
+            return      # already settled (its deadline expired)
+        if not bad and now_s <= deadline + _EPS:
+            self._good_pending += 1
+        else:
+            self._bad_pending += 1
             self._rates["rate.slo_misses"].bump()
 
-    def note_timeout(self) -> None:
-        self._rates["rate.timeouts"].bump()
+    def note_launch(self, device: int, start_s: float,
+                    finish_s: float) -> None:
+        """A batch launch: add the device's last busy window into its
+        busy column, then keep ``[start_s, finish_s]`` as the last.
 
-    def note_retry(self) -> None:
-        self._rates["rate.retries"].bump()
+        Each interval the window overlaps gains the overlap, in launch
+        order; the column grows as far as the window reaches and
+        :meth:`_fill_utilization` clips it to the closed intervals.
+        """
+        starts, ends = self._last_start, self._last_end
+        lo, hi = starts[device], ends[device]
+        starts[device], ends[device] = start_s, finish_s
+        interval = self.config.interval_s
+        i = int(lo / interval)
+        left = i * interval
+        while left < hi:
+            overlap = min(hi, left + interval) - max(lo, left)
+            if overlap > 0.0:
+                busy = self._busy[device]
+                if i >= len(busy):
+                    busy.frombytes(bytes(8 * (i + 1 - len(busy))))
+                busy[i] += overlap
+            i += 1
+            left = i * interval
 
     def note_crash(self, device: int, now_s: float) -> None:
-        """Device down; truncate its last busy window (the refund).
+        """Device down: truncate its last busy window (the refund).
 
         Only the last window can still be running, and it is not folded
         into the busy column until the device's next launch (or
         :meth:`finish`), so the cut lands before it is counted.
         """
-        self._down.add(device)
-        self._gauges["devices.down"].set(len(self._down))
         if self._last_end[device] > now_s:
             self._last_end[device] = max(self._last_start[device], now_s)
-
-    def note_recover(self, device: int) -> None:
-        self._down.discard(device)
-        self._gauges["devices.down"].set(len(self._down))
-
-    def note_eject(self, device: int) -> None:
-        self._ejected.add(device)
-        self._gauges["devices.ejected"].set(len(self._ejected))
-
-    def note_readmit(self, device: int) -> None:
-        self._ejected.discard(device)
-        self._gauges["devices.ejected"].set(len(self._ejected))
 
     # -- LLM engine hooks ---------------------------------------------------
     def note_state(self, slots: int, kv_reserved: int,
@@ -445,34 +453,6 @@ class FleetMonitor:
 
     def note_tokens(self, count: int) -> None:
         self._rates["rate.tokens"].bump(count)
-
-    def note_ttft(self, ttft_s: float) -> None:
-        self._windows["ttft"].observe(ttft_s * 1e3)
-
-    def note_itl(self, itl_s: float) -> None:
-        self._windows["itl"].observe(itl_s * 1e3)
-
-    def _fold(self, device: int) -> None:
-        """Add the device's last busy window into its busy column.
-
-        Each interval the window overlaps gains the overlap, in launch
-        order; the column grows as far as the window reaches and
-        :meth:`_fill_utilization` clips it to the closed intervals.
-        """
-        start_s = self._last_start[device]
-        end_s = self._last_end[device]
-        interval = self.config.interval_s
-        busy = self._busy[device]
-        i = max(0, int(start_s / interval))
-        left = i * interval
-        while left < end_s:
-            overlap = min(end_s, left + interval) - max(start_s, left)
-            if overlap > 0.0:
-                if i >= len(busy):
-                    busy.frombytes(bytes(8 * (i + 1 - len(busy))))
-                busy[i] += overlap
-            i += 1
-            left = i * interval
 
     def _fill_utilization(self) -> None:
         """Per-device and fleet-mean utilization from the busy columns.
@@ -485,7 +465,7 @@ class FleetMonitor:
         n = self.engine.intervals
         per_device: List[List[float]] = []
         for device in range(self.devices):
-            self._fold(device)
+            self.note_launch(device, 0.0, 0.0)   # folds the last window
             series = [b / interval for b in self._busy[device][:n]]
             series.extend([0.0] * (n - len(series)))
             self.series[f"util.d{device}"].samples = series

@@ -218,7 +218,6 @@ class ScaledFleetSimulator:
         self.report = None
         #: ``repro-fleet-scale-report-v1`` payload of the last run.
         self.payload: Optional[Dict[str, Any]] = None
-        self.monitor = None
         self.monitor_payload: Optional[Dict[str, Any]] = None
         #: Request-lifecycle log (simulated time only, so deterministic).
         self.trace_log: List[Dict[str, Any]] = []
@@ -335,6 +334,8 @@ class ScaledFleetSimulator:
         offered = rejected = verify_rejected = failed = bad_done = 0
         queue_sum = queue_n = queue_max = 0
         batches_sum = batches_n = compiles = 0
+        # Full launches and compile-lost batches (launch-trigger mix).
+        full_launches = lost_batches = 0
         slo_met = 0
         # Heap pushes no other aggregate counts (serving.events.*).
         timers = timeouts_armed = recovers = 0
@@ -369,7 +370,7 @@ class ScaledFleetSimulator:
             [[0.0, None]] if c < start_cells else [] for c in range(ncell)]
         good_pending = bad_pending = 0
         boundary = 0
-        next_b = interval if auto_on else float("inf")
+        next_auto = interval if auto_on else float("inf")
         tl_t: List[float] = []
         tl_cells: List[int] = []
         tl_queue: List[int] = []
@@ -382,7 +383,6 @@ class ScaledFleetSimulator:
             from .monitor import FleetMonitor
             mon = FleetMonitor(self.monitor_config, ndev,
                                kind="llm" if llm else "fleet")
-        self.monitor = mon
         self.monitor_payload = None
         tracing = self.collect_trace
         trace_log: List[Dict[str, Any]] = []
@@ -390,6 +390,24 @@ class ScaledFleetSimulator:
 
         def log(kind: str, t_s: float, **extra) -> None:
             trace_log.append({"kind": kind, "t_s": t_s, **extra})
+
+        def mon_state() -> Dict[str, int]:
+            """The rate totals and gauge levels the monitor reads."""
+            state = {"rate.arrivals": offered, "rate.rejections": rejected,
+                     "rate.completions": len(latencies)}
+            if not llm:
+                short = policy.kind if launch_now else "deadline"
+                state.update({
+                    "rate.timeouts": tally["timeouts"],
+                    "rate.retries": tally["retries"],
+                    "rate.batches": batches_n,
+                    "rate.launch.full": full_launches,
+                    f"rate.launch.{short}":
+                        batches_n + lost_batches - full_launches,
+                    "queue.depth": queued_total,
+                    "devices.down": healthy.count(False),
+                    "devices.ejected": n_ejected})
+            return state
 
         def note_fault(kind: str, count: int = 1) -> None:
             faults[kind] = faults.get(kind, 0) + count
@@ -422,9 +440,11 @@ class ScaledFleetSimulator:
                 loc.append(0)
                 tries.append(0)
 
-        def follow_up(s: int, now: float) -> None:
+        def follow_up(s: int, now: float, shed: bool = False) -> None:
             """Closed-loop feedback: the next request enters as a slot
-            (slot ``s`` is handed over built from its columns)."""
+            (slot ``s`` is handed over built from its columns).  After a
+            ``shed``, one due at once waits for the next re-admission:
+            it would be shed again at the same instant, without end."""
             rid, client = rid_client(s)
             nxt = workload.on_complete(
                 Request(rid, models[arr_m[s]], arr_t[s], client), now)
@@ -434,7 +454,10 @@ class ScaledFleetSimulator:
             if m is None:
                 raise ValueError(f"workload model {nxt.model!r} "
                                  f"not in ServiceCosts")
-            intern(nxt.arrival_s, m, nxt.rid, nxt.client)
+            at = nxt.arrival_s
+            if shed and at <= now:
+                at = min(e[0] for e in heap if e[2] == _READMIT)
+            intern(at, m, nxt.rid, nxt.client)
 
         def reject(s: int, now: float, why: str) -> None:
             """Shed slot ``s`` at admission (``why`` names the gate)."""
@@ -446,9 +469,9 @@ class ScaledFleetSimulator:
             if tracing:
                 log(why, now, model=models[arr_m[s]])
             if mon is not None:
-                mon.note_reject(s, now)
+                mon.note_reject(s)
             if has_follow:
-                follow_up(s, now)
+                follow_up(s, now, why == "shed")
 
         def first_touch(dev: int, m: int, now: float) -> Optional[float]:
             """Compile + download time of a faulted first touch.
@@ -524,7 +547,7 @@ class ScaledFleetSimulator:
 
         def close_boundary(t_b: float) -> None:
             """One autoscale decision boundary at simulated ``t_b``."""
-            nonlocal good_pending, bad_pending, boundary, next_b
+            nonlocal good_pending, bad_pending, boundary, next_auto
             decision = ctrl.decide(t_b, good_pending, bad_pending,
                                    queued_total, len(active_list),
                                    len(active_list) * csize)
@@ -557,7 +580,7 @@ class ScaledFleetSimulator:
             tl_queue.append(queued_total)
             tl_burn.append(ctrl.engine.burn_rates(burn_rule)[0])
             boundary += 1
-            next_b = (boundary + 1) * interval
+            next_auto = (boundary + 1) * interval
 
         # -- LLM batch policies: one engine (device 0), token costs ------
         if llm:
@@ -583,7 +606,7 @@ class ScaledFleetSimulator:
                 trace_log.append({"kind": "reject", "rid": rid_of[s],
                                   "t_s": now})
             if mon is not None:
-                mon.note_reject(s, now)
+                mon.note_reject(s)
 
         def llm_done(s: int, now: float) -> None:
             nonlocal slo_met, tokens
@@ -593,7 +616,7 @@ class ScaledFleetSimulator:
                 slo_met += 1
             tokens += out_tok[s]
             if mon is not None:
-                mon.note_complete(s, now, lt * 1e3)
+                mon.note_complete(s, now)
             if tracing:
                 trace_log.append({"kind": "complete", "rid": rid_of[s],
                                   "t_s": now})
@@ -715,8 +738,6 @@ class ScaledFleetSimulator:
                     first = not emitted[s]
                     gap = now - (born[s] if first else last_tok[s])
                     (ttfts if first else itls).append(gap * 1e3)
-                    if mon is not None:
-                        (mon.note_ttft if first else mon.note_itl)(gap)
                     emitted[s] += 1
                     last_tok[s] = now
                     if emitted[s] >= out_tok[s]:
@@ -732,10 +753,6 @@ class ScaledFleetSimulator:
                 for m in members:
                     ttfts.append((first_s - born[m]) * 1e3)
                     itls.extend([step * 1e3] * (out_tok[m] - 1))
-                    if mon is not None:
-                        mon.note_ttft(first_s - born[m])
-                        for _ in range(out_tok[m] - 1):
-                            mon.note_itl(step)
                     llm_done(m, now)
             llm_dispatch(now)
 
@@ -754,7 +771,11 @@ class ScaledFleetSimulator:
                 for i in range(plan.burst.size):
                     intern(t_s, i % len(models), rid, -1)
                     rid -= 1
-        mon_advance = mon.advance if mon is not None else None
+        # The earliest monitor or autoscale boundary.
+        next_mon = mon.advance(0.0) if mon is not None else float("inf")
+        next_b = min(next_mon, next_auto)
+        mon_columns = ({"latency": latencies, "ttft": ttfts, "itl": itls}
+                       if llm else {"latency": latencies})
         # The hot loop's constants as locals (a local load is cheaper).
         ARRIVAL, RETRY, TIMER, FREE = _ARRIVAL, _RETRY, _TIMER, _FREE
         QUEUED, FLIGHT, DONE, EPS = _QUEUED, _FLIGHT, _DONE, _EPS
@@ -773,13 +794,14 @@ class ScaledFleetSimulator:
                 now, _, kind, s, batch = pop(heap)
             else:
                 break
-            if mon is not None:
-                # Close monitor intervals BEFORE applying the event, so
-                # each boundary samples the state as time passed it.
-                mon_advance(now)
             if now + EPS >= next_b:
-                while next_b <= now + EPS:
-                    close_boundary(next_b)
+                # Close boundaries BEFORE applying the event, so each
+                # samples the state as time passed it.
+                if now + EPS >= next_mon:
+                    next_mon = mon.advance(now, mon_columns, mon_state())
+                while next_auto <= now + EPS:
+                    close_boundary(next_auto)
+                next_b = next_mon if next_mon < next_auto else next_auto
             if kind <= RETRY:
                 # ---- arrival of slot s (a first attempt or a retry) ---
                 if llm:
@@ -901,8 +923,6 @@ class ScaledFleetSimulator:
                 q.append(s)
                 qlen[dev] += 1
                 queued_total += 1
-                if mon is not None:
-                    mon.note_queue(1)
                 if resilient:
                     loc[s] = dev
                     push(heap, (now + tmo[m], seq, _TIMEOUT, s, tries[s]))
@@ -954,8 +974,7 @@ class ScaledFleetSimulator:
                             follow_up(r, now)
                 if mon is not None:
                     for r in batch:
-                        mon.note_complete(r, now, (now - born[r]) * 1e3,
-                                          bad=bad)
+                        mon.note_complete(r, now, bad)
                 dev = s
                 q = dq[s]
             elif kind == _TIMEOUT:
@@ -969,8 +988,6 @@ class ScaledFleetSimulator:
                 if tracing:
                     model, rid = models[arr_m[s]], rid_client(s)[0]
                     log("timeout", now, device=dev, model=model, rid=rid)
-                if mon is not None:
-                    mon.note_timeout()
                 if breaker:
                     failures[dev] += 1
                     if admitted[dev] and \
@@ -980,8 +997,6 @@ class ScaledFleetSimulator:
                         cell_admitted[dev // csize] -= 1
                         ejects[dev] += 1
                         tally["devices_ejected"] += 1
-                        if mon is not None:
-                            mon.note_eject(dev)
                         cooldown_s = res.cooldown_s * (
                             res.cooldown_growth ** (ejects[dev] - 1))
                         if tracing:
@@ -999,8 +1014,6 @@ class ScaledFleetSimulator:
                     dq[dev].remove(s)
                     qlen[dev] -= 1
                     queued_total -= 1
-                    if mon is not None:
-                        mon.note_queue(-1)
                 tries[s] = attempt + 1
                 if attempt >= res.max_retries or tally["retries"] >= int(
                         res.retry_budget_fraction * offered):
@@ -1012,8 +1025,6 @@ class ScaledFleetSimulator:
                         log("retry-exhausted", now, model=model, rid=rid)
                     continue
                 tally["retries"] += 1
-                if mon is not None:
-                    mon.note_retry()
                 backoff_s = res.backoff_base_s * (2 ** attempt)
                 at = now + backoff_s
                 status[s] = _RETRYING
@@ -1056,8 +1067,6 @@ class ScaledFleetSimulator:
                 busy_until[s] = now
                 if tracing:
                     log("recover", now, device=s)
-                if mon is not None:
-                    mon.note_recover(s)
                 dev = s
                 q = dq[s]
             else:  # _READMIT
@@ -1069,8 +1078,6 @@ class ScaledFleetSimulator:
                     tally["devices_readmitted"] += 1
                     if tracing:
                         log("readmit", now, device=s)
-                    if mon is not None:
-                        mon.note_readmit(s)
                 continue
 
             # ---- the one dispatch site: may device ``dev`` (queue ``q``)
@@ -1099,11 +1106,8 @@ class ScaledFleetSimulator:
                 del q[:n]
                 qlen[dev] = lq - n
                 queued_total -= n
-                if mon is not None:
-                    mon.note_launch_reason(
-                        "full" if n >= limit else
-                        policy.kind if launch_now else "deadline")
-                    mon.note_queue(-n)
+                if n >= limit:
+                    full_launches += 1
                 service = fixed[hm] + var[hm] * n
                 resident = compiled[dev]
                 first = hm not in resident
@@ -1123,6 +1127,7 @@ class ScaledFleetSimulator:
                             for r in batch:
                                 status[r] = _FAILED
                             failed += n
+                            lost_batches += 1
                             if auto_on:
                                 bad_pending += n
                             continue
@@ -1151,7 +1156,7 @@ class ScaledFleetSimulator:
                 batches_sum += n
                 batches_n += 1
                 if mon is not None:
-                    mon.note_launch(dev, now, finish, n)
+                    mon.note_launch(dev, now, finish)
                 if tracing:
                     log("batch", now, device=dev, model=models[hm],
                         batch=n, start_s=now, finish_s=finish,
@@ -1170,6 +1175,10 @@ class ScaledFleetSimulator:
         failed += status.count(_QUEUED) + status.count(_FLIGHT)
         makespan = max(last_finish, workload.duration_s)
         horizon = makespan if makespan > 0 else 1.0
+        if mon is not None:
+            # The monitor reads the columns in event order: it finishes
+            # before the sorts.
+            mon.finish(makespan, mon_columns, mon_state())
         np.frombuffer(latencies).sort()   # in place, no boxed copy
         completed = len(latencies)
         # The outcome fields ServingReport and LLMServingReport share.
@@ -1188,7 +1197,6 @@ class ScaledFleetSimulator:
             slo_attainment=(slo_met / offered if offered else 0.0))
         if llm:
             if mon is not None:
-                mon.finish(makespan)
                 self.monitor_payload = mon.payload(context={
                     "config": costs.config, "scheduler": policy.kind,
                     "rate_rps": rate_rps, "duration_s": workload.duration_s})
@@ -1209,8 +1217,8 @@ class ScaledFleetSimulator:
             # Keep closing (empty) boundaries through the tail so the
             # trough after the last completion can still scale in/park
             # — that idle capacity release is exactly the cost win.
-            while next_b <= makespan + _EPS:
-                close_boundary(next_b)
+            while next_auto <= makespan + _EPS:
+                close_boundary(next_auto)
             for c in range(ncell):
                 for window in cost_windows[c]:
                     if window[1] is None:
@@ -1243,7 +1251,6 @@ class ScaledFleetSimulator:
             slo_ms={m: s * 1e3 for m, s in zip(models, slo)},
             **shared, **tally)
         if mon is not None:
-            mon.finish(makespan)
             self.monitor_payload = mon.payload(context={
                 "models": list(models),
                 "devices": ndev,

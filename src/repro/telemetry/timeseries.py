@@ -126,14 +126,6 @@ class StreamingHistogram:
         """Worst-case relative error of any in-range percentile."""
         return math.sqrt(self.growth) - 1.0
 
-    def _bin(self, value: float) -> int:
-        if value <= self.lo:
-            return 0
-        if value >= self.hi:
-            return self.n_bins - 1
-        b = 1 + int(math.log(value / self.lo) / self._log_growth)
-        return min(b, self.n_bins - 2)
-
     def _representative(self, b: int) -> float:
         if b <= 0:
             return self.lo
@@ -143,10 +135,23 @@ class StreamingHistogram:
         return math.sqrt(low * (low * self.growth))
 
     def observe(self, value: float, n: int = 1) -> None:
-        """Add ``n`` samples of ``value`` (O(1), no allocation when hot)."""
-        b = self._bin(value)
-        self.counts[b] = self.counts.get(b, 0) + n
-        self.count += n
+        """Add ``n`` samples of ``value`` (O(1))."""
+        self.observe_all((value,), n)
+
+    def observe_all(self, values: Sequence[float], n: int = 1) -> None:
+        """Add ``n`` samples of each of ``values``."""
+        lo, hi, log_growth = self.lo, self.hi, self._log_growth
+        top = self.n_bins - 2          # the last geometric bin
+        counts = self.counts
+        for value in values:
+            if value <= lo:
+                b = 0
+            elif value >= hi:
+                b = top + 1
+            else:
+                b = min(1 + int(math.log(value / lo) / log_growth), top)
+            counts[b] = counts.get(b, 0) + n
+        self.count += n * len(values)
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold another histogram's counts into this one (same binning)."""
@@ -204,6 +209,10 @@ class SlidingWindowHistogram:
         """Record a sample into the interval currently being filled."""
         self._live.observe(value, n)
 
+    def observe_all(self, values: Sequence[float]) -> None:
+        """Record a sample of each of ``values`` into the live interval."""
+        self._live.observe_all(values)
+
     def roll(self) -> None:
         """Close the current interval and start the next one."""
         self._closed.append(self._live)
@@ -246,9 +255,6 @@ class GaugeSampler:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
     def sample(self, interval_s: float) -> float:
         """The level at the boundary (``interval_s`` is ignored)."""

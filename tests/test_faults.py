@@ -14,6 +14,7 @@ Four layers under test, each with hand-computable scenarios:
   reports and the ``repro-chaos-report-v1`` schema validator.
 """
 
+import hashlib
 import json
 import zlib
 
@@ -33,6 +34,7 @@ from repro.faults import (
     default_plan,
     validate_chaos_report,
 )
+from repro.runtime import knobs
 from repro.schema import report_json
 from repro.serving import (
     AdmissionPolicy,
@@ -201,6 +203,33 @@ def test_injector_draw_rates_track_probability():
     assert not quiet.flaky_compile(0, "m", 0)
     assert not quiet.tile_fault(0, "m", 0)
     assert not quiet.corrupt_download(0, "m", 0)
+
+
+def _reference_draw(base, *labels):
+    """The per-event draw as first defined: sha256 of the whole repr."""
+    digest = hashlib.sha256(repr((base, labels)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)
+
+
+def test_injector_draws_match_the_reference_formula():
+    # The injector hashes a cached prefix per (kind, device, model); the
+    # draws must equal the full-repr formula bit for bit.
+    plan = FaultPlan(name="ref", flaky_compile=FlakyCompileSpec(p=0.5),
+                     corrupt=CorruptSpec(p_per_download=0.5,
+                                         detection_rate=0.5),
+                     tile_fault=TileFaultSpec(p_per_batch=0.5))
+    inj = FaultInjector(plan, devices=64, duration_s=20.0)
+    base = (knobs.get("REPRO_SEED"), plan.stream, plan.name, 64, 20.0)
+    draws = {"flaky": inj.flaky_compile, "corrupt": inj.corrupt_download,
+             "detect": inj.corruption_detected, "tile": inj.tile_fault}
+    models = ("bert", "it's", 'say "hi"', "modèle-ü", "模型")
+    for kind, decide in draws.items():
+        for device in range(64):
+            for model in models:
+                for value in (0, 1, 10 ** 6):
+                    want = _reference_draw(base, kind, device, model, value)
+                    assert inj._uniform(kind, device, model, value) == want
+                    assert decide(device, model, value) == (want < 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,7 @@ def test_sliding_window_forgets_old_intervals():
 
 def test_gauge_and_rate_sampler_semantics():
     gauge = GaugeSampler()
-    gauge.set(7)
-    gauge.add(-2)
+    gauge.set(5)
     assert gauge.sample(0.1) == 5.0
     assert gauge.sample(0.1) == 5.0   # levels persist across intervals
     rate = RateSampler()
@@ -362,7 +361,9 @@ def _drive_utilization(devices, events, horizon_s, interval_s=0.1):
     """Feed ``events`` to the monitor hooks; return (monitor, reference).
 
     Events are ``("launch", t, device, finish)``, ``("crash", t,
-    device)`` and ``("recover", t, device)`` in time order.
+    device)`` and ``("recover", t, device)`` in time order.  A recovery
+    has no hook: it changes no busy window, and the monitor reads the
+    devices-down level from the core at boundaries.
     """
     from repro.serving.monitor import FleetMonitor
     mon = FleetMonitor(MonitorConfig(interval_s=interval_s), devices)
@@ -370,15 +371,13 @@ def _drive_utilization(devices, events, horizon_s, interval_s=0.1):
     for kind, t_s, device, *rest in events:
         mon.advance(t_s)
         if kind == "launch":
-            mon.note_launch(device, t_s, rest[0], 1)
+            mon.note_launch(device, t_s, rest[0])
             windows[device].append([t_s, rest[0]])
         elif kind == "crash":
             mon.note_crash(device, t_s)
             last = windows[device][-1] if windows[device] else None
             if last is not None and last[1] > t_s:
                 last[1] = max(last[0], t_s)
-        else:
-            mon.note_recover(device)
     mon.finish(horizon_s)
     got = {name: ts.samples for name, ts in mon.series.items()
            if name.startswith("util.")}
@@ -442,6 +441,65 @@ def test_folded_busy_windows_match_the_all_windows_loop(case):
         assert len(samples) == len(got[name]) > 0
         assert got[name] == samples, name
     assert any(any(s) for s in got.values())
+
+
+def _counted(payload, name):
+    """Events behind a rate series: the sum of rate x interval."""
+    interval_s = payload["interval_s"]
+    return sum(round(rate * interval_s)
+               for rate in payload["series"][name]["samples"])
+
+
+def test_pulled_rates_match_the_core_on_a_faulted_resilient_run():
+    from repro.faults import (CorruptSpec, CrashSpec, FaultPlan,
+                              FlakyCompileSpec, TileFaultSpec)
+    from repro.telemetry import scoped_telemetry
+    plan = FaultPlan(
+        name="pull", crash=CrashSpec(p_per_device_s=0.2, outage_s=0.5,
+                                     at=((0, 0.4),)),
+        tile_fault=TileFaultSpec(p_per_batch=0.05),
+        corrupt=CorruptSpec(p_per_download=0.2),
+        flaky_compile=FlakyCompileSpec(p=0.5))
+    sim = FleetSimulator(toy_costs(latency_s=0.004, models=("a", "b")),
+                         devices=4, routing="round_robin",
+                         batch_policy=BatchPolicy(max_batch=4),
+                         fault_plan=plan, collect_trace=True,
+                         resilience=ResiliencePolicy(max_retries=1),
+                         monitor_config=MonitorConfig())
+    with scoped_telemetry() as tel:
+        report = sim.run(OpenLoopPoisson(("a", "b"), 600.0, 2.0))
+    launched = tel.snapshot()["counters"]["serving.batches.launched"]
+    lost = sum(e["kind"] == "compile-fail" for e in sim.trace_log)
+    assert report.timeouts and report.retries and lost
+    payload = sim.monitor_payload
+    assert validate_monitor_report(payload) == []
+    for name, count in (("arrivals", report.offered),
+                        ("completions", report.completed),
+                        ("rejections", report.rejected),
+                        ("timeouts", report.timeouts),
+                        ("retries", report.retries),
+                        ("batches", launched)):
+        assert _counted(payload, f"rate.{name}") == count, name
+    reasons = [_counted(payload, f"rate.launch.{reason}")
+               for reason in ("full", "deadline", "greedy", "single")]
+    assert reasons[0] and reasons[1]
+    assert sum(reasons) == launched + lost
+    assert payload["slo"]["total"] == report.offered
+
+
+@pytest.mark.parametrize("scheduler", ["continuous", "oneshot"])
+def test_pulled_rates_match_the_core_on_an_llm_run(scheduler):
+    costs = LLMServiceCosts.resolve("gpt2_rms")
+    requests = llm_poisson_requests(8.0, 4.0, (8, 32), (8, 32), 0)
+    report, payload = _llm_run(costs, requests, 4.0, scheduler=scheduler,
+                               monitor_config=MonitorConfig())
+    assert report.completed
+    for name, count in (("arrivals", report.offered),
+                        ("completions", report.completed),
+                        ("rejections", report.rejected),
+                        ("tokens", report.tokens_generated)):
+        assert _counted(payload, f"rate.{name}") == count, name
+    assert payload["slo"]["total"] == report.offered
 
 
 def test_monitor_counter_events_are_a_valid_trace():

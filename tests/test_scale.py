@@ -178,6 +178,49 @@ def test_all_cells_ejected_sheds():
                               + report.failed)
 
 
+class _CountedClosedLoop(ClosedLoop):
+    """A closed loop that fails, instead of spinning, past ``cap``
+    follow-ups."""
+
+    def __init__(self, *args, cap, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cap = cap
+        self.calls = 0
+
+    def on_complete(self, request, finish_s):
+        self.calls += 1
+        assert self.calls <= self.cap, f"no progress at t={finish_s}"
+        return super().on_complete(request, finish_s)
+
+
+@pytest.mark.parametrize("clients, crash", [
+    # Every device crashes at once.
+    (8, CrashSpec(outage_s=0.5, at=tuple((d, 0.3) for d in range(4)))),
+    # Timeouts around one scheduled crash and a hazard eject them all.
+    (64, CrashSpec(p_per_device_s=0.05, outage_s=0.5, at=((0, 0.5),))),
+], ids=["all-crash", "hazard"])
+def test_a_closed_loop_without_think_time_outlasts_a_full_eject(clients,
+                                                                crash):
+    # With think_s=0, a client shed while the breaker has ejected every
+    # device issues its next request at the same instant; it waits for
+    # the next re-admission instead of being shed again without end.
+    costs = toy_costs(latency_s=0.004, compile_s=0.0, models=MODELS)
+    plan = FaultPlan(name="mem", crash=crash,
+                     tile_fault=TileFaultSpec(p_per_batch=0.02),
+                     corrupt=CorruptSpec(p_per_download=0.05),
+                     flaky_compile=FlakyCompileSpec(p=0.05))
+    workload = _CountedClosedLoop(MODELS, clients, 1.0, cap=20_000)
+    sim = FleetSimulator(costs, devices=4, routing="round_robin",
+                         collect_trace=True, fault_plan=plan,
+                         resilience=ResiliencePolicy(),
+                         monitor_config=MonitorConfig())
+    report = sim.run(workload)
+    assert any(e["kind"] == "shed" for e in sim.trace_log)
+    assert report.devices_ejected >= 4
+    assert report.offered == (report.completed + report.rejected
+                              + report.failed)
+    assert sim.monitor_payload["slo"]["total"] == report.offered
+
 # ---------------------------------------------------------------------------
 # Constructor surface
 # ---------------------------------------------------------------------------
