@@ -94,22 +94,23 @@ def _sim_seconds(point, runs=5):
     return best
 
 
-def _serve_seconds(monitored, runs=2):
-    """Warm wall time of a ``repro serve`` subprocess (min over runs)."""
+def _serve_seconds(runs=5):
+    """Warm wall time of a ``repro serve`` subprocess, plain and
+    monitored (min over alternating runs, so host drift hits both)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["REPRO_SEED"] = SEED
     env.pop("REPRO_MONITOR", None)
     command = [sys.executable, "-m", "repro", "serve", "--model", "bert",
                "--devices", "6", "--rate", "120", "--duration", "20"]
-    if monitored:
-        command.append("--monitor")
-    best = float("inf")
+    best = {}
     for _ in range(runs):
-        start = time.perf_counter()
-        subprocess.run(command, capture_output=True, env=env,
-                       cwd=REPO_ROOT, check=True)
-        best = min(best, time.perf_counter() - start)
+        for name, extra in (("plain", []), ("monitored", ["--monitor"])):
+            start = time.perf_counter()
+            subprocess.run(command + extra, capture_output=True, env=env,
+                           cwd=REPO_ROOT, check=True)
+            elapsed = time.perf_counter() - start
+            best[name] = min(best.get(name, elapsed), elapsed)
     return best
 
 
@@ -180,8 +181,8 @@ def test_crash_detection_quiet_controls_and_overhead(benchmark,
     assert json.dumps(forked, sort_keys=True) == serial_json
 
     # -- observational overhead at the serve-command level -------------
-    plain_s = _serve_seconds(monitored=False)
-    monitored_s = _serve_seconds(monitored=True)
+    serve_s = _serve_seconds()
+    plain_s, monitored_s = serve_s["plain"], serve_s["monitored"]
     overhead = monitored_s / plain_s - 1.0
     sim_s = _sim_seconds(_chaos_point(zoo_point.costs))
     # Same discipline (and slack) as the telemetry gate: the bar is

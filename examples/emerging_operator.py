@@ -48,7 +48,7 @@ def register_hardswish() -> None:
     TEMPLATES["HardSwish"] = TEMPLATES["Relu"]
     # Reference semantics: execute the same recipe with numpy.
     _Ref._op_hardswish = lambda self, node, values: run_recipe(
-        hardswish_recipe(self.frac_bits), values[node.inputs[0]])
+        hardswish_recipe(), values[node.inputs[0]])
 
 
 def main() -> None:

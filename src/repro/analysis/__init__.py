@@ -16,13 +16,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "operator_diversity",
     ),
     "overheads": ("OverheadResult", "average_overheads", "overhead_analysis"),
-    "roofline": ("RooflinePoint", "ridge_point"),
+    "roofline_points": ("RooflinePoint", "ridge_point", "roofline"),
     "utilization": ("UtilizationComparison", "utilization_comparison"),
 })
-
-# ``roofline`` names both a submodule and its function.  Importing the
-# submodule binds the module here, so the function is bound eagerly.
-from .roofline import roofline  # noqa: E402
 
 __all__ = [
     "DesignPoint",

@@ -200,6 +200,18 @@ def run_recipe(steps: List[Step], x):
     return result
 
 
+def _inline(steps: List[Step], prefix: str, x: str) -> List[Step]:
+    """Re-target a nested recipe: its input ``"x"`` reads ``x`` and
+    every intermediate (and its ``out``) gets ``prefix``, so the names
+    do not collide with the enclosing recipe's."""
+    def ref(name):
+        if not isinstance(name, str):
+            return name
+        return x if name == "x" else prefix + name
+    return [Step(step.func, prefix + step.out, ref(step.a), ref(step.b))
+            for step in steps]
+
+
 # ---------------------------------------------------------------------------
 # Recipes for each complex operator.
 # ---------------------------------------------------------------------------
@@ -261,29 +273,17 @@ def gelu_recipe(frac_bits: int = FRAC_BITS) -> List[Step]:
     """
     one = 1 << frac_bits
     inv_sqrt2 = int(round(one / math.sqrt(2)))
-    erf = erf_recipe(frac_bits)
     steps = [
         Step("mul", "y0", "x", inv_sqrt2),
         Step("rshift", "y", "y0", frac_bits),
     ]
-    # Re-target the erf recipe to read "y" instead of "x".
-    for step in erf:
-        a = "y" if step.a == "x" else step.a
-        b = "y" if step.b == "x" else step.b
-        steps.append(Step(step.func, f"g_{step.out}", _pfx(a), _pfx(b)))
+    steps += _inline(erf_recipe(frac_bits), "g_", "y")
     steps += [
         Step("add", "h", "g_out", one),
         Step("mul", "xh", "h", "x"),
         Step("rshift", "out", "xh", frac_bits + 1),
     ]
     return steps
-
-
-def _pfx(ref):
-    """Prefix intermediate names so nested recipes do not collide."""
-    if isinstance(ref, str) and ref not in ("x", "y"):
-        return f"g_{ref}"
-    return ref
 
 
 def sigmoid_recipe(frac_bits: int = FRAC_BITS) -> List[Step]:
@@ -298,10 +298,7 @@ def sigmoid_recipe(frac_bits: int = FRAC_BITS) -> List[Step]:
         Step("abs", "ax", "x"),
         Step("neg", "nax", "ax"),
     ]
-    for step in exp_recipe(frac_bits):
-        a = "nax" if step.a == "x" else step.a
-        b = "nax" if step.b == "x" else step.b
-        steps.append(Step(step.func, f"e_{step.out}", _epfx(a), _epfx(b)))
+    steps += _inline(exp_recipe(frac_bits), "e_", "nax")
     steps += [
         Step("add", "den", "e_out", one),              # 1 + p
         Step("lshift", "num", "e_out", frac_bits),
@@ -316,50 +313,24 @@ def sigmoid_recipe(frac_bits: int = FRAC_BITS) -> List[Step]:
     return steps
 
 
-def _epfx(ref):
-    if isinstance(ref, str) and ref not in ("x", "nax"):
-        return f"e_{ref}"
-    return ref
-
-
 def silu_recipe(frac_bits: int = FRAC_BITS) -> List[Step]:
     """SiLU(x) = x * sigma(x) — the gate activation inside SwiGLU."""
-    steps = []
-    for step in sigmoid_recipe(frac_bits):
-        steps.append(Step(step.func, f"s_{step.out}", _spfx(step.a),
-                          _spfx(step.b)))
-    steps += [
+    return _inline(sigmoid_recipe(frac_bits), "s_", "x") + [
         Step("mul", "xs", "s_out", "x"),
         Step("rshift", "out", "xs", frac_bits),
     ]
-    return steps
-
-
-def _spfx(ref):
-    if isinstance(ref, str) and ref != "x":
-        return f"s_{ref}"
-    return ref
 
 
 def tanh_recipe(frac_bits: int = FRAC_BITS) -> List[Step]:
     """tanh(x) = 2 * sigma(2x) - 1."""
     one = 1 << frac_bits
     steps = [Step("lshift", "x2", "x", 1)]
-    for step in sigmoid_recipe(frac_bits):
-        a = "x2" if step.a == "x" else step.a
-        b = "x2" if step.b == "x" else step.b
-        steps.append(Step(step.func, f"t_{step.out}", _tpfx(a), _tpfx(b)))
+    steps += _inline(sigmoid_recipe(frac_bits), "t_", "x2")
     steps += [
         Step("lshift", "sig2", "t_out", 1),
         Step("sub", "out", "sig2", one),
     ]
     return steps
-
-
-def _tpfx(ref):
-    if isinstance(ref, str) and ref not in ("x", "x2"):
-        return f"t_{ref}"
-    return ref
 
 
 def sqrt_recipe(frac_bits: int = FRAC_BITS, iterations: int = 16) -> List[Step]:
@@ -483,11 +454,6 @@ def i_gelu(x, frac_bits: int = FRAC_BITS):
 def i_sigmoid(x, frac_bits: int = FRAC_BITS):
     """Integer-only sigmoid via i_exp."""
     return run_recipe(sigmoid_recipe(frac_bits), x)
-
-
-def i_silu(x, frac_bits: int = FRAC_BITS):
-    """Integer-only SiLU (x * sigmoid(x)) via i_sigmoid."""
-    return run_recipe(silu_recipe(frac_bits), x)
 
 
 def i_tanh(x, frac_bits: int = FRAC_BITS):

@@ -23,7 +23,7 @@ from ..isa import (
     Opcode,
 )
 from ..simulator.params import TandemParams
-from .integer_ops import FRAC_BITS, Step
+from .integer_ops import Step
 
 
 class CompileError(RuntimeError):
@@ -142,7 +142,6 @@ class TileContext:
     def __init__(self, params: TandemParams, strict: bool = True,
                  special_functions: bool = False):
         self.params = params
-        self.frac_bits = FRAC_BITS
         #: VPU emulation: complex math executes as one special-function
         #: instruction instead of an integer-primitive sequence
         #: (cost-model only; the Tandem Processor has no such hardware).

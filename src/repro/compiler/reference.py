@@ -48,9 +48,8 @@ def _saturate(x: np.ndarray, bits: int) -> np.ndarray:
 class ReferenceExecutor:
     """Executes a graph on integer tensors with the compiler's semantics."""
 
-    def __init__(self, graph: Graph, frac_bits: int = FRAC_BITS):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.frac_bits = frac_bits
 
     def run(self, bindings: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """``bindings`` must cover graph inputs and all parameters."""
@@ -71,7 +70,7 @@ class ReferenceExecutor:
         if handler is not None:
             return handler(node, values)
         if op in UNARY_RECIPES:
-            return run_recipe(UNARY_RECIPES[op](self.frac_bits), x)
+            return run_recipe(UNARY_RECIPES[op](), x)
         raise NotImplementedError(f"reference semantics missing for {op}")
 
     # -- GEMM class -------------------------------------------------------------
@@ -152,7 +151,7 @@ class ReferenceExecutor:
 
     def _op_pow(self, node, values):
         x = values[node.inputs[0]]
-        return run_recipe(square_recipe(self.frac_bits), x)
+        return run_recipe(square_recipe(), x)
 
     def _op_abs(self, node, values):
         return np.abs(values[node.inputs[0]])
@@ -161,21 +160,21 @@ class ReferenceExecutor:
         return np.sign(values[node.inputs[0]]).astype(np.int64)
 
     def _op_floor(self, node, values):
-        return run_recipe(floor_recipe(self.frac_bits), values[node.inputs[0]])
+        return run_recipe(floor_recipe(), values[node.inputs[0]])
 
     def _op_ceil(self, node, values):
-        return run_recipe(ceil_recipe(self.frac_bits), values[node.inputs[0]])
+        return run_recipe(ceil_recipe(), values[node.inputs[0]])
 
     # -- activations --------------------------------------------------------------
     def _op_relu(self, node, values):
         return np.maximum(values[node.inputs[0]], 0)
 
     def _op_leakyrelu(self, node, values):
-        steps = leaky_relu_recipe(node.attr("alpha", 0.01), self.frac_bits)
+        steps = leaky_relu_recipe(node.attr("alpha", 0.01))
         return run_recipe(steps, values[node.inputs[0]])
 
     def _op_clip(self, node, values):
-        one = 1 << self.frac_bits
+        one = 1 << FRAC_BITS
         lo = int(round(node.attr("min", 0.0) * one))
         hi = int(round(node.attr("max", 6.0) * one))
         return run_recipe(clip_recipe(lo, hi), values[node.inputs[0]])
@@ -188,22 +187,22 @@ class ReferenceExecutor:
         # The row-max subtraction goes through the 32-bit ALU datapath,
         # so it wraps exactly like the machine (visible only on
         # saturated inputs, e.g. after a divide-by-zero upstream).
-        e = i_exp(v_sub(x, m), self.frac_bits)
+        e = i_exp(v_sub(x, m))
         s = e.sum(axis=-1, keepdims=True)
-        return v_div(v_lshift(e, self.frac_bits), s)
+        return v_div(v_lshift(e, FRAC_BITS), s)
 
     def _op_swiglu(self, node, values):
         gate, up = self._two_operands(node, values)
-        s = run_recipe(silu_recipe(self.frac_bits), gate)
-        return v_rshift(v_mul(s, up), self.frac_bits)
+        s = run_recipe(silu_recipe(), gate)
+        return v_rshift(v_mul(s, up), FRAC_BITS)
 
     def _op_rope(self, node, values):
         x = values[node.inputs[0]]
         cos = values[node.params[0]]
         sin = values[node.params[1]]
         xe, xo = x[..., 0::2], x[..., 1::2]
-        oe = v_rshift(v_sub(v_mul(xe, cos), v_mul(xo, sin)), self.frac_bits)
-        oo = v_rshift(v_add(v_mul(xe, sin), v_mul(xo, cos)), self.frac_bits)
+        oe = v_rshift(v_sub(v_mul(xe, cos), v_mul(xo, sin)), FRAC_BITS)
+        oo = v_rshift(v_add(v_mul(xe, sin), v_mul(xo, cos)), FRAC_BITS)
         out = np.empty_like(x)
         out[..., 0::2] = oe
         out[..., 1::2] = oo
@@ -214,25 +213,25 @@ class ReferenceExecutor:
         gamma = values[node.params[0]]
         # Per-element >> f before accumulation, exactly like the nest
         # (keeps the running sum in 32 bits for wide hidden dims).
-        sq = v_rshift(v_mul(x, x), self.frac_bits)
+        sq = v_rshift(v_mul(x, x), FRAC_BITS)
         total = w32(sq.sum(axis=-1, keepdims=True))
         mean = v_add(v_div(total, x.shape[-1]), 1)
-        rms = i_sqrt(mean, self.frac_bits)
-        t = v_div(v_lshift(x, self.frac_bits), rms)
-        return v_rshift(v_mul(t, gamma), self.frac_bits)
+        rms = i_sqrt(mean)
+        t = v_div(v_lshift(x, FRAC_BITS), rms)
+        return v_rshift(v_mul(t, gamma), FRAC_BITS)
 
     def _op_causalsoftmax(self, node, values):
         x = values[node.inputs[0]]
         offset = node.attr("offset", 0)
-        mask = -(1 << (self.frac_bits + CAUSAL_MASK_SHIFT))
+        mask = -(1 << (FRAC_BITS + CAUSAL_MASK_SHIFT))
         q_len, cols = x.shape[-2], x.shape[-1]
         invisible = (np.arange(cols)[None, :]
                      > np.arange(q_len)[:, None] + offset)
         x = np.where(invisible, mask, x)
         m = x.max(axis=-1, keepdims=True)
-        e = i_exp(v_sub(x, m), self.frac_bits)
+        e = i_exp(v_sub(x, m))
         s = e.sum(axis=-1, keepdims=True)
-        return v_div(v_lshift(e, self.frac_bits), s)
+        return v_div(v_lshift(e, FRAC_BITS), s)
 
     def _op_reducemean(self, node, values):
         x = values[node.inputs[0]]

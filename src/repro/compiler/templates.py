@@ -188,20 +188,20 @@ def t_where(ctx, node, graph, tiles):
 def _unary_recipe_steps(ctx: TileContext, node: Node) -> List[Step]:
     op = node.op_type
     if op in UNARY_RECIPES:
-        return UNARY_RECIPES[op](ctx.frac_bits)
+        return UNARY_RECIPES[op]()
     if op == "Relu":
         return relu_recipe()
     if op == "LeakyRelu":
-        return leaky_relu_recipe(node.attr("alpha", 0.01), ctx.frac_bits)
+        return leaky_relu_recipe(node.attr("alpha", 0.01))
     if op == "Clip":
-        one = 1 << ctx.frac_bits
+        one = 1 << FRAC_BITS
         lo = int(round(node.attr("min", 0.0) * one))
         hi = int(round(node.attr("max", 6.0) * one))
         return clip_recipe(lo, hi)
     if op == "Floor":
-        return floor_recipe(ctx.frac_bits)
+        return floor_recipe()
     if op == "Ceil":
-        return ceil_recipe(ctx.frac_bits)
+        return ceil_recipe()
     if op == "Abs":
         return abs_recipe()
     if op == "Sign":
@@ -210,7 +210,7 @@ def _unary_recipe_steps(ctx: TileContext, node: Node) -> List[Step]:
         exponent = node.attr("exponent", 2.0)
         if abs(exponent - 2.0) > 1e-9:
             raise CompileError(f"Pow exponent {exponent} unsupported")
-        return square_recipe(ctx.frac_bits)
+        return square_recipe()
     raise CompileError(f"no unary recipe for {op!r}")
 
 
@@ -286,7 +286,7 @@ def t_softmax(ctx, node, graph, tiles):
     if ctx.special_functions:
         body.append(Stmt(Opcode.ALU, int(AluFunc.MOVE), e_ref, t_ref))
     else:
-        body += recipe_body(ctx, exp_recipe(ctx.frac_bits), t_ref, e_ref,
+        body += recipe_body(ctx, exp_recipe(), t_ref, e_ref,
                             loops, rows_t * cols, temp_strides={"r": 1},
                             temp_elements=rows_t)
     ctx.nest(loops, body)
@@ -300,7 +300,7 @@ def t_softmax(ctx, node, graph, tiles):
     u_ref = TRef(u_ns, u_base, {"r": 1})
     ctx.nest([("c", cols), ("r", rows_t)], [
         Stmt(Opcode.ALU, int(AluFunc.LSHIFT), u_ref, e_ref,
-             ctx.imm(ctx.frac_bits)),
+             ctx.imm(FRAC_BITS)),
         Stmt(Opcode.ALU, int(AluFunc.DIV), out_ref, u_ref, s_ref),
     ])
 
@@ -317,12 +317,12 @@ def t_swiglu(ctx, node, graph, tiles):
     if ctx.special_functions:
         body = [Stmt(Opcode.ALU, int(AluFunc.MOVE), s_ref, gate_ref)]
     else:
-        body = recipe_body(ctx, silu_recipe(ctx.frac_bits), gate_ref, s_ref,
+        body = recipe_body(ctx, silu_recipe(), gate_ref, s_ref,
                            loops, tile_points)
     body += [
         Stmt(Opcode.ALU, int(AluFunc.MUL), s_ref, s_ref, up_ref),
         Stmt(Opcode.ALU, int(AluFunc.RSHIFT), out_ref, s_ref,
-             ctx.imm(ctx.frac_bits)),
+             ctx.imm(FRAC_BITS)),
     ]
     ctx.nest(loops, body)
 
@@ -340,7 +340,7 @@ def t_rope(ctx, node, graph, tiles):
     seq, hd = shape[-2], shape[-1]
     half = node.attr("half", hd // 2)
     lead = prod(shape) // (seq * hd)
-    f = ctx.imm(ctx.frac_bits)
+    f = ctx.imm(FRAC_BITS)
     if tiles == 1:
         x = ctx.source(node.inputs[0], (lead, seq, hd))
         out = ctx.dest(node.outputs[0], (lead, seq, hd))
@@ -403,7 +403,7 @@ def t_rmsnorm(ctx, node, graph, tiles):
     ctx.nest([("c", cols), ("r", rows_t)], [
         Stmt(Opcode.ALU, int(AluFunc.MUL), sq_ref, x_ref, x_ref),
         Stmt(Opcode.ALU, int(AluFunc.RSHIFT), sq_ref, sq_ref,
-             ctx.imm(ctx.frac_bits)),
+             ctx.imm(FRAC_BITS)),
     ])
     # 2. Row accumulation and mean (+1 ULP so all-zero rows stay finite).
     acc_ns, acc_base = ctx.alloc(rows_t)
@@ -423,18 +423,18 @@ def t_rmsnorm(ctx, node, graph, tiles):
     if ctx.special_functions:
         ctx.nest(loops, [Stmt(Opcode.ALU, int(AluFunc.MOVE), d_ref, acc_ref)])
     else:
-        ctx.nest(loops, recipe_body(ctx, sqrt_recipe(ctx.frac_bits),
+        ctx.nest(loops, recipe_body(ctx, sqrt_recipe(),
                                     acc_ref, d_ref, loops, rows_t))
     # 4. out = (((x << f) / rms) * gamma) >> f.
     t_ns, t_base = ctx.alloc(rows_t)
     t_ref = TRef(t_ns, t_base, {"r": 1})
     ctx.nest([("c", cols), ("r", rows_t)], [
         Stmt(Opcode.ALU, int(AluFunc.LSHIFT), t_ref, x_ref,
-             ctx.imm(ctx.frac_bits)),
+             ctx.imm(FRAC_BITS)),
         Stmt(Opcode.ALU, int(AluFunc.DIV), t_ref, t_ref, d_ref),
         Stmt(Opcode.ALU, int(AluFunc.MUL), t_ref, t_ref, g_ref),
         Stmt(Opcode.ALU, int(AluFunc.RSHIFT), out_ref, t_ref,
-             ctx.imm(ctx.frac_bits)),
+             ctx.imm(FRAC_BITS)),
     ])
 
 
@@ -453,7 +453,7 @@ def t_causal_softmax(ctx, node, graph, tiles):
     rows = prod(shape) // cols
     rows_t = _split(rows, tiles)
     offset = node.attr("offset", 0)
-    mask = -(1 << (ctx.frac_bits + CAUSAL_MASK_SHIFT))
+    mask = -(1 << (FRAC_BITS + CAUSAL_MASK_SHIFT))
     x = ctx.source(node.inputs[0], (rows_t, cols), layout=(1, 0))
     out = ctx.dest(node.outputs[0], (rows_t, cols), layout=(1, 0))
     x_ref = view_ref(x, ("c", "r"), {"c": rows_t, "r": 1})
@@ -504,7 +504,7 @@ def t_causal_softmax(ctx, node, graph, tiles):
     if ctx.special_functions:
         body.append(Stmt(Opcode.ALU, int(AluFunc.MOVE), e_ref, t_ref))
     else:
-        body += recipe_body(ctx, exp_recipe(ctx.frac_bits), t_ref, e_ref,
+        body += recipe_body(ctx, exp_recipe(), t_ref, e_ref,
                             loops, rows_t * cols, temp_strides={"r": 1},
                             temp_elements=rows_t)
     ctx.nest(loops, body)
@@ -518,7 +518,7 @@ def t_causal_softmax(ctx, node, graph, tiles):
     u_ref = TRef(u_ns, u_base, {"r": 1})
     ctx.nest([("c", cols), ("r", rows_t)], [
         Stmt(Opcode.ALU, int(AluFunc.LSHIFT), u_ref, e_ref,
-             ctx.imm(ctx.frac_bits)),
+             ctx.imm(FRAC_BITS)),
         Stmt(Opcode.ALU, int(AluFunc.DIV), out_ref, u_ref, s_ref),
     ])
 

@@ -21,8 +21,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "chaos_table", "validate_chaos_report",
     ),
     "corrupt": (
-        "CORRUPTION_KINDS", "corrupt_word", "corrupt_words",
-        "measured_detection_rate", "model_sites", "word_sites",
+        "CORRUPTION_KINDS", "corrupt_word", "model_sites", "word_sites",
     ),
     "injector": ("FAULT_KINDS", "FaultInjector"),
     "plan": (
@@ -48,9 +47,7 @@ __all__ = [
     "chaos_report",
     "chaos_table",
     "corrupt_word",
-    "corrupt_words",
     "default_plan",
-    "measured_detection_rate",
     "model_sites",
     "validate_chaos_report",
     "word_sites",

@@ -4,9 +4,7 @@ The mutation machinery the verifier fuzz suite uses to prove its catch
 rate (``tests/test_verifier_fuzz.py``) doubles as the fault model for
 corrupted program downloads: a bit-flipped stride, trip count, Code
 Repeater body size, or namespace id — the same classes of damage a
-flaky PCIe link or a buggy lowering pass produces. This module hosts
-that machinery so the fuzz suite, the fault injector, and the chaos CLI
-all corrupt programs the same way.
+flaky PCIe link or a buggy lowering pass produces.
 
 Corruption classes (one mutated 32-bit word each):
 
@@ -22,11 +20,10 @@ Corruption classes (one mutated 32-bit word each):
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..isa import IteratorConfigFunc, LoopFunc, Opcode
 from ..isa.encoding import is_compute_opcode, unpack_fields
-from ..runtime import seeded_rng
 
 #: The corruption classes :func:`corrupt_word` understands.
 CORRUPTION_KINDS = ("stride", "trip", "body", "config-ns", "compute-ns")
@@ -94,59 +91,3 @@ def corrupt_word(kind: str, word: int, rng) -> int:
         return (word & ~(0x7 << 21)) | (6 << 21)  # dst_ns field
     raise ValueError(f"unknown corruption kind {kind!r}; "
                      f"known: {', '.join(CORRUPTION_KINDS)}")
-
-
-def corrupt_words(words: Sequence[int], rng,
-                  kinds: Optional[Iterable[str]] = None
-                  ) -> Tuple[List[int], Optional[Site]]:
-    """Corrupt one random site of a packed program.
-
-    Returns ``(mutated words, site)``; ``site`` is ``None`` when the
-    program has no mutable site of the requested kinds (the words are
-    returned unchanged).
-    """
-    wanted = set(kinds) if kinds is not None else set(CORRUPTION_KINDS)
-    sites = [s for s in word_sites(words) if s[0] in wanted]
-    if not sites:
-        return list(words), None
-    kind, pc, word = sites[int(rng.integers(len(sites)))]
-    mutated = list(words)
-    mutated[pc] = corrupt_word(kind, word, rng)
-    return mutated, (kind, pc, word)
-
-
-def measured_detection_rate(model, samples: int = 24,
-                            stream: object = "detection") -> float:
-    """The real verifier's catch rate over sampled corruptions.
-
-    Corrupts ``samples`` random sites across ``model``'s compiled
-    programs and reports the fraction the static verifier flags with an
-    error — the honest value for a plan's
-    :attr:`~repro.faults.plan.CorruptSpec.detection_rate`. (Unlike the
-    fuzz suite this does not execute mutants, so corruptions that are
-    semantically harmless count against the rate; treat it as a lower
-    bound.)
-    """
-    from ..analysis.verifier import verify_words
-
-    rng = seeded_rng("faults", "measured-detection", stream)
-    sites = model_sites(model)
-    if not sites:
-        return 1.0
-    flagged = 0
-    total = 0
-    picks = rng.choice(len(sites), size=min(samples, len(sites)),
-                       replace=False)
-    for pick in picks:
-        kind, block_idx, pc, word = sites[int(pick)]
-        mutated = corrupt_word(kind, word, rng)
-        if mutated == word:
-            continue
-        cb = model.blocks[block_idx]
-        words = list(cb.tile.program.pack())
-        words[pc] = mutated
-        report = verify_words(cb.tile.program.name, words,
-                              owns_obuf=cb.block.gemm is not None)
-        total += 1
-        flagged += bool(report.errors)
-    return flagged / total if total else 1.0

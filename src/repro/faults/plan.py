@@ -26,8 +26,7 @@ Fault classes (each a frozen sub-spec):
   natural re-execution unit.
 * :class:`CorruptSpec` — a program download arrives word-corrupted with
   probability ``p_per_download``; ``detection_rate`` is the probability
-  the static verifier flags it (``repro.faults.corrupt`` measures real
-  rates against the real verifier).
+  the static verifier flags it.
 * :class:`BurstSpec` — queue-overflow pressure: bursts of ``size``
   extra requests land at Poisson times (rate ``p_per_s``) or scheduled
   ``at`` times.

@@ -13,7 +13,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "yolov3": ("build_yolov3",),
     "zoo": (
         "DISPLAY_NAMES", "MODEL_ORDER", "MODEL_YEARS", "available_models",
-        "benchmark_models", "build_model",
+        "build_model",
     ),
 })
 
@@ -22,7 +22,6 @@ __all__ = [
     "MODEL_ORDER",
     "MODEL_YEARS",
     "available_models",
-    "benchmark_models",
     "build_bert",
     "build_efficientnet",
     "build_gpt2",

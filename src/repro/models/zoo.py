@@ -78,8 +78,3 @@ def build_model(name: str) -> Graph:
     graph = builder()
     graph.validate()
     return graph
-
-
-def benchmark_models() -> List[Graph]:
-    """The seven paper benchmarks, in figure order."""
-    return [build_model(name) for name in MODEL_ORDER]

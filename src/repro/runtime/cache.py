@@ -143,9 +143,9 @@ class EvalCache:
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
-                 enabled: bool = True, persist: bool = True):
+                 enabled: bool = True):
         self.enabled = enabled
-        self.persist = persist and directory is not None
+        self.persist = directory is not None
         self.directory = Path(directory) if directory is not None else None
         self.stats = CacheStats()
         self._memory: Dict[Tuple[str, str], Any] = {}
@@ -242,8 +242,7 @@ class EvalCache:
     def clear(self) -> None:
         """Drop both tiers (and every on-disk entry)."""
         self._memory.clear()
-        if self.persist and self.directory is not None and \
-                self.directory.exists():
+        if self.persist and self.directory.exists():
             for path in self.directory.glob("*/*.json"):
                 try:
                     path.unlink()
@@ -253,8 +252,7 @@ class EvalCache:
     def entry_counts(self) -> Dict[str, int]:
         """On-disk entries per kind (for ``repro cache stats``)."""
         counts: Dict[str, int] = {}
-        if self.persist and self.directory is not None and \
-                self.directory.exists():
+        if self.persist and self.directory.exists():
             for sub in self.directory.iterdir():
                 if sub.is_dir():
                     counts[sub.name] = sum(1 for _ in sub.glob("*.json"))

@@ -7,11 +7,11 @@ table (via :func:`repro.harness.report.render_table`) or exportable as
 JSON.  All rates normalize against ``max(last finish, duration)`` so
 runs that drain past the traffic horizon are not flattered.
 
-SLO targets are per model: ``max(min_slo_s, slo_multiplier x isolated
-latency)``, i.e. a request meets its SLO when end-to-end latency stays
-within a fixed multiple of the model's unloaded service time. Rejected
-requests count as SLO violations — shedding load does not launder the
-attainment number.
+SLO targets are per model: ``max(DEFAULT_MIN_SLO_S, slo_multiplier x
+isolated latency)``, i.e. a request meets its SLO when end-to-end
+latency stays within a fixed multiple of the model's unloaded service
+time. Rejected requests count as SLO violations — shedding load does
+not launder the attainment number.
 """
 
 from __future__ import annotations

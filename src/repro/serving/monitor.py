@@ -90,17 +90,12 @@ class MonitorConfig:
     ``interval_s`` is the sampling grid in *simulated* seconds;
     ``window_intervals`` sizes the sliding latency window (so the
     windowed p99 spans ``interval_s * window_intervals`` of sim time).
-    ``drain`` keeps sampling empty intervals after the workload ends
-    until every firing rule resolves (bounded by the longest rule
-    window), so a run that ends mid-incident still records the
-    resolve edge.
     """
 
     interval_s: float = 0.1
     window_intervals: int = 10
     objective: SLOObjective = field(default_factory=SLOObjective)
     rules: Tuple[BurnRateRule, ...] = field(default_factory=default_rules)
-    drain: bool = True
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0.0:
@@ -113,8 +108,8 @@ class MonitorConfig:
 
     @classmethod
     def from_env(cls, interval_s: Optional[float] = None,
-                 window_intervals: Optional[int] = None,
-                 drain: bool = True) -> "MonitorConfig":
+                 window_intervals: Optional[int] = None
+                 ) -> "MonitorConfig":
         """Build a config from ``REPRO_MONITOR_*`` with CLI overrides."""
         return cls(
             interval_s=(interval_s if interval_s is not None
@@ -123,7 +118,6 @@ class MonitorConfig:
                               else knobs.get("REPRO_MONITOR_WINDOW")),
             objective=default_objective(),
             rules=default_rules(),
-            drain=drain,
         )
 
 
@@ -314,10 +308,10 @@ class FleetMonitor:
         :meth:`advance` does, then advances the grid to cover
         ``horizon_s`` and every outstanding
         deadline (so requests stuck forever on a dead device still
-        register their miss), then — when ``config.drain`` — keeps
-        closing empty intervals until every firing rule resolves, capped
-        at the longest rule window plus its resolve streak, so a run
-        that ends mid-incident deterministically records the resolve.
+        register their miss), then keeps closing empty intervals until
+        every firing rule resolves, capped at the longest rule window
+        plus its resolve streak, so a run that ends mid-incident
+        deterministically records the resolve.
         The fleet's utilization series are filled in last; an LLM
         engine has drained by now, so its gauges read zero.
         """
@@ -335,15 +329,14 @@ class FleetMonitor:
         target = -(-int(last * 1e9) // int(interval * 1e9))  # ceil intervals
         while self._boundary < target:
             self._close_interval((self._boundary + 1) * interval)
-        if self.config.drain:
-            cap = max(
-                -(-int(rule.long_window_s * 1e9) // int(interval * 1e9))
-                + rule.resolve_intervals
-                for rule in self.config.rules) + 1
-            drained = 0
-            while self.engine.any_firing and drained < cap:
-                self._close_interval((self._boundary + 1) * interval)
-                drained += 1
+        cap = max(
+            -(-int(rule.long_window_s * 1e9) // int(interval * 1e9))
+            + rule.resolve_intervals
+            for rule in self.config.rules) + 1
+        drained = 0
+        while self.engine.any_firing and drained < cap:
+            self._close_interval((self._boundary + 1) * interval)
+            drained += 1
         if self.kind == "fleet":
             self._fill_utilization()
 
@@ -563,12 +556,8 @@ class MonitorPoint:
     duration_s: float
     cells: int = 1
     routing: str = "round_robin"
-    batch_kind: str = "dynamic"
     resilience_kind: str = "naive"
     fault_plan: Any = None          # Optional[FaultPlan]
-    interval_s: float = 0.1
-    window_intervals: int = 10
-    slo_target: float = 0.999
     stream: int = 0
 
     def cell(self) -> FleetCell:
@@ -578,15 +567,10 @@ class MonitorPoint:
         from .workload import OpenLoopPoisson
         return FleetCell(
             sim=dict(costs=self.costs, devices=self.devices,
-                     cells=self.cells,
-                     batch_policy=BatchPolicy(kind=self.batch_kind),
+                     cells=self.cells, batch_policy=BatchPolicy(),
                      routing=self.routing, fault_plan=self.fault_plan,
                      resilience=ResiliencePolicy(kind=self.resilience_kind),
-                     monitor_config=MonitorConfig(
-                         interval_s=self.interval_s,
-                         window_intervals=self.window_intervals,
-                         objective=SLOObjective(target=self.slo_target),
-                         rules=default_rules())),
+                     monitor_config=MonitorConfig()),
             workload=partial(OpenLoopPoisson, self.models, self.rate_rps,
                              self.duration_s, stream=self.stream),
             rate_rps=self.rate_rps)

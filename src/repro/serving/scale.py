@@ -103,8 +103,11 @@ from .metrics import (
     ServingReport,
 )
 from .scheduler import (
+    COOLDOWN_GROWTH,
     LLM_SCHEDULERS,
+    RETRY_BACKOFF_S,
     ROUTING_POLICIES,
+    TIMEOUT_SLO_MULTIPLE,
     AdmissionPolicy,
     BatchPolicy,
     ResiliencePolicy,
@@ -172,7 +175,6 @@ class ScaledFleetSimulator:
                  admission: Optional[AdmissionPolicy] = None,
                  routing: str = "least_loaded",
                  slo_multiplier: float = DEFAULT_SLO_MULTIPLIER,
-                 min_slo_s: float = DEFAULT_MIN_SLO_S,
                  require_verified: bool = True,
                  autoscale: Optional[AutoscaleConfig] = None,
                  collect_trace: bool = False,
@@ -205,7 +207,6 @@ class ScaledFleetSimulator:
         self.admission = admission or AdmissionPolicy()
         self.routing = routing
         self.slo_multiplier = slo_multiplier
-        self.min_slo_s = min_slo_s
         #: Admission control refuses models whose cached static
         #: verification record is missing or dirty — a program the
         #: verifier never blessed must not reach a device.
@@ -256,7 +257,7 @@ class ScaledFleetSimulator:
             # precomputing the two terms keeps the same float operations.
             fixed = [costs.amortized_fraction * v for v in lat]
             var = [v - f for v, f in zip(lat, fixed)]
-            slo = [max(self.min_slo_s, self.slo_multiplier * v)
+            slo = [max(DEFAULT_MIN_SLO_S, self.slo_multiplier * v)
                    for v in lat]
             tiles = [costs.tiles(m) for m in models]
         midx = {m: i for i, m in enumerate(models)}
@@ -310,7 +311,7 @@ class ScaledFleetSimulator:
         # A retry re-arrives with a new arrival time (its batching
         # deadline) but keeps its first arrival for latency.
         born = array("d", arr_t) if resilient else arr_t
-        tmo = [res.timeout_slo_multiple * v + wait_s for v in slo]
+        tmo = [TIMEOUT_SLO_MULTIPLE * v + wait_s for v in slo]
         healthy = [True] * ndev
         admitted = [True] * ndev
         cell_admitted = [csize] * ncell
@@ -504,7 +505,7 @@ class ScaledFleetSimulator:
             download = attempt
             while inj.corrupt_download(dev, model, download):
                 note_fault("corrupt_program")
-                if not (resilient and res.verify_downloads) or \
+                if not resilient or \
                         not inj.corruption_detected(dev, model, download):
                     bad_models[dev].add(m)
                     if tracing:
@@ -572,9 +573,8 @@ class ScaledFleetSimulator:
                 if idle:
                     cell_state[c] = _PARKED
                     cost_windows[c][-1][1] = t_b
-                    ctrl.decisions.append({
-                        "t_s": t_b, "action": "park", "reason": "drained",
-                        "cell": c, "cells_active": len(active_list)})
+                    ctrl.record(t_b, "park", "drained", c,
+                                len(active_list))
             tl_t.append(t_b)
             tl_cells.append(len(active_list))
             tl_queue.append(queued_total)
@@ -998,7 +998,7 @@ class ScaledFleetSimulator:
                         ejects[dev] += 1
                         tally["devices_ejected"] += 1
                         cooldown_s = res.cooldown_s * (
-                            res.cooldown_growth ** (ejects[dev] - 1))
+                            COOLDOWN_GROWTH ** (ejects[dev] - 1))
                         if tracing:
                             log("eject", now, device=dev,
                                 cooldown_s=cooldown_s)
@@ -1025,7 +1025,7 @@ class ScaledFleetSimulator:
                         log("retry-exhausted", now, model=model, rid=rid)
                     continue
                 tally["retries"] += 1
-                backoff_s = res.backoff_base_s * (2 ** attempt)
+                backoff_s = RETRY_BACKOFF_S * (2 ** attempt)
                 at = now + backoff_s
                 status[s] = _RETRYING
                 arr_t[s] = at
@@ -1137,7 +1137,7 @@ class ScaledFleetSimulator:
                     if inj.tile_fault(dev, models[hm], launches[dev]):
                         note_fault("tile_fault")
                         faulted = min(plan.tile_fault.tiles, tiles[hm])
-                        if resilient and res.tile_retry:
+                        if resilient:
                             # Tile-granularity re-execution: only the
                             # faulted tiles re-run (the paper's Fig. 10
                             # unit of in-tandem work).

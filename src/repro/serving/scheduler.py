@@ -66,16 +66,30 @@ RESILIENCE_POLICIES = ("naive", "resilient")
 ROUTING_POLICIES = ("round_robin", "least_loaded", "model_affinity")
 
 
+#: A request not completed within this multiple of its SLO target
+#: (plus the batch wait) times out under the ``resilient`` policy.
+TIMEOUT_SLO_MULTIPLE = 2.0
+
+#: The retry after attempt ``k`` (counting from 0) backs off
+#: ``RETRY_BACKOFF_S * 2**k``.
+RETRY_BACKOFF_S = 2e-3
+
+#: The ``k``-th consecutive eject of a device waits ``cooldown_s *
+#: COOLDOWN_GROWTH**(k-1)`` before re-admission.
+COOLDOWN_GROWTH = 2.0
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """How the fleet responds to injected faults.
 
-    Mechanisms (all consulted only when ``kind == "resilient"``):
+    Mechanisms (all on when ``kind == "resilient"``, all off when
+    ``naive``):
 
     * **Per-request timeouts + retry with exponential backoff.** A
-      request not completed within ``timeout_slo_multiple`` x its SLO
+      request not completed within ``TIMEOUT_SLO_MULTIPLE`` x its SLO
       target is pulled back and re-routed after
-      ``backoff_base_s * 2**attempt``, at most ``max_retries`` times.
+      ``RETRY_BACKOFF_S * 2**attempt``, at most ``max_retries`` times.
       A request already executing on a *healthy* device is left to
       finish (no duplicate completions) — the timeout only feeds the
       health tracker.
@@ -84,9 +98,9 @@ class ResiliencePolicy:
       degrades into load shedding instead of a retry storm.
     * **Circuit breaker.** ``eject_threshold`` consecutive failures
       (timeouts, faulted launches) eject a device from routing; it is
-      re-admitted after a cooldown that doubles per consecutive eject
-      (``cooldown_s * cooldown_growth**k``) and resets on a successful
-      completion.
+      re-admitted after a cooldown that grows per consecutive eject
+      (the ``k``-th waits ``cooldown_s * COOLDOWN_GROWTH**(k-1)``) and
+      resets on a successful completion.
     * **Tile-granularity re-execution.** A transient tile fault re-runs
       only the faulted tiles (the paper's Fig. 10 tile unit) instead of
       the whole batch invocation.
@@ -95,15 +109,10 @@ class ResiliencePolicy:
       re-downloaded instead of silently serving garbage.
     """
     kind: str = "resilient"
-    timeout_slo_multiple: float = 2.0
     max_retries: int = 3
-    backoff_base_s: float = 2e-3
     retry_budget_fraction: float = 0.25
     eject_threshold: int = 3
     cooldown_s: float = 0.5
-    cooldown_growth: float = 2.0
-    tile_retry: bool = True
-    verify_downloads: bool = True
 
     def __post_init__(self):
         if self.kind not in RESILIENCE_POLICIES:
@@ -111,8 +120,6 @@ class ResiliencePolicy:
                              f"known: {', '.join(RESILIENCE_POLICIES)}")
         if not 0 <= self.max_retries <= 254:    # a one-byte attempt count
             raise ValueError("max_retries must be in [0, 254]")
-        if self.timeout_slo_multiple <= 0:
-            raise ValueError("timeout_slo_multiple must be positive")
 
     @property
     def active(self) -> bool:

@@ -296,6 +296,50 @@ def test_resilient_fleet_retries_around_crash_and_ejects():
     assert report.compiles == 2
 
 
+def test_cooldown_doubles_per_consecutive_eject_until_a_completion():
+    # The pinned device is down over [1, 7) and [12, 18); every request
+    # it times out on ejects it again once it is re-admitted.
+    pin = zlib.crc32(b"m") % 2
+    plan = FaultPlan(crash=CrashSpec(outage_s=6.0,
+                                     at=((pin, 1.0), (pin, 12.0))))
+    policy = ResiliencePolicy(eject_threshold=1, retry_budget_fraction=1.0)
+    workload = TraceReplay([(0.1 * i, "m") for i in range(200)])
+    report, trace = run_fleet(workload, toy_costs(), devices=2,
+                              routing="model_affinity", fault_plan=plan,
+                              resilience=policy)
+    assert report.failed == 0
+    ejects = [e for e in trace if e["kind"] == "eject"]
+    assert {e["device"] for e in ejects} == {pin}
+    readmits = [e["t_s"] for e in trace if e["kind"] == "readmit"]
+    assert readmits == [e["t_s"] + e["cooldown_s"] for e in ejects]
+    # The k-th consecutive eject waits cooldown_s * 2**(k-1); batches
+    # that complete on the device between the outages reset the count.
+    first = [e["cooldown_s"] for e in ejects if e["t_s"] < 12.0]
+    second = [e["cooldown_s"] for e in ejects if e["t_s"] >= 12.0]
+    assert len(first) >= 4 and len(second) >= 1
+    for run in (first, second):
+        assert run == [policy.cooldown_s * 2 ** k for k in range(len(run))]
+    assert any(e["kind"] == "batch" and e["device"] == pin
+               and readmits[len(first) - 1] <= e["t_s"]
+               and e["finish_s"] < 12.0 for e in trace)
+
+
+def test_retry_backoff_doubles_per_attempt():
+    # One device, dead for good, breaker off: the request times out and
+    # retries until max_retries is spent.
+    plan = FaultPlan(crash=CrashSpec(at=((0, 0.5),)))
+    policy = ResiliencePolicy(max_retries=5, retry_budget_fraction=10.0,
+                              eject_threshold=0)
+    report, trace = run_fleet(TraceReplay([(1.0, "m")]), toy_costs(),
+                              devices=1, fault_plan=plan, resilience=policy)
+    assert report.retries == 5 and report.failed == 1
+    retries = [e for e in trace if e["kind"] == "retry"]
+    assert [e["attempt"] for e in retries] == [1, 2, 3, 4, 5]
+    # The retry after attempt k (counting from 0) backs off 2 ms * 2**k.
+    assert [e["backoff_s"] for e in retries] == [2e-3 * 2 ** k
+                                                 for k in range(5)]
+
+
 def test_retry_budget_zero_fails_instead_of_retrying():
     plan = FaultPlan(crash=CrashSpec(at=((0, 0.5),)))
     policy = ResiliencePolicy(retry_budget_fraction=0.0, eject_threshold=0)

@@ -71,6 +71,16 @@ def test_import_repro_loads_no_subpackage(tmp_path):
     assert "numpy" not in loaded
 
 
+def test_import_analysis_loads_no_submodule(tmp_path):
+    loaded = _loaded_modules(tmp_path, "import repro.analysis")
+    assert "repro.analysis" in loaded
+    assert [m for m in loaded if m.startswith("repro.analysis.")] == []
+    # ``roofline`` is still a name of the package, loaded on first use.
+    roofline = _loaded_modules(
+        tmp_path, "from repro.analysis import roofline\nassert roofline()")
+    assert "repro.analysis.roofline_points" in roofline
+
+
 # ---------------------------------------------------------------------------
 # Exactness of the pure-Python replacements
 # ---------------------------------------------------------------------------
