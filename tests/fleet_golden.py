@@ -359,7 +359,7 @@ def _storm_plan():
         burst=BurstSpec(p_per_s=0.5, size=24, at=(1.0,)))
 
 
-def _storm(routing, kind="resilient", closed_loop=False):
+def _storm(routing, kind="resilient", closed_loop=False, devices=4, cells=1):
     from repro.serving import (ClosedLoop, MonitorConfig, OpenLoopPoisson,
                                ResiliencePolicy)
     from repro.serving.scheduler import AdmissionPolicy
@@ -371,8 +371,8 @@ def _storm(routing, kind="resilient", closed_loop=False):
         workload, rate = OpenLoopPoisson(TWO, 900.0, 3.0), 900.0
     policy = (ResiliencePolicy(eject_threshold=2, cooldown_s=0.2)
               if kind == "resilient" else ResiliencePolicy.naive())
-    return _fleet(workload, costs, rate_rps=rate, devices=4,
-                  routing=routing, admission=AdmissionPolicy(64),
+    return _fleet(workload, costs, rate_rps=rate, devices=devices,
+                  cells=cells, routing=routing, admission=AdmissionPolicy(64),
                   fault_plan=_storm_plan(), resilience=policy,
                   monitor_config=MonitorConfig(interval_s=0.05),
                   trace_in_full=False)
@@ -388,6 +388,26 @@ def storm_least_loaded():
 
 def storm_model_affinity():
     return _storm("model_affinity")
+
+
+def _storm_cells(routing):
+    """The storm on 8 devices in 4 cells: routing skips ejected devices
+    and cells with none admitted."""
+    out = _storm(routing, devices=8, cells=4)
+    assert out["report"]["devices_ejected"] > 0
+    return out
+
+
+def storm_cells_round_robin():
+    return _storm_cells("round_robin")
+
+
+def storm_cells_least_loaded():
+    return _storm_cells("least_loaded")
+
+
+def storm_cells_model_affinity():
+    return _storm_cells("model_affinity")
 
 
 def storm_naive():
@@ -618,7 +638,9 @@ SCENARIOS: Dict[str, Callable[[], Dict[str, Any]]] = {
         plain_closed_loop, plain_overload, plain_unverified_reject,
         plain_sweep_point,
         storm_round_robin, storm_least_loaded, storm_model_affinity,
-        storm_naive, storm_closed_loop, serve_trace_out,
+        storm_naive, storm_closed_loop, storm_cells_round_robin,
+        storm_cells_least_loaded, storm_cells_model_affinity,
+        serve_trace_out,
         monitoring_slo_crashed, monitoring_slo_control, fleet_chaos_smoke,
         chaos_default_grid, chaos_bench_crash_1pct,
         llm_grid_2s, llm_bench_5s, llm_hand_join_mid_batch,
