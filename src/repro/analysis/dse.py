@@ -34,11 +34,6 @@ class DseResult:
     energy_joules: float
     tandem_area_mm2: float
 
-    @property
-    def edp(self) -> float:
-        """Energy-delay product, the usual DSE objective."""
-        return self.seconds * self.energy_joules
-
 
 def config_for(point: DesignPoint,
                base: Optional[NPUConfig] = None) -> NPUConfig:

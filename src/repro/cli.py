@@ -102,6 +102,20 @@ def _invalid(command: str, what: str, problems: List[str]) -> bool:
     return bool(problems)
 
 
+def _fault_plan(command: str, path: str):
+    """The fault plan in ``path``, or ``None`` after one stderr line
+    saying why it cannot be read."""
+    from .faults import FaultPlan
+    try:
+        return FaultPlan.from_file(path)
+    except OSError as error:
+        reason = error.strerror or str(error)
+    except (TypeError, ValueError) as error:
+        reason = str(error)
+    print(f"repro {command}: fault plan {path}: {reason}", file=sys.stderr)
+    return None
+
+
 def _write(path: str, text: str) -> None:
     """Write one output file and say so."""
     with open(path, "w") as handle:
@@ -466,7 +480,6 @@ def cmd_serve(args) -> int:
     """Simulate a serving fleet: faults, resilience, monitor, cells, autoscale."""
     if args.llm:
         return _cmd_serve_llm(args)
-    from .faults import FaultPlan
     from .harness import render_table
     from .serving import (
         AdmissionPolicy,
@@ -487,7 +500,11 @@ def cmd_serve(args) -> int:
         validate_monitor_report,
     )
     models = [m.strip() for m in args.model.split(",") if m.strip()]
-    fault_plan = FaultPlan.from_file(args.faults) if args.faults else None
+    fault_plan = None
+    if args.faults:
+        fault_plan = _fault_plan("serve", args.faults)
+        if fault_plan is None:
+            return 2
     autoscale_on = knobs.switch("REPRO_AUTOSCALE", args.autoscale)
     monitor_on = knobs.switch("REPRO_MONITOR", args.monitor)
     monitor_config = (MonitorConfig.from_env(interval_s=args.monitor_interval)
@@ -648,7 +665,6 @@ def cmd_monitor(args) -> int:
 def cmd_chaos(args) -> int:
     """Sweep fault-rate scales x resilience policies; report retention."""
     from .faults import (
-        FaultPlan,
         chaos_grid,
         chaos_report,
         chaos_table,
@@ -663,7 +679,9 @@ def cmd_chaos(args) -> int:
         print(f"repro chaos: --model takes one zoo model, got "
               f"{args.model!r}", file=sys.stderr)
         return 2
-    plan = FaultPlan.from_file(args.plan) if args.plan else default_plan()
+    plan = _fault_plan("chaos", args.plan) if args.plan else default_plan()
+    if plan is None:
+        return 2
     try:
         scales = tuple(float(s) for s in args.scales.split(",") if s.strip())
     except ValueError:

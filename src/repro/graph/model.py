@@ -8,7 +8,7 @@ from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .node import Node, conv_macs
-from .ops import NON_GEMM_CLASSES, OpClass
+from .ops import OpClass
 from .tensor import TensorSpec
 
 
@@ -168,10 +168,6 @@ class Graph:
         return order
 
     # -- census (Figures 1 and 2) -------------------------------------------
-    def op_counts(self) -> Counter:
-        """Node count per operator type."""
-        return Counter(node.op_type for node in self.nodes)
-
     def class_counts(self) -> Counter:
         """Node count per operator class (gemm / non-gemm groups)."""
         return Counter(node.op_class for node in self.nodes)
@@ -182,12 +178,6 @@ class Graph:
         gemm = counts.get(OpClass.GEMM, 0)
         total = sum(counts.values())
         return gemm / total if total else 0.0
-
-    def non_gemm_operator_types(self) -> set:
-        """The distinct non-GEMM operator types used."""
-        return {
-            node.op_type for node in self.nodes if node.op_class in NON_GEMM_CLASSES
-        }
 
     # -- cost model ----------------------------------------------------------
     def node_cost(self, node: Node) -> NodeCost:

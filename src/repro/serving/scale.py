@@ -39,10 +39,12 @@ Routing policies (chosen at arrival time, deterministically):
 (the device whose estimated backlog clears first; estimates use
 isolated latencies, so batching only makes them conservative) and
 ``model_affinity`` (a stable hash of the model name pins each model to
-one device, maximising compile-cache hits).  All three route only to
-devices the circuit breaker admits and skip cells with none; with
-every device ejected, arrivals are shed at admission instead of
-queueing against a black hole.
+one device, maximising compile-cache hits).  Routing is one rule over
+admitted devices, with no fault-free fast path: pick a cell from the
+active ones, skipping cells where the circuit breaker has ejected
+every device, then an admitted device inside it (one cell is the whole
+fleet).  With no admitted device in any active cell, arrivals are shed
+at admission instead of queueing against a black hole.
 
 Batching is the same-model FIFO prefix of a device's queue, capped at
 the policy's batch limit: ``single``/``greedy`` launch it at once,
@@ -234,9 +236,11 @@ class ScaledFleetSimulator:
         (a retry rewrites its arrival time and bumps its ``tries``
         byte); what a completed one keeps is 8 bytes of latency in an
         ``array('d')``; the completion event is amortised 1/batch.
-        Each optional layer (faults, resilience, monitor, trace) and
-        the LLM batch policies cost the fleet path one local test per
-        hook site (an LLM run returns an :class:`LLMServingReport`).
+        Routing, batch completion and the first-touch compile are each
+        written once, for faulted and fault-free runs alike; fault
+        draws, the monitor, the trace and the LLM batch policies sit
+        behind local tests (an LLM run returns an
+        :class:`LLMServingReport`).
         """
         costs = self.costs
         policy = self.policy
@@ -271,9 +275,9 @@ class ScaledFleetSimulator:
         max_queue = self.admission.max_queue
         require_verified = self.require_verified
         routing = self.routing
-        one_cell = ncell == 1
         route_rr = routing == "round_robin"
         route_ll = routing == "least_loaded"
+        route_ma = routing == "model_affinity"
 
         # -- device state: flat parallel lists -------------------------
         dq: List[List[int]] = [[] for _ in range(ndev)]
@@ -345,9 +349,7 @@ class ScaledFleetSimulator:
         queued_total = 0
 
         # -- routing state ---------------------------------------------
-        rr_next = 0                  # cells == 1: the fleet rr pointer
-        rr_cell = 0                  # cells > 1: active-cell pointer
-        ll_cell = 0                  # least_loaded cell pointer
+        next_cell = 0                # rr/least_loaded active-cell pointer
         rr_in = [0] * ncell          # per-cell device pointer
 
         # -- cells + autoscaling ---------------------------------------
@@ -825,94 +827,47 @@ class ScaledFleetSimulator:
                     verify_rejected += 1
                     reject(s, now, "verify-reject")
                     continue
-                if not n_ejected:
-                    if route_rr:
-                        if one_cell:
-                            dev = rr_next
-                            rr_next = dev + 1
-                            if rr_next == ndev:
-                                rr_next = 0
-                        else:
-                            ci = active_list[rr_cell % len(active_list)]
-                            rr_cell += 1
-                            o = rr_in[ci]
-                            dev = ci * csize + o
-                            o += 1
-                            rr_in[ci] = 0 if o == csize else o
-                    elif route_ll:
-                        if one_cell:
-                            base, top = 0, ndev
-                        else:
-                            ci = active_list[ll_cell % len(active_list)]
-                            ll_cell += 1
-                            base = ci * csize
-                            top = base + csize
-                        dev = base
-                        bb = backlog[base]
-                        bq = qlen[base]
-                        for d in range(base + 1, top):
-                            v = backlog[d]
-                            if v < bb or (v == bb and qlen[d] < bq):
-                                dev = d
-                                bb = v
-                                bq = qlen[d]
-                    else:  # model_affinity
-                        h = crc[m]
-                        if one_cell:
-                            dev = h % ndev
-                        else:
-                            ci = active_list[h % len(active_list)]
-                            dev = ci * csize + h % csize
-                else:
-                    # The breaker has ejected devices: the same policies
-                    # over admitted devices only, skipping empty cells.
-                    nc = len(active_list)
-                    if route_rr:
-                        k0 = rr_cell
-                    elif route_ll:
-                        k0 = ll_cell
-                    else:
-                        k0 = crc[m]
-                    ci = -1
-                    for k in range(nc):
-                        c = active_list[(k0 + k) % nc]
-                        if cell_admitted[c]:
-                            ci = c
+                # One rule: a cell from the active ones, skipping cells
+                # with no admitted device, then an admitted device in it.
+                nc = len(active_list)
+                k = crc[m] if route_ma else next_cell
+                ci = active_list[k % nc]
+                if not cell_admitted[ci]:
+                    for k in range(k + 1, k + nc):
+                        ci = active_list[k % nc]
+                        if cell_admitted[ci]:
                             break
-                    if ci < 0:
+                    else:
                         # Nothing admitted: shed instead of queueing
                         # against a black hole (graceful degradation).
                         reject(s, now, "shed")
                         continue
-                    if not one_cell:
-                        if route_rr:
-                            rr_cell = k0 + k + 1
-                        elif route_ll:
-                            ll_cell = k0 + k + 1
-                    base = ci * csize
-                    if route_ll:
-                        dev = -1
-                        for d in range(base, base + csize):
-                            if admitted[d] and (
-                                    dev < 0 or backlog[d] < bb or (
-                                        backlog[d] == bb and qlen[d] < bq)):
-                                dev = d
-                                bb = backlog[d]
-                                bq = qlen[d]
-                    else:
-                        if route_rr:
-                            o = rr_next if one_cell else rr_in[ci]
-                        else:
-                            o = crc[m] % csize
-                        while not admitted[base + o]:
-                            o = o + 1 if o + 1 < csize else 0
-                        dev = base + o
-                        if route_rr:
-                            o = o + 1 if o + 1 < csize else 0
-                            if one_cell:
-                                rr_next = o
-                            else:
-                                rr_in[ci] = o
+                base = ci * csize
+                if route_ll:
+                    next_cell = k + 1
+                    # ``admitted[d]`` is read last, only for a device
+                    # that would win: a test per device slows the day.
+                    dev = base
+                    while not admitted[dev]:
+                        dev += 1
+                    bb = backlog[dev]
+                    bq = qlen[dev]
+                    for d in range(dev + 1, base + csize):
+                        v = backlog[d]
+                        if (v < bb or (v == bb and qlen[d] < bq)) \
+                                and admitted[d]:
+                            dev = d
+                            bb = v
+                            bq = qlen[d]
+                else:
+                    o = rr_in[ci] if route_rr else crc[m] % csize
+                    while not admitted[base + o]:
+                        o = o + 1 if o + 1 < csize else 0
+                    dev = base + o
+                    if route_rr:
+                        next_cell = k + 1
+                        o += 1
+                        rr_in[ci] = 0 if o == csize else o
                 b = backlog[dev]
                 backlog[dev] = (b if b > now else now) + lat[m]
                 if qlen[dev] >= max_queue:
@@ -944,34 +899,30 @@ class ScaledFleetSimulator:
                 if llm:
                     llm_phase_end(batch, now)
                     continue
+                hm = arr_m[batch[0]]   # a batch is one model
+                bound = slo[hm]
                 bad = False
                 if guarded:
                     failures[s] = ejects[s] = 0
-                    bad = arr_m[batch[0]] in bad_models[s]
-                if bad:
-                    # A corrupted resident program: the work counts as
-                    # completed, never as good.
-                    bad_done += len(batch)
-                    if auto_on:
-                        bad_pending += len(batch)
-                    for r in batch:
-                        status[r] = DONE
-                        lat_append((now - born[r]) * 1e3)
-                        if has_follow:
-                            follow_up(r, now)
-                else:
-                    for r in batch:
-                        status[r] = DONE
-                        lt = now - born[r]
-                        lat_append(lt * 1e3)
-                        if lt <= slo[arr_m[r]]:
-                            slo_met += 1
-                            if auto_on:
-                                good_pending += 1
-                        elif auto_on:
-                            bad_pending += 1
-                        if has_follow:
-                            follow_up(r, now)
+                    bad = hm in bad_models[s]
+                    if bad:
+                        # A corrupted resident program: the work counts
+                        # as completed, never as good (no latency meets
+                        # a negative bound).
+                        bad_done += len(batch)
+                        bound = -1.0
+                for r in batch:
+                    status[r] = DONE
+                    lt = now - born[r]
+                    lat_append(lt * 1e3)
+                    if lt <= bound:
+                        slo_met += 1
+                        if auto_on:
+                            good_pending += 1
+                    elif auto_on:
+                        bad_pending += 1
+                    if has_follow:
+                        follow_up(r, now)
                 if mon is not None:
                     for r in batch:
                         mon.note_complete(r, now, bad)
@@ -1109,31 +1060,28 @@ class ScaledFleetSimulator:
                 if n >= limit:
                     full_launches += 1
                 service = fixed[hm] + var[hm] * n
+                if inj is not None:
+                    launches[dev] += 1
+                    service *= inj.slow_factor(dev, now)
+                    base_s = service
                 resident = compiled[dev]
                 first = hm not in resident
-                if inj is None:
-                    if first:
-                        service += comp[hm]
-                        resident.add(hm)
-                        compiles += 1
-                else:
-                    launches[dev] += 1
-                    base_s = service * inj.slow_factor(dev, now)
-                    service = base_s
-                    if first:
-                        touch_s = first_touch(dev, hm, now)
-                        if touch_s is None:
-                            # The compile never succeeded: batch lost.
-                            for r in batch:
-                                status[r] = _FAILED
-                            failed += n
-                            lost_batches += 1
-                            if auto_on:
-                                bad_pending += n
-                            continue
-                        service += touch_s
-                        resident.add(hm)
-                        compiles += 1
+                if first:
+                    touch_s = (comp[hm] if inj is None
+                               else first_touch(dev, hm, now))
+                    if touch_s is None:
+                        # The compile never succeeded: batch lost.
+                        for r in batch:
+                            status[r] = _FAILED
+                        failed += n
+                        lost_batches += 1
+                        if auto_on:
+                            bad_pending += n
+                        continue
+                    service += touch_s
+                    resident.add(hm)
+                    compiles += 1
+                if inj is not None:
                     if inj.tile_fault(dev, models[hm], launches[dev]):
                         note_fault("tile_fault")
                         faulted = min(plan.tile_fault.tiles, tiles[hm])

@@ -118,6 +118,29 @@ def test_plan_rejects_unknown_keys():
         FaultPlan.from_dict([1, 2])
 
 
+@pytest.mark.parametrize("command", [
+    ["serve", "--model", "tinynet", "--faults"],
+    ["chaos", "--model", "tinynet", "--plan"],
+], ids=["serve", "chaos"])
+@pytest.mark.parametrize("text,reason", [
+    ('{"corrupt_download": {"p_per_download": 0.2}}',
+     "unknown fault-plan keys: corrupt_download;"),
+    ('{"name": ', "Expecting value"),
+    (None, "No such file or directory"),
+], ids=["unknown_key", "malformed_json", "missing_file"])
+def test_a_bad_plan_file_is_one_line_and_exit_2(tmp_path, capsys, command,
+                                                text, reason):
+    from repro.cli import main
+    path = tmp_path / "plan.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"repro {command[0]}: fault plan {path}: ")
+    assert reason in err and err.count("\n") == 1
+
+
 def test_plan_scaling_and_quiet():
     plan = full_plan()
     double = plan.scaled(2.0)
