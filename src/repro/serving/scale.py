@@ -24,7 +24,9 @@ accumulator.  It is built to run 1000+ devices:
   completions, batch timers, follow-up and retry arrivals, crashes,
   recoveries, timeouts, re-admissions) touch the heap.  Arrival *i*
   carries implicit sequence number *i* and heap events count up from
-  *n*, so time ties break in push order, deterministically.
+  *n*, so time ties break in push order, deterministically.  A
+  model's timeouts are armed in deadline order, so they wait in one
+  FIFO per model with only its head in the heap.
 * **Batched, incremental accounting** — fleet queue depth, batch-size
   and queue-depth statistics are O(1) running aggregates instead of
   per-arrival fleet scans and per-event list appends.
@@ -88,6 +90,7 @@ from __future__ import annotations
 import heapq
 import zlib
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -330,6 +333,8 @@ class ScaledFleetSimulator:
         # read by its timeout).
         loc = array("i", bytes(4 * n0)) if resilient else None
         tries = bytearray(n0) if resilient else None
+        # Per model, its armed timeouts in deadline order (head in heap).
+        armed = [deque() for _ in models] if resilient else None
         compile_tries: Dict[Tuple[int, str], int] = {}
         faults: Dict[str, int] = {}
         tally = dict.fromkeys(("retries", "timeouts", "compile_retries",
@@ -343,7 +348,7 @@ class ScaledFleetSimulator:
         full_launches = lost_batches = 0
         slo_met = 0
         # Heap pushes no other aggregate counts (serving.events.*).
-        timers = timeouts_armed = recovers = 0
+        timers = timeouts_armed = timeouts_skipped = recovers = 0
         latencies = array("d")
         last_finish = 0.0
         queued_total = 0
@@ -880,7 +885,10 @@ class ScaledFleetSimulator:
                 queued_total += 1
                 if resilient:
                     loc[s] = dev
-                    push(heap, (now + tmo[m], seq, _TIMEOUT, s, tries[s]))
+                    entry = (now + tmo[m], seq, _TIMEOUT, s, tries[s])
+                    if not armed[m]:
+                        push(heap, entry)
+                    armed[m].append(entry)
                     seq += 1
                     timeouts_armed += 1
             elif kind == TIMER:
@@ -930,6 +938,21 @@ class ScaledFleetSimulator:
                 q = dq[s]
             elif kind == _TIMEOUT:
                 # ---- per-attempt timeout of slot s -------------------
+                # Slot s heads its model's FIFO: drop the dead entries
+                # behind it and push the next head.  The last entry stays
+                # even when dead: popping it as a no-op keeps the run's
+                # last event, and the monitor's last interval, in place.
+                fifo = armed[arr_m[s]]
+                fifo.popleft()
+                while len(fifo) > 1:
+                    _, _, _, r, a = fifo[0]
+                    st = status[r]
+                    if tries[r] == a and (st == QUEUED or st == FLIGHT):
+                        break
+                    fifo.popleft()
+                    timeouts_skipped += 1
+                if fifo:
+                    push(heap, fifo[0])
                 attempt = batch
                 st = status[s]
                 if tries[s] != attempt or (st != QUEUED and st != FLIGHT):
@@ -1209,15 +1232,16 @@ class ScaledFleetSimulator:
                 "rate_rps": rate_rps,
                 "duration_s": workload.duration_s,
             })
-        # Every pushed event is popped: ``offered`` counts the arrival
-        # events, and retries, launches and ejects push the retry,
-        # completion and readmit events.
+        # Every event counts when armed: ``offered`` counts the
+        # arrivals, retries, launches and ejects arm the retry,
+        # completion and readmit events, and a timeout counts even if
+        # it left its model's FIFO unpopped (``timeouts_skipped``).
         self._emit_telemetry(report, batches_n, batches_sum, {
             "arrival": offered, "retry": tally["retries"], "timer": timers,
             "free": batches_n,
             "crash": len(inj.crashes) if inj is not None else 0,
             "recover": recovers, "timeout": timeouts_armed,
-            "readmit": tally["devices_ejected"]})
+            "readmit": tally["devices_ejected"]}, timeouts_skipped)
         self.payload = self._build_payload(
             report, ctrl, events=seq, device_seconds=device_seconds,
             slo_met=slo_met,
@@ -1229,11 +1253,12 @@ class ScaledFleetSimulator:
     # ------------------------------------------------------------------
     @staticmethod
     def _emit_telemetry(report: ServingReport, batches_n: int,
-                        batches_sum: int, events: Dict[str, int]) -> None:
+                        batches_sum: int, events: Dict[str, int],
+                        timeouts_skipped: int) -> None:
         """The run's ``serving.*`` and ``faults.*`` counters.
 
         ``events`` counts the run's events by kind; the counts sum to
-        the payload's ``sim.events``.
+        the payload's ``sim.events``, ``timeouts_skipped`` of them unpopped.
         """
         tel = get_telemetry()
         if not tel.enabled:
@@ -1250,6 +1275,7 @@ class ScaledFleetSimulator:
         tel.count("serving.retries.requests", report.retries)
         tel.count("serving.retries.compile", report.compile_retries)
         tel.count("serving.timeouts", report.timeouts)
+        tel.count("serving.timeouts.skipped", timeouts_skipped)
         tel.count("serving.completions.bad", report.bad_completions)
         tel.count("serving.circuit.ejects", report.devices_ejected)
         tel.count("serving.circuit.readmits", report.devices_readmitted)

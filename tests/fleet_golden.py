@@ -107,7 +107,10 @@ def _fleet(workload, costs, *, rate_rps=0.0, trace_in_full=True,
         report = sim.run(workload, rate_rps=rate_rps)
         counters = tel.snapshot()["counters"]
     # The per-kind event counters are not pinned: they must add up to
-    # the run's event count instead.
+    # the run's event count instead.  Nor is the count of timeouts
+    # dropped from a model's FIFO unseen: it is at most the armed count.
+    skipped = counters.pop("serving.timeouts.skipped")
+    assert skipped <= counters.get("serving.events.timeout", 0)
     events = [counters.pop(k) for k in sorted(counters)
               if k.startswith("serving.events.")]
     if sim.payload is not None:
