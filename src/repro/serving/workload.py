@@ -40,8 +40,8 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import (Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -62,6 +62,8 @@ REQUEST_TRACE_SPEC = {
 
 #: Candidate arrivals :class:`DiurnalTrace` draws per block.
 DIURNAL_BLOCK = 65536
+#: Arrivals :class:`OpenLoopPoisson` draws per block (few past a short end).
+POISSON_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,36 @@ class Workload:
         return None
 
 
+def _draw_blocks(rng: np.random.Generator, models: Sequence[str],
+                 rate: float, duration_s: float, block: int,
+                 accept: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                 ) -> Tuple[array, array]:
+    """Poisson arrivals at ``rate`` before ``duration_s``, as ``(times,
+    picks)`` columns, ``block`` candidates at a time.
+
+    Per block: the gaps, then (with ``accept``) one uniform each, then
+    the picks.  Times are one running sum across blocks; a candidate at
+    ``t`` is kept if ``t < duration_s`` and its uniform is below
+    ``accept(t)``.  Kept rows go into the columns as raw bytes.
+    """
+    times = array("d")
+    picks = _pick_column(models)
+    t = 0.0
+    while t < duration_s:
+        gaps = rng.exponential(1.0 / rate, block)
+        u = None if accept is None else rng.random(block)
+        pick = rng.integers(len(models), size=block)
+        gaps[0] += t    # cumsum adds in order: the same sums as t +=
+        at = np.cumsum(gaps)
+        t = float(at[-1])
+        keep = at < duration_s
+        if accept is not None:
+            keep &= u < accept(at)
+        times.frombytes(at[keep].tobytes())
+        picks.frombytes(pick[keep].astype(picks.typecode).tobytes())
+    return times, picks
+
+
 def _check_stream(models: Sequence[str], rate_name: str, rate: float,
                   duration_s: float) -> None:
     """Reject parameters a generated stream cannot be drawn from."""
@@ -173,6 +205,10 @@ class OpenLoopPoisson(_ColumnWorkload):
     Models are drawn uniformly from ``models`` per request (a single
     entry gives a single-model stream). The stream is fully determined
     by ``(REPRO_SEED, models, rate_rps, duration_s, stream)``.
+
+    Arrivals are drawn :data:`POISSON_BLOCK` at a time: per block the
+    inter-arrival gaps, then the model picks.  A single-model stream is
+    one gap per arrival (picking among one model draws nothing).
     """
 
     def __init__(self, models: Sequence[str], rate_rps: float,
@@ -183,17 +219,8 @@ class OpenLoopPoisson(_ColumnWorkload):
         self.duration_s = float(duration_s)
         rng = seeded_rng("poisson", self.models, self.rate_rps,
                          self.duration_s, stream)
-        times = array("d")
-        picks = _pick_column(self.models)
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / self.rate_rps))
-            if t >= self.duration_s:
-                break
-            times.append(t)
-            picks.append(int(rng.integers(len(self.models))))
-        self._times = times
-        self._picks = picks
+        self._times, self._picks = _draw_blocks(
+            rng, self.models, self.rate_rps, self.duration_s, POISSON_BLOCK)
         self._names = self.models
 
 
@@ -266,10 +293,7 @@ class DiurnalTrace(_ColumnWorkload):
 
     Candidates are drawn :data:`DIURNAL_BLOCK` at a time: per block the
     inter-arrival gaps, then the acceptance draws, then the model picks,
-    each as one array.  Arrival times are one running sum across blocks,
-    and generation stops after the block that passes ``duration_s``.
-    Each block's kept rows are appended to the typed columns as raw
-    bytes, so no per-request Python object is ever built.
+    with one running sum across blocks (:func:`_draw_blocks`).
     """
 
     def __init__(self, models: Sequence[str], peak_rps: float,
@@ -291,31 +315,22 @@ class DiurnalTrace(_ColumnWorkload):
                          float(duration_s), self.trough_fraction,
                          self.period_s, self.burst_every_s,
                          self.burst_len_s, stream)
-        two_pi = 2.0 * math.pi
-        times = array("d")
-        picks = _pick_column(self.models)
-        t = 0.0
-        while t < duration_s:
-            gaps = rng.exponential(1.0 / self.peak_rps, DIURNAL_BLOCK)
-            u = rng.random(DIURNAL_BLOCK)
-            pick = rng.integers(len(self.models), size=DIURNAL_BLOCK)
-            gaps[0] += t    # cumsum adds in order: the same sums as t +=
-            at = np.cumsum(gaps)
-            t = float(at[-1])
-            accept = (self.trough_fraction + (1.0 - self.trough_fraction)
-                      * 0.5 * (1.0 - np.cos(two_pi * at / self.period_s)))
-            if self.burst_every_s > 0.0:
-                accept[at % self.burst_every_s < self.burst_len_s] = 1.0
-            keep = (u < accept) & (at < duration_s)
-            times.frombytes(at[keep].tobytes())
-            picks.frombytes(pick[keep].astype(picks.typecode).tobytes())
-        self._times = times
-        self._picks = picks
+        self._times, self._picks = _draw_blocks(
+            rng, self.models, self.peak_rps, float(duration_s),
+            DIURNAL_BLOCK, self._acceptance)
         self._names = self.models
         # The envelope's horizon, not the last accepted arrival: the
         # quiet tail after the final request is part of the day (and is
         # where the autoscaler earns its cost savings).
         self.duration_s = float(duration_s)
+
+    def _acceptance(self, at: np.ndarray) -> np.ndarray:
+        """The probability of keeping a candidate at each time in ``at``."""
+        accept = (self.trough_fraction + (1.0 - self.trough_fraction)
+                  * 0.5 * (1.0 - np.cos(2.0 * math.pi * at / self.period_s)))
+        if self.burst_every_s > 0.0:
+            accept[at % self.burst_every_s < self.burst_len_s] = 1.0
+        return accept
 
 
 def save_trace(workload: Workload, path: str) -> int:
