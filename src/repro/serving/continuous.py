@@ -4,10 +4,10 @@ Autoregressive requests are not one-invocation jobs: each owns a prompt
 (prefill phase) and a token budget (decode phase), and its KV-cache
 occupies device memory for its whole lifetime. This module holds the
 LLM workload (:class:`LLMRequest`, :func:`llm_poisson_requests`,
-:class:`LLMWorkload`) and its frozen :class:`LLMServiceCosts`; the
-scheduling runs on the one fleet event core
-(:class:`~repro.serving.scale.ScaledFleetSimulator`, one device, one
-cell) under one of two batch policies (:func:`llm_policy`):
+:class:`LLMWorkload`) and its frozen :class:`LLMServiceCosts`. The
+scheduling is two launch rules (:func:`llm_policy`) at the one dispatch
+site of the fleet core (:class:`~repro.serving.scale.ScaledFleetSimulator`;
+one device, one cell), past the arrival path every request takes:
 
 * ``continuous`` — iteration-level scheduling. Slots join at
   decode-step boundaries as requests arrive (each joiner's prefill
@@ -52,8 +52,9 @@ class LLMRequest:
     arrival_s: float
     prompt_tokens: int
     output_tokens: int
-    #: Every request runs the config the fleet serves; it names no model.
+    #: Every request runs the fleet's config: it names no model, no client.
     model: ClassVar[str] = ""
+    client: ClassVar[int] = -1
 
     @property
     def kv_footprint(self) -> int:

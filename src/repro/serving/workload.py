@@ -87,7 +87,9 @@ class Arrivals(NamedTuple):
     names[picks[i]], times[i])``.  The columns may be the workload's
     own storage: do not mutate them.  The fleet core keeps its slots in
     typed columns (follow-up and burst rids and clients in ``rids`` and
-    ``clients``, attempts in ``tries``) and builds a row's
+    ``clients``, attempts in ``tries``; under an LLM policy, prompt and
+    output tokens read once from ``requests`` into ``array('I')``
+    columns, with footprints and SLOs from them) and builds a row's
     :meth:`request` only at the workload boundary.
     """
     times: Sequence[float]

@@ -7,6 +7,8 @@ step over ``B`` slots costs ``0.5 + 0.5 * B`` and a ``P``-token prefill
 costs ``P`` at batch 1.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.llm import llm_grid, llm_report, validate_llm_report
@@ -212,3 +214,28 @@ def test_validate_llm_report_catches_problems(monkeypatch):
     broken_rows = [dict(payload["rows"][0]), dict(payload["rows"][1])]
     del broken_rows[0]["goodput_rps"]
     assert validate_llm_report({**payload, "rows": broken_rows}) != []
+
+
+def test_an_llm_run_keeps_columns_not_objects():
+    # Python-heap peak per request of a continuous-batching run, the
+    # workload's own request rows excluded.  Token counts, footprints,
+    # SLOs and the TTFT/ITL samples are typed columns: about 400 bytes,
+    # most of it 8 bytes per ITL sample (~34 output tokens a request).
+    # A request list, five per-request lists and boxed TTFT/ITL floats
+    # cost about 1430.
+    costs = LLMServiceCosts(config="toy", prefill_token_s=6e-6,
+                            decode_step_s=1e-4, kv_budget_tokens=1024)
+    policy = llm_policy("continuous", 8)
+    # Warm the run's first-call allocations.
+    FleetSimulator(costs, batch_policy=policy).run(
+        LLMWorkload.poisson(100.0, 0.5))
+    workload = LLMWorkload.poisson(200.0, 5.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = FleetSimulator(costs, batch_policy=policy).run(workload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.offered == report.completed > 900
+    assert (peak - base) / report.offered <= 450
