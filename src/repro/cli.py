@@ -396,6 +396,13 @@ def cmd_decode(args) -> int:
 
 def _cmd_serve_llm(args) -> int:
     """The ``serve --llm`` path: continuous vs one-shot batching sweep."""
+    defaults = build_parser().parse_args(["serve"])
+    for flag in ("faults", "resilience", "cells", "autoscale", "routing",
+                 "devices"):
+        if getattr(args, flag) != getattr(defaults, flag):
+            print(f"repro serve: --{flag} does not apply to --llm (LLM "
+                  f"batching runs on one device)", file=sys.stderr)
+            return 2
     from .llm import llm_grid, llm_report, llm_table, validate_llm_report
     from .runtime import parallel_map
     from .serving import LLM_SCHEDULERS, LLMServiceCosts, run_cell

@@ -114,6 +114,18 @@ def test_serve_bad_workload_exits_two_with_one_line(capsys, args, message):
     assert capsys.readouterr().err == f"repro: {message}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["--faults", "plan.json"], ["--resilience", "naive"], ["--cells", "1"],
+    ["--autoscale"], ["--routing", "round_robin"], ["--devices", "8"],
+], ids=lambda args: args[0])
+def test_serve_llm_refuses_fleet_flags_in_one_line(capsys, args):
+    assert main(["serve", "--llm", "--duration", "0.5", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"repro serve: {args[0]} does not apply to --llm "
+                   f"(LLM batching runs on one device)\n")
+
+
 def test_chaos_serves_and_resolves_one_model(capsys, monkeypatch):
     from repro.serving import ServiceCosts
     resolved = []
